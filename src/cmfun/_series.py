@@ -1,21 +1,11 @@
-"""Series helpers: acceleration of alternating sums, Bernoulli/zeta tables."""
+"""Series helpers: acceleration of alternating sums, zeta tables and the
+midpoint Euler-Maclaurin completion of truncated sums."""
 
 import math
 
 import numpy as np
 
-# B_2, B_4, ..., B_16 as exact ratios; enough for the asymptotic expansions
-# used in this package (arguments are always shifted to Re >= 12 first).
-BERNOULLI_EVEN = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-    -3617.0 / 510.0,
-)
+from ._quadrature import quad_to_inf
 
 
 def zeta_even(m):
@@ -77,23 +67,6 @@ def alternating_sum_direct(term, abs_tol, max_terms):
     return total, bound
 
 
-def euler_tail(terms):
-    """Sum of an alternating-decaying tail given its leading terms.
-
-    ``terms`` holds t_0, t_1, ... with signs included (t_j alternating).
-    Repeated averaging of the partial sums; returns the converged diagonal.
-    """
-    partial = np.cumsum(np.asarray(terms, dtype=float))
-    row = partial
-    best = row[-1]
-    for _ in range(len(terms) - 1):
-        row = 0.5 * (row[1:] + row[:-1])
-        best = row[-1]
-        if len(row) >= 2 and abs(row[-1] - row[-2]) < 1e-17 * (1 + abs(row[-1])):
-            break
-    return best
-
-
 def pochhammer_ratio_terms(a, n_max):
     """Array of (a)_n / n! for n = 0..n_max-1 via a stable running product."""
     out = np.empty(n_max)
@@ -101,3 +74,27 @@ def pochhammer_ratio_terms(a, n_max):
     for n in range(1, n_max):
         out[n] = out[n - 1] * (a + n - 1) / n
     return out
+
+
+def midpoint_tail(g, start, brute, integral=None):
+    """sum_{m >= start} g(m) for g smooth and integrable in a real m.
+
+    The first ``brute`` terms are summed directly; the rest is completed by
+    the midpoint Euler-Maclaurin rule
+
+        int_a^inf g + g'(a)/24 - 7 g'''(a)/5760,   a = start + brute - 1/2,
+
+    with g' and g''' from one 4-point central stencil of step 1/8.
+    ``integral`` is int_a^inf g when the caller has it in closed form;
+    otherwise it is integrated numerically.  ``g`` maps an ndarray of m to
+    an ndarray.
+    """
+    a = start + brute - 0.5
+    head = float(np.sum(g(np.arange(start, start + brute, dtype=float))))
+    if integral is None:
+        integral = quad_to_inf(g, a, abs_tol=1e-16, rel_tol=1e-12)
+    h = 0.125
+    gm2, gm1, gp1, gp2 = g(a + h * np.array([-2.0, -1.0, 1.0, 2.0]))
+    d1 = (gm2 - 8.0 * gm1 + 8.0 * gp1 - gp2) / (12.0 * h)
+    d3 = (gp2 - 2.0 * gp1 + 2.0 * gm1 - gm2) / (2.0 * h ** 3)
+    return float(head + integral + d1 / 24.0 - 7.0 * d3 / 5760.0)

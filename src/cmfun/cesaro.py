@@ -9,28 +9,17 @@ from typing import Callable
 
 import numpy as np
 
-from ._quadrature import quad, quad_to_inf
-from ._series import alternating_sum, pochhammer_ratio_terms
+from ._quadrature import quad
+from ._series import alternating_sum, midpoint_tail, pochhammer_ratio_terms
 from .errors import CapTooSmallError, DomainError, HypothesisViolationError
 from .laplace import transform_cutoff
 from .specfun import log_gamma
 from .stieltjes import measure_cesaro, stieltjes_eval
 
 
-@dataclass(frozen=True, eq=False)
-class IteratedSums:
-    """Table s[j][n] of j-fold cumulative sums of the prefix a[0..N]."""
-
-    a: np.ndarray
-    k: int
-    table: np.ndarray
-
-    def level(self, j):
-        return self.table[j]
-
-
 def iterate_sums(a, k):
-    """s^(0) = cumsum(a), s^(j) = cumsum(s^(j-1)) up to depth k."""
+    """The (k+1, N) table whose row j is s^(j): s^(0) = cumsum(a),
+    s^(j) = cumsum(s^(j-1)) up to depth k."""
     a = np.asarray(a, dtype=float)
     if k < 0 or int(k) != k:
         raise DomainError("k must be a nonnegative integer")
@@ -38,7 +27,7 @@ def iterate_sums(a, k):
     table[0] = np.cumsum(a)
     for j in range(1, k + 1):
         table[j] = np.cumsum(table[j - 1])
-    return IteratedSums(a=a, k=int(k), table=table)
+    return table
 
 
 def lemma_s_check(a, k, N, x):
@@ -54,9 +43,9 @@ def lemma_s_check(a, k, N, x):
         raise DomainError("N exceeds the available prefix")
     s = iterate_sums(a[:N + 1], k)
     powers = x ** np.arange(N + 1)
-    lhs = (1.0 - x) ** (k + 1) * float(np.sum(s.table[k] * powers))
+    lhs = (1.0 - x) ** (k + 1) * float(np.sum(s[k] * powers))
     rhs = float(np.sum(a[:N + 1] * powers)) - x ** (N + 1) * float(
-        np.sum(s.table[:, N] * (1.0 - x) ** np.arange(k + 1)))
+        np.sum(s[:, N] * (1.0 - x) ** np.arange(k + 1)))
     return lhs, rhs
 
 
@@ -255,17 +244,7 @@ def direct_series(seq, lam, x, cap=8192):
             return abs(float(coef(np.array([n]))[0])) * (x + n) ** (-lam)
         return float(signs[0]) * alternating_sum(term, n_terms=36)
     if np.all(probe > 0):
-        ns = np.arange(cap, dtype=float)
-        head = float(np.sum(coef(ns) * (x + ns) ** (-lam)))
-
-        def g(n):
-            return coef(n) * (x + np.asarray(n, dtype=float)) ** (-lam)
-
-        tail = quad_to_inf(g, cap - 0.5, abs_tol=1e-16, rel_tol=1e-11)
-        d = 0.125
-        g1 = (float(g(np.array([cap - 0.5 + d]))[0])
-              - float(g(np.array([cap - 0.5 - d]))[0])) / (2 * d)
-        return head + tail + g1 / 24.0
+        return midpoint_tail(lambda n: coef(n) * (x + n) ** (-lam), 0, cap)
     raise DomainError("direct series needs alternating or positive smooth "
                       "coefficients")
 

@@ -355,6 +355,9 @@ def beta_power(c):
 def semigroup_density(c, dt=1e-3, t_max=12.0):
     """Tabulate m_c by numerical inversion of beta^c on [dt, t_max]."""
     F = beta_power(c)
+    if not (dt > 0 and math.isfinite(t_max)) or round(t_max / dt) < 2:
+        raise DomainError(f"grid dt={dt}, t_max={t_max} needs dt > 0, a finite "
+                          "t_max and at least 2 points")
     n = int(round(t_max / dt))
     ts = dt * np.arange(1, n + 1)
 

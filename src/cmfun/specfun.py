@@ -1,10 +1,11 @@
 """Scalar special functions: Nielsen beta, polygammas, log-gamma, si/ci,
 Prym's function, the binomial-weighted beta family and log-gamma ratios.
 
-Everything is plain float64.  Real arguments must be positive; complex
-variants accept Re z > 0 (log-gamma and digamma additionally work on the cut
-plane, which the Pick-function checks need).  All functions accept scalars or
-ndarrays and are pure.
+Everything is plain float64.  Real arguments must be positive and finite.
+Nielsen beta and the polygammas also take complex arguments with Re z > 0,
+and log-gamma and digamma take them on the whole cut plane, which the
+Pick-function checks need; the ``*_complex`` names coerce to complex.  All
+functions accept scalars or ndarrays and are pure.
 """
 
 import math
@@ -32,21 +33,6 @@ _LGAMMA_C = np.array([1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
 
 
 @dataclass(frozen=True)
-class EvalPoint:
-    """A positive real argument, optionally paired with a right-half-plane
-    complex one."""
-
-    x: float
-    z: complex = None
-
-    def __post_init__(self):
-        if not self.x > 0:
-            raise DomainError(f"x must be positive, got {self.x}")
-        if self.z is not None and not self.z.real > 0:
-            raise DomainError(f"Re z must be positive, got {self.z}")
-
-
-@dataclass(frozen=True)
 class SeriesPolicy:
     """Truncation policy for alternating series evaluation."""
 
@@ -64,31 +50,23 @@ class SeriesPolicy:
             raise DomainError(f"unknown acceleration {self.acceleration!r}")
 
 
-def _prepare(z, check):
+def _prepare(z, cut_plane=False):
+    """ndarray view of ``z`` and whether it was a scalar.  Real input must be
+    positive and finite; complex input must satisfy Re z > 0, or with
+    ``cut_plane`` only avoid the cut (-inf, 0]."""
     arr = np.atleast_1d(np.asarray(z))
     if np.iscomplexobj(arr):
         arr = arr.astype(complex)
+        if cut_plane:
+            if np.any((arr.imag == 0) & (arr.real <= 0)):
+                raise DomainError("argument must avoid the cut (-inf, 0]")
+        elif np.any(arr.real <= 0):
+            raise DomainError("argument must satisfy Re z > 0")
     else:
         arr = arr.astype(float)
-    check(arr)
+        if np.any(arr <= 0) or np.any(~np.isfinite(arr)):
+            raise DomainError("argument must be a positive real")
     return arr, np.isscalar(z) or np.ndim(z) == 0
-
-
-def _check_positive(arr):
-    if np.iscomplexobj(arr):
-        if np.any(arr.real <= 0):
-            raise DomainError("argument must satisfy Re z > 0")
-    elif np.any(arr <= 0) or np.any(~np.isfinite(arr)):
-        raise DomainError("argument must be a positive real")
-
-
-def _check_cut_plane(arr):
-    if np.iscomplexobj(arr):
-        on_cut = (arr.imag == 0) & (arr.real <= 0)
-        if np.any(on_cut):
-            raise DomainError("argument must avoid the cut (-inf, 0]")
-    elif np.any(arr <= 0):
-        raise DomainError("argument must avoid the cut (-inf, 0]")
 
 
 def _shift_then(arr, recurrence_term, asymptotic):
@@ -149,51 +127,43 @@ def _restore(out, scalar):
 
 
 def digamma(x):
-    """psi(x) = Gamma'(x)/Gamma(x) for x > 0, abs error below 1e-13."""
-    arr, scalar = _prepare(x, _check_positive)
+    """psi(x) = Gamma'(x)/Gamma(x) for x > 0, abs error below 1e-13; for
+    complex input the analytic psi on the plane cut along (-inf, 0]."""
+    arr, scalar = _prepare(x, cut_plane=True)
     out = _shift_then(arr, lambda w: -1.0 / w, _psi_asym)
     return _restore(out, scalar)
 
 
 def trigamma(x):
     """psi'(x) = sum 1/(x+n)^2 for x > 0."""
-    arr, scalar = _prepare(x, _check_positive)
+    arr, scalar = _prepare(x)
     out = _shift_then(arr, lambda w: 1.0 / (w * w), _psi1_asym)
     return _restore(out, scalar)
 
 
 def tetragamma(x):
     """psi''(x); analytic derivative feed for the log-CM checks."""
-    arr, scalar = _prepare(x, _check_positive)
+    arr, scalar = _prepare(x)
     out = _shift_then(arr, lambda w: -2.0 / (w * w * w), _psi2_asym)
     return _restore(out, scalar)
 
 
 def log_gamma(x):
-    """log Gamma(x) for x > 0."""
-    arr, scalar = _prepare(x, _check_positive)
+    """log Gamma(x) for x > 0; for complex input the analytic log-gamma
+    branch on the cut plane (not the log of Gamma)."""
+    arr, scalar = _prepare(x, cut_plane=True)
     out = _shift_then(arr, lambda w: -np.log(w), _lgamma_asym)
     return _restore(out, scalar)
 
 
 def digamma_complex(z):
-    """Analytic psi(z) on the plane cut along (-inf, 0]."""
-    arr, scalar = _prepare(np.asarray(z, dtype=complex), _check_cut_plane)
-    out = _shift_then(arr, lambda w: -1.0 / w, _psi_asym)
-    return _restore(out, scalar)
-
-
-def trigamma_complex(z):
-    arr, scalar = _prepare(np.asarray(z, dtype=complex), _check_cut_plane)
-    out = _shift_then(arr, lambda w: 1.0 / (w * w), _psi1_asym)
-    return _restore(out, scalar)
+    """digamma of ``z`` coerced to complex."""
+    return digamma(np.asarray(z, dtype=complex))
 
 
 def log_gamma_complex(z):
-    """The analytic log-gamma branch on the cut plane (not log of Gamma)."""
-    arr, scalar = _prepare(np.asarray(z, dtype=complex), _check_cut_plane)
-    out = _shift_then(arr, lambda w: -np.log(w), _lgamma_asym)
-    return _restore(out, scalar)
+    """log_gamma of ``z`` coerced to complex."""
+    return log_gamma(np.asarray(z, dtype=complex))
 
 
 # beta(z) ~ 1/(2z) + sum_k b_k z^(-2k), from the Laplace-Watson expansion of
@@ -227,20 +197,20 @@ def _beta_core(arr):
 
 def nielsen_beta(x):
     """beta(x) = sum (-1)^n / (x+n), evaluated as the digamma difference
-    beta(x) = (psi((x+1)/2) - psi(x/2)) / 2 (asymptotic series for large x)."""
-    arr, scalar = _prepare(x, _check_positive)
+    beta(x) = (psi((x+1)/2) - psi(x/2)) / 2 (asymptotic series for large x).
+    Complex input needs Re z > 0; there beta(conj z) = conj beta(z)."""
+    arr, scalar = _prepare(x)
     return _restore(_beta_core(arr), scalar)
 
 
 def nielsen_beta_complex(z):
-    """beta on Re z > 0; satisfies beta(conj z) = conj beta(z)."""
-    arr, scalar = _prepare(np.asarray(z, dtype=complex), _check_positive)
-    return _restore(_beta_core(arr), scalar)
+    """nielsen_beta of ``z`` coerced to complex."""
+    return nielsen_beta(np.asarray(z, dtype=complex))
 
 
 def nielsen_beta_deriv(x):
     """beta'(x) = -sum (-1)^n / (x+n)^2, via the trigamma difference."""
-    arr, scalar = _prepare(x, _check_positive)
+    arr, scalar = _prepare(x)
     out = 0.25 * (_shift_then((arr + 1) / 2, lambda w: 1.0 / (w * w), _psi1_asym)
                   - _shift_then(arr / 2, lambda w: 1.0 / (w * w), _psi1_asym))
     return _restore(out, scalar)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._quadrature import quad, quad_to_inf
+from ._quadrature import quad
+from ._series import midpoint_tail
 from .errors import CapTooSmallError, ConvergenceError, DomainError
 from .specfun import log_gamma
 
@@ -109,11 +110,13 @@ class PiecewisePolynomial:
         return val if val.ndim else float(val)
 
     def integrate_power(self, x, lam):
-        """int p(t) (x + t)^(-lam) dt over the support, closed form."""
-        X = x + self.breakpoints[:-1]
+        """int p(t) (x + t)^(-lam) dt over the support, closed form;
+        broadcasts over an array of x."""
+        x = np.asarray(x, dtype=float)
+        X = x[..., None] + self.breakpoints[:-1]
         L = np.diff(self.breakpoints)
         n_cols = self.coeffs.shape[1]
-        co = self.coeffs[:len(X)]
+        co = self.coeffs[:L.size]
         basics = []
         for i in range(n_cols):
             p = i - lam + 1.0
@@ -121,7 +124,7 @@ class PiecewisePolynomial:
                 basics.append(np.log1p(L / X))
             else:
                 basics.append(_pow_diff(X, L, p) / p)
-        total = 0.0
+        total = np.zeros_like(x)
         for j in range(n_cols):
             cj = co[:, j]
             if not np.any(cj):
@@ -129,10 +132,10 @@ class PiecewisePolynomial:
             acc = np.zeros_like(X)
             for i in range(j + 1):
                 acc += math.comb(j, i) * (-X) ** (j - i) * basics[i]
-            total += float(np.sum(cj * acc))
+            total += np.sum(cj * acc, axis=-1)
         if self.unbounded:
             total += self._tail_power(x, lam)
-        return total
+        return total if total.ndim else float(total)
 
     def _tail_power(self, x, lam):
         row = self.coeffs[-1]
@@ -258,21 +261,15 @@ class GapTail:
     def stieltjes(self, x, order):
         if order <= 1.0:
             raise ConvergenceError("gap tail needs order > 1")
-        n = np.arange(self.start, self.start + self.brute, dtype=float)
-        total = float(np.sum(self._interval_sum(x, order, n)))
-        h = self.step
-        m_half = self.start + self.brute - 0.5
-        A = x + self.offset + 2.0 * h * m_half
-        w = self.weight
+        h, w = self.step, self.weight
+        A = x + self.offset + 2.0 * h * (self.start + self.brute - 0.5)
         if abs(order - 2.0) < 1e-12:
             integral = (w / (2.0 * h)) * math.log1p(h / A)
         else:
             integral = (w / (order - 1.0)) * \
                 float(_pow_diff(A, h, 2.0 - order)) / (2.0 * h * (2.0 - order))
-        j1 = 2.0 * h * w * float(_pow_diff(A, h, -order))
-        j3 = -(2.0 * h) ** 3 * w * order * (order + 1.0) * \
-            float(_pow_diff(A, h, -order - 2.0))
-        return total + integral + j1 / 24.0 - 7.0 * j3 / 5760.0
+        return midpoint_tail(lambda n: self._interval_sum(x, order, n),
+                             self.start, self.brute, integral)
 
     def laplace(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -320,18 +317,13 @@ class PeriodicTail:
         if order <= 1.0:
             raise ConvergenceError("periodic tail needs order > 1")
         X0 = x + self.start
-        mean_part = self.mean * X0 ** (1.0 - order) / (order - 1.0)
-        resid = self.profile.shifted_mean_removed(self.mean)
-        total = mean_part
         p = self.period
-        for m in range(self.brute):
-            total += resid.integrate_power(X0 + p * m, order)
-        Xm = X0 + p * (self.brute - 0.5)
-        integral = resid.integrate_power(Xm, order - 1.0) / (p * (order - 1.0))
-        g1 = -order * p * resid.integrate_power(Xm, order + 1.0)
-        g3 = -order * (order + 1.0) * (order + 2.0) * p ** 3 * \
-            resid.integrate_power(Xm, order + 3.0)
-        return total + integral + g1 / 24.0 - 7.0 * g3 / 5760.0
+        resid = self.profile.shifted_mean_removed(self.mean)
+        Xa = X0 + p * (self.brute - 0.5)
+        integral = resid.integrate_power(Xa, order - 1.0) / (p * (order - 1.0))
+        return self.mean * X0 ** (1.0 - order) / (order - 1.0) + midpoint_tail(
+            lambda m: resid.integrate_power(X0 + p * m, order), 0, self.brute,
+            integral)
 
     def laplace(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -353,9 +345,9 @@ class PeriodicTail:
 
 
 @dataclass(frozen=True, eq=False)
-class SmoothCoefTail:
-    """Degree-0 density coef(m) on the unit cell (m, m+1) for integer
-    m >= start, with coef a smooth function of a real argument."""
+class _CoefTail:
+    """Mass coef(m) on a unit at each integer m >= start, with coef a smooth
+    function of a real argument; subclasses fix the unit and its ``kind``."""
 
     start: int
     coef_name: str
@@ -365,94 +357,73 @@ class SmoothCoefTail:
     def _coef(self, k):
         return _coef_registry(self.coef_name, self.coef_params)(k)
 
-    def _cell(self, x, m, order):
-        return -_pow_diff(x + m, 1.0, 1.0 - order) / (order - 1.0)
-
-    def stieltjes(self, x, order):
-        if order <= 1.0:
-            raise ConvergenceError("cell tail needs order > 1")
-        m = np.arange(self.start, self.start + self.brute, dtype=float)
-        total = float(np.sum(self._coef(m) * self._cell(x, m, order)))
-        m0 = self.start + self.brute - 0.5
-
-        def g(k):
-            return self._coef(k) * self._cell(x, k, order)
-
-        integral = quad_to_inf(g, m0, abs_tol=1e-16, rel_tol=1e-12)
-        d = 0.125
-        g1 = (float(g(np.array([m0 + d]))[0]) -
-              float(g(np.array([m0 - d]))[0])) / (2 * d)
-        return total + integral + g1 / 24.0
+    def _sum(self, unit):
+        """sum_{m >= start} coef(m) unit(m)."""
+        return midpoint_tail(lambda m: self._coef(m) * unit(m), self.start,
+                             self.brute)
 
     def laplace(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(t)
-        for i, ti in enumerate(t):
-            out[i] = _smooth_exp_sum(self._coef, self.start, ti)
-        return out * (-np.expm1(-t)) / t
+        sums = np.array([_smooth_exp_sum(self._coef, self.start, ti)
+                         for ti in t])
+        return sums * self._unit_laplace(t)
 
     def cumulative(self, t):
         t = np.asarray(t, dtype=float)
         hi = int(np.max(np.atleast_1d(t)))
         m = np.arange(self.start, max(self.start, hi) + 1, dtype=float)
-        cvals = self._coef(m) if len(m) else np.array([])
         out = np.zeros_like(t, dtype=float)
-        for mi, ci in zip(m, cvals):
-            out += ci * np.clip(t - mi, 0.0, 1.0)
+        for mi, ci in zip(m, self._coef(m) if len(m) else []):
+            out += ci * self._unit_cumulative(t - mi)
         return out if out.ndim else float(out)
 
     def to_dict(self):
-        return {"kind": "cells", "start": self.start,
+        return {"kind": self.kind, "start": self.start,
                 "coef_name": self.coef_name, "coef_params": dict(self.coef_params)}
 
 
 @dataclass(frozen=True, eq=False)
-class AtomTail:
+class SmoothCoefTail(_CoefTail):
+    """Degree-0 density coef(m) on the unit cell (m, m+1) for integer
+    m >= start, with coef a smooth function of a real argument."""
+
+    kind = "cells"
+
+    def stieltjes(self, x, order):
+        if order <= 1.0:
+            raise ConvergenceError("cell tail needs order > 1")
+        return self._sum(
+            lambda m: -_pow_diff(x + m, 1.0, 1.0 - order) / (order - 1.0))
+
+    @staticmethod
+    def _unit_laplace(t):
+        return -np.expm1(-t) / t
+
+    @staticmethod
+    def _unit_cumulative(s):
+        return np.clip(s, 0.0, 1.0)
+
+
+@dataclass(frozen=True, eq=False)
+class AtomTail(_CoefTail):
     """Unit-spaced atoms at integers n >= start with mass coef(n)."""
 
-    start: int
+    kind = "atoms"
     coef_name: str = "const"
     coef_params: dict = field(default_factory=lambda: {"value": 1.0})
-    brute: int = 512
-
-    def _coef(self, k):
-        return _coef_registry(self.coef_name, self.coef_params)(k)
 
     def stieltjes(self, x, order):
         if order <= 1.0:
             raise ConvergenceError("atom tail needs order > 1")
-        n = np.arange(self.start, self.start + self.brute, dtype=float)
-        total = float(np.sum(self._coef(n) * (x + n) ** (-order)))
-        m0 = self.start + self.brute - 0.5
+        return self._sum(lambda m: (x + m) ** (-order))
 
-        def g(k):
-            return self._coef(k) * (x + np.asarray(k, dtype=float)) ** (-order)
+    @staticmethod
+    def _unit_laplace(t):
+        return 1.0
 
-        integral = quad_to_inf(g, m0, abs_tol=1e-16, rel_tol=1e-12)
-        d = 0.125
-        g1 = (float(g(np.array([m0 + d]))[0]) -
-              float(g(np.array([m0 - d]))[0])) / (2 * d)
-        return total + integral + g1 / 24.0
-
-    def laplace(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(t)
-        for i, ti in enumerate(t):
-            out[i] = _smooth_exp_sum(self._coef, self.start, ti)
-        return out
-
-    def cumulative(self, t):
-        t = np.asarray(t, dtype=float)
-        hi = int(np.max(np.atleast_1d(t)))
-        n = np.arange(self.start, max(self.start, hi) + 1, dtype=float)
-        out = np.zeros_like(t, dtype=float)
-        for ni, ci in zip(n, self._coef(n) if len(n) else []):
-            out += ci * (t >= ni)
-        return out if out.ndim else float(out)
-
-    def to_dict(self):
-        return {"kind": "atoms", "start": self.start,
-                "coef_name": self.coef_name, "coef_params": dict(self.coef_params)}
+    @staticmethod
+    def _unit_cumulative(s):
+        return s >= 0.0
 
 
 def _smooth_exp_sum(coef, start, t):
@@ -461,19 +432,13 @@ def _smooth_exp_sum(coef, start, t):
         n_hi = start + int(math.ceil(45.0 / t)) + 1
         m = np.arange(start, n_hi, dtype=float)
         return float(np.sum(coef(m) * np.exp(-m * t)))
-    m0 = start - 0.5
-    # midpoint rule: the integral in u = kappa t keeps the range O(1)
-    lo = m0 * t
-
-    def g(u):
-        return coef(u / t) * np.exp(-u)
-
-    integral = quad(g, lo, lo + 45.0, abs_tol=3e-12, rel_tol=1e-9,
+    # the integral in u = m t keeps the range O(1)
+    lo = (start - 0.5) * t
+    integral = quad(lambda u: coef(u / t) * np.exp(-u), lo, lo + 45.0,
+                    abs_tol=3e-12, rel_tol=1e-9,
                     points=[lo + 1.0, lo + 5.0]) / t
-    d = 0.125
-    g1 = (float(coef(np.array([m0 + d]))[0]) * math.exp(-(m0 + d) * t)
-          - float(coef(np.array([m0 - d]))[0]) * math.exp(-(m0 - d) * t)) / (2 * d)
-    return integral + g1 / 24.0
+    return midpoint_tail(lambda m: coef(m) * np.exp(-m * t), start, 0,
+                         integral)
 
 
 _TAIL_KINDS = {"gaps": GapTail, "periodic": PeriodicTail,

@@ -11,11 +11,11 @@ from cmfun.errors import DomainError, HypothesisViolationError
 class TestIterateSums:
     def test_alternating_level0(self):
         s = cs.iterate_sums([1, -1, 1, -1, 1, -1], 0)
-        assert np.array_equal(s.table[0], [1, 0, 1, 0, 1, 0])
+        assert np.array_equal(s[0], [1, 0, 1, 0, 1, 0])
 
     def test_alternating_level1(self):
         s = cs.iterate_sums([1, -1, 1, -1, 1, -1], 1)
-        assert np.array_equal(s.table[1], [1, 1, 2, 2, 3, 3])
+        assert np.array_equal(s[1], [1, 1, 2, 2, 3, 3])
 
     def test_delta_sequence_level2(self):
         # s^(0) is already one cumulative sum, so level k is k+1 cumsums
@@ -23,10 +23,10 @@ class TestIterateSums:
         a[0] = 1.0
         s = cs.iterate_sums(a, 2)
         oracle = np.cumsum(np.cumsum(np.cumsum(a)))
-        assert np.array_equal(s.table[2], oracle)
+        assert np.array_equal(s[2], oracle)
         n = np.arange(10)
-        assert np.array_equal(s.table[1], n + 1)
-        assert np.array_equal(s.table[2], (n + 1) * (n + 2) // 2)
+        assert np.array_equal(s[1], n + 1)
+        assert np.array_equal(s[2], (n + 1) * (n + 2) // 2)
 
 
 class TestLemmaS:

@@ -118,6 +118,12 @@ class TestInvert:
         code, _, _ = run(capsys, "invert", "nosuch", "--c", "1")
         assert code == 2
 
+    def test_zero_dt_exits_2(self, capsys):
+        code, out, err = run(capsys, "invert", "beta-pow-c", "--c", "1",
+                             "--dt", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSemigroupCommand:
     def test_small_grid(self, capsys):
@@ -126,6 +132,12 @@ class TestSemigroupCommand:
         report = json.loads(out)
         assert code == 0 and report["passed"]
         assert report["sup_discrepancy"] < 1e-4
+
+    def test_one_point_grid_exits_2(self, capsys):
+        code, out, err = run(capsys, "semigroup", "0.5", "0.5",
+                             "--tmax", "1e-3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSample:

@@ -1,0 +1,103 @@
+"""Oracle tests of every truncated-series tail completion: each must land
+within 1e-13 * max(1, |ref|) of an independent mpmath or scipy value."""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from scipy.special import polygamma
+
+from cmfun import barnes, cesaro
+from cmfun import stieltjes as st
+
+mpmath.mp.dps = 30
+XS = (0.05, 0.3, 1.0, 3.7, 12.0, 50.0)
+
+
+def assert_close(value, ref):
+    assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+def mp_log_gamma(x):
+    return mpmath.loggamma(mpmath.mpf(x))
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.5, 0.2])
+def test_gap_tail(lam):
+    m = st.measure_alternating(lambda n: n, lam)
+    assert isinstance(m.tail, st.GapTail)
+    for x in XS:
+        assert_close(st.stieltjes_eval(m, x), float(mpmath.lerchphi(-1, lam, x)))
+
+
+def test_periodic_tail_gamma_ratio():
+    a, b = 0.5, 1.3
+    m = st.measure_gamma_ratio(a, b)
+    assert isinstance(m.tail, st.PeriodicTail)
+    for x in XS:
+        ref = (mp_log_gamma(x) + mp_log_gamma(x + a + b)
+               - mp_log_gamma(x + a) - mp_log_gamma(x + b))
+        assert_close(st.stieltjes_eval(m, x), float(ref))
+
+
+def test_periodic_tail_stirling_kernel():
+    for x in XS:
+        xm = mpmath.mpf(x)
+        ref = mp_log_gamma(x) - ((xm - 0.5) * mpmath.log(xm) - xm
+                                 + mpmath.log(2 * mpmath.pi) / 2)
+        assert_close(barnes._Q_MEASURE(x), float(ref))
+
+
+def test_atom_tail():
+    m = st.measure_integer_atoms()
+    assert isinstance(m.tail, st.AtomTail)
+    for x in XS:
+        assert_close(st.stieltjes_eval(m, x), float(polygamma(1, x)))
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+def test_cell_tail_pochhammer(s):
+    m = st.measure_gamma_reciprocal_ratio(s)
+    assert isinstance(m.tail, st.SmoothCoefTail)
+    for x in XS:
+        ref = mpmath.gamma(x) / mpmath.gamma(x + s + 1)
+        assert_close(st.stieltjes_eval(m, x) / math.gamma(s + 1), float(ref))
+
+
+def test_cell_tail_affine():
+    m = st.measure_cesaro(cesaro.preset_sequence("ones").coef, 0, 2.0)
+    assert isinstance(m.tail, st.SmoothCoefTail)
+    assert m.tail.coef_name == "affine"
+    for x in XS:
+        assert_close(st.stieltjes_eval(m, x), float(polygamma(1, x)))
+
+
+def test_smooth_exp_sum_small_t():
+    kappa = st.kernel_kappa(st.measure_integer_atoms())
+    for t in (1e-5, 1e-4, 9e-4):
+        assert_close(kappa(t), 1.0 / -math.expm1(-t))
+
+
+def test_direct_series_positive_coefficients():
+    for x in XS:
+        assert_close(cesaro.direct_series("ones", 1.5, x),
+                     float(mpmath.zeta(1.5, x)))
+
+
+def test_coef_tails_share_fields_and_differ_in_unit():
+    atoms = st.AtomTail(start=3)
+    assert (atoms.coef_name, atoms.coef_params, atoms.brute) == \
+        ("const", {"value": 1.0}, 512)
+    cells = st.SmoothCoefTail(start=3, coef_name="const",
+                              coef_params={"value": 1.0})
+    assert cells.brute == 512
+    assert (atoms.to_dict()["kind"], cells.to_dict()["kind"]) == \
+        ("atoms", "cells")
+    assert np.array_equal(atoms.cumulative(np.array([2.5, 3.0, 4.5])),
+                          [0.0, 1.0, 2.0])
+    assert np.array_equal(cells.cumulative(np.array([2.5, 3.0, 4.5])),
+                          [0.0, 0.0, 1.5])
+    t = np.array([0.5, 2.0])
+    assert np.allclose(cells.laplace(t), atoms.laplace(t) * -np.expm1(-t) / t,
+                       rtol=1e-15, atol=0.0)
