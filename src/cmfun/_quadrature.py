@@ -33,14 +33,22 @@ _WEIGHTS_G[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 
 def vectorized(f):
-    """Wrap ``f`` so it maps ndarray -> ndarray, probing once."""
-    try:
-        out = f(np.array([0.5, 0.75]))
-        if np.shape(out) == (2,):
-            return f
-    except Exception:
-        pass
-    return lambda ts: np.array([f(t) for t in ts])
+    """Wrap ``f`` so it maps an ndarray to an ndarray of the same shape.
+
+    Each call first hands ``f`` the whole array.  A scalar-only ``f`` (one
+    that raises on it or returns another shape, such as ``math.exp`` or a
+    constant) is then called once per element instead.
+    """
+    def wrapped(x):
+        x = np.asarray(x)
+        try:
+            out = f(x)
+            if np.shape(out) == x.shape:
+                return out
+        except Exception:  # scalar-only f: fall through to the element loop
+            pass
+        return np.array([f(v) for v in x.flat]).reshape(x.shape)
+    return wrapped
 
 
 def _panel(f, a, b):

@@ -75,6 +75,66 @@ class HypothesesReport:
                 "n_probe": self.n_probe}
 
 
+# terms per chunk of the streamed hypotheses probe
+_CHUNK = 1 << 20
+
+
+def _coef_chunks(seq, stop):
+    """a_0 .. a_(stop-1) in consecutive chunks of at most _CHUNK terms; a
+    product-form preset carries its running product across chunks."""
+    preset = _as_preset(seq)
+    coef = _as_coef(seq)
+    prev = None
+    for lo in range(0, stop, _CHUNK):
+        hi = min(lo + _CHUNK, stop)
+        if lo and preset is not None and preset.ratio is not None:
+            a = preset.ratio(np.arange(lo, hi, dtype=float))
+            a[0] *= prev
+            np.cumprod(a, out=a)
+        else:
+            a = np.asarray(coef(np.arange(lo, hi)), dtype=float)
+        prev = a[-1]
+        yield a
+
+
+def _prefix_stats(seq, k, lam, n_probe):
+    """Streamed statistics of s = s^(k) on n <= n_probe: (min s, max |s|,
+    the windowed maxima of |s|/n^lam ending at n_probe // 10 and n_probe,
+    total and recent sums of s_n / n^(1+lam)).
+
+    Each cumsum level carries its running sum into the next chunk, so the
+    prefix sums are bit-identical to whole-array cumsums; the two sums are
+    sums of per-chunk sums.
+    """
+    carry = np.zeros(int(k) + 1)
+    windows = [(n_probe // 10, max(1, int(0.9 * (n_probe // 10)))),
+               (n_probe, max(1, int(0.9 * n_probe)))]
+    peak = [0.0, 0.0]
+    s_min, s_max, total, recent = math.inf, 0.0, 0.0, 0.0
+    lo = 0
+    for s in _coef_chunks(seq, n_probe + 1):
+        hi = lo + len(s)
+        for level in range(len(carry)):
+            s[0] += carry[level]
+            np.cumsum(s, out=s)
+            carry[level] = s[-1]
+        mag = np.abs(s)
+        s_min = min(s_min, float(np.min(s)))
+        s_max = max(s_max, float(np.max(mag)))
+        for i, (idx, start) in enumerate(windows):
+            a, b = max(start, lo), min(idx + 1, hi)
+            if a < b:
+                peak[i] = max(peak[i], float(np.max(mag[a - lo:b - lo])))
+        first = max(lo, 1)
+        n = np.arange(first, hi, dtype=float)
+        terms = s[first - lo:] / n ** (1.0 + lam)
+        total += float(np.sum(terms))
+        recent += float(np.sum(terms[max(n_probe // 10 + 1 - first, 0):]))
+        lo = hi
+    return (s_min, s_max, peak[0] / windows[0][0] ** lam,
+            peak[1] / windows[1][0] ** lam, total, recent)
+
+
 def hypotheses_check(seq, k, lam, n_probe=20_000_000):
     """Probe (i) s^(k) >= 0, (ii) s^(k)_n / n^lam -> 0, (iii)
     sum s^(k)_n / n^(1+lam) < inf on the prefix n <= n_probe.
@@ -82,33 +142,21 @@ def hypotheses_check(seq, k, lam, n_probe=20_000_000):
     (ii) requires the windowed maximum of s/n^lam to drop by a factor 2 over
     the last decade; (iii) requires the partial sums to grow by less than
     1e-6 relative over the last decade (for the bounded-sum catalog this
-    needs a prefix of order 10^7).
+    needs a prefix of order 10^7).  The prefix streams in chunks of 2^20
+    terms, so memory does not grow with ``n_probe``.
     """
     if n_probe < 1000:
         raise DomainError("n_probe must be >= 1000")
-    coef = _as_coef(seq)
-    s = np.asarray(coef(np.arange(n_probe + 1)), dtype=float)
-    for _ in range(int(k) + 1):
-        np.cumsum(s, out=s)
-    scale = max(1.0, float(np.max(np.abs(s))))
-    nonneg = "pass" if float(np.min(s)) >= -1e-12 * scale else "fail"
-
-    def window_max(idx):
-        lo = max(1, int(0.9 * idx))
-        return float(np.max(np.abs(s[lo:idx + 1]))) / idx ** lam
-
-    r_old = window_max(n_probe // 10)
-    r_new = window_max(n_probe)
+    s_min, s_max, r_old, r_new, total, recent = _prefix_stats(
+        seq, k, lam, n_probe)
+    scale = max(1.0, s_max)
+    nonneg = "pass" if s_min >= -1e-12 * scale else "fail"
     if r_old == 0.0 and r_new == 0.0:
         decay = "pass"
     else:
         ratio = r_new / max(r_old, 1e-300)
         decay = "pass" if ratio <= 0.5 else ("fail" if ratio >= 0.9
                                              else "inconclusive")
-    n = np.arange(1, n_probe + 1, dtype=float)
-    terms = s[1:] / n ** (1.0 + lam)
-    total = float(np.sum(terms))
-    recent = float(np.sum(terms[n_probe // 10:]))
     if total <= 0:
         summable = "pass" if nonneg == "pass" else "inconclusive"
     else:
@@ -119,18 +167,34 @@ def hypotheses_check(seq, k, lam, n_probe=20_000_000):
                             n_probe=int(n_probe))
 
 
+def require_hypotheses(seq, k, lam, n_probe):
+    """Probe the representation hypotheses once; raise
+    HypothesisViolationError when one of them fails."""
+    report = hypotheses_check(seq, k, lam, n_probe=n_probe)
+    if report.overall == "fail":
+        raise HypothesisViolationError(
+            f"representation hypotheses fail: {report.to_dict()}")
+    return report
+
+
 # ---------------------------------------------------------------------------
 # named coefficient presets with closed generating functions
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SequencePreset:
-    """Coefficients a_n with the closed form of sum a_n u^n at u = e^(-t)."""
+    """Coefficients a_n with the closed form of sum a_n u^n at u = e^(-t).
+
+    ``ratio`` maps n >= 1 to a_n / a_(n-1) when a_0 = 1 and the coefficients
+    are that running product; the hypotheses probe then carries the product
+    from chunk to chunk.
+    """
 
     name: str
     coef: Callable
     gen: Callable
     default_lam: float = 1.0
+    ratio: Callable = None
 
 
 def _sign(n):
@@ -160,24 +224,25 @@ def preset_sequence(key, a=0.5):
         if not 0 < a <= 1:
             raise DomainError("binomial parameter must be in (0, 1]")
 
+        def ratio(n):
+            return -((a + n - 1.0) / n)
+
         def coef(n):
-            sign = _sign(n)
             n_int = np.asarray(n, dtype=np.int64)
             if n_int.size <= 128:
                 table = pochhammer_ratio_terms(a, int(np.max(n_int)) + 1)
-                return sign * table[n_int]
+                return _sign(n) * table[n_int]
             if n_int[0] == 0 and n_int[-1] == n_int.size - 1:
                 # contiguous range: one cumulative-product pass
-                k = np.arange(1.0, n_int.size)
-                mag = np.concatenate([[1.0], np.cumprod((a + k - 1.0) / k)])
-                return sign * mag
+                return np.concatenate(
+                    [[1.0], np.cumprod(ratio(np.arange(1.0, n_int.size)))])
             n_f = n_int.astype(float)
             mag = np.exp(log_gamma(n_f + a) - log_gamma(n_f + 1.0)
                          - math.lgamma(a))
-            return sign * mag
+            return _sign(n) * mag
 
         return SequencePreset("binomial-a", coef,
-                              lambda u: (1.0 + u) ** (-a))
+                              lambda u: (1.0 + u) ** (-a), ratio=ratio)
     if key == "prym":
         return SequencePreset("prym", _prym_coef, lambda u: np.exp(-u))
     if key == "ones":
@@ -187,6 +252,13 @@ def preset_sequence(key, a=0.5):
 
 
 PRESET_KEYS = ("alternating", "binomial-a", "prym", "ones")
+
+
+def _as_preset(seq):
+    """The preset named or given by ``seq``, or None for other sequences."""
+    if isinstance(seq, SequencePreset):
+        return seq
+    return preset_sequence(seq) if isinstance(seq, str) else None
 
 
 def _as_coef(seq):
@@ -204,8 +276,7 @@ def kappa_eval(seq, k, t):
     """kappa(t) = t^(-(k+1)) sum a_n e^(-nt); closed generating function for
     presets, truncated series otherwise."""
     t = np.asarray(t, dtype=float)
-    preset = seq if isinstance(seq, SequencePreset) else (
-        preset_sequence(seq) if isinstance(seq, str) else None)
+    preset = _as_preset(seq)
     if preset is not None:
         core = preset.gen(np.exp(-t))
     else:
@@ -253,19 +324,16 @@ def series_eval_three_ways(seq, k, lam, x, cap=4096, n_probe=2_000_000,
                            skip_hypotheses=False):
     """(direct, stieltjes, laplace) evaluations of sum a_n/(x+n)^lam.
 
-    The hypotheses are probed first and a failure raises; pass
-    ``skip_hypotheses=True`` to override explicitly.
+    The hypotheses are probed first (``require_hypotheses``) and a failure
+    raises; pass ``skip_hypotheses=True`` when the caller has probed them
+    already, or to override explicitly.
     """
     if not x > 0:
         raise DomainError("x must be positive")
-    preset = seq if isinstance(seq, SequencePreset) else (
-        preset_sequence(seq) if isinstance(seq, str) else None)
+    preset = _as_preset(seq)
     coef = preset.coef if preset is not None else _as_coef(seq)
     if not skip_hypotheses:
-        report = hypotheses_check(coef, k, lam, n_probe=n_probe)
-        if report.overall == "fail":
-            raise HypothesisViolationError(
-                f"representation hypotheses fail: {report.to_dict()}")
+        require_hypotheses(preset or coef, k, lam, n_probe=n_probe)
     direct = direct_series(coef, lam, x)
     measure = measure_cesaro(coef, k, lam, cap=cap)
     stieltjes = stieltjes_eval(measure, x)

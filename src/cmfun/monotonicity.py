@@ -5,6 +5,12 @@ counterexample construction for generalized Stieltjes orders above 2.
 
 A checker can refute a property (witnesses are genuine sign violations well
 beyond the rounding slack) or corroborate it on the grid; it never proves it.
+
+Checkers are batch-first: each calls ``f`` once on the whole grid (an
+ndarray of points x + j h, or the complex Pick region) and then works on
+the values.  A scalar-only callable (``math.exp``, a constant,
+``cmath.exp``) is adapted by ``_quadrature.vectorized``, which then calls
+it once per point.
 """
 
 import cmath
@@ -13,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._quadrature import vectorized
 from .errors import DomainError
 
 _EPS = float(np.finfo(float).eps)
@@ -77,6 +84,35 @@ class CheckReport:
         return d
 
 
+def _grid_points(grid):
+    """The (len(x_points), n_max + 1) array of points x + j h, h = x * h_factor."""
+    x = grid.x_points[:, None]
+    return x + np.arange(grid.n_max + 1) * (x * grid.h_factor)
+
+
+def _cm_report(vals, grid, eps, label):
+    """The cm_check verdict for f's values on ``_grid_points(grid)``; a NaN
+    difference is a witness."""
+    witnesses = []
+    worst = math.inf
+    for x, row in zip(grid.x_points, vals.tolist()):
+        scale = max(abs(v) for v in row)
+        for n in range(grid.n_max + 1):
+            diff = math.fsum((-1) ** j * math.comb(n, j) * row[j]
+                             for j in range(n + 1))
+            slack = 16.0 * 2 ** n * eps * scale
+            worst = min(worst, diff + slack)
+            if not diff >= -slack:
+                witnesses.append(Witness(float(x), n, diff, slack))
+    return CheckReport(passed=not witnesses, worst_margin=worst,
+                       witnesses=tuple(witnesses), label=label)
+
+
+def _values(f, pts):
+    """f on the ndarray ``pts`` as floats; one call when f takes arrays."""
+    return np.asarray(vectorized(f)(pts), dtype=float)
+
+
 def cm_check(f, grid=None, eval_noise=None, label=""):
     """Check (-1)^n-alternating finite differences of f for nonnegativity.
 
@@ -88,21 +124,7 @@ def cm_check(f, grid=None, eval_noise=None, label=""):
     """
     grid = grid or CheckGrid.default()
     eps = eval_noise if eval_noise is not None else _EPS
-    witnesses = []
-    worst = math.inf
-    for x in grid.x_points:
-        h = x * grid.h_factor
-        vals = [float(f(x + j * h)) for j in range(grid.n_max + 1)]
-        scale = max(abs(v) for v in vals)
-        for n in range(grid.n_max + 1):
-            diff = math.fsum((-1) ** j * math.comb(n, j) * vals[j]
-                             for j in range(n + 1))
-            slack = 16.0 * 2 ** n * eps * scale
-            worst = min(worst, diff + slack)
-            if diff < -slack:
-                witnesses.append(Witness(float(x), n, diff, slack))
-    return CheckReport(passed=not witnesses, worst_margin=worst,
-                       witnesses=tuple(witnesses), label=label)
+    return _cm_report(_values(f, _grid_points(grid)), grid, eps, label)
 
 
 def lcm_check(f, grid=None, df=None, eval_noise=None, label=""):
@@ -110,27 +132,26 @@ def lcm_check(f, grid=None, df=None, eval_noise=None, label=""):
     monotonic.  With no analytic derivative, a central difference with step
     x * 1e-6 is used and the rounding slack widened accordingly."""
     grid = grid or CheckGrid.default()
-    witnesses = []
-    for x in grid.x_points:
-        h = x * grid.h_factor
-        for j in range(grid.n_max + 1):
-            v = float(f(x + j * h))
-            if not v > 0:
-                witnesses.append(Witness(float(x + j * h), 0, v, 0.0))
-    if witnesses:
+    pts = _grid_points(grid)
+    if df is None:
+        d = pts * 1e-6
+        fx, fp, fm = _values(f, np.stack([pts, pts + d, pts - d]))
+    else:
+        fx = _values(f, pts)
+    bad = ~(fx > 0)
+    if bad.any():
+        witnesses = tuple(Witness(float(x), 0, float(v), 0.0)
+                          for x, v in zip(pts[bad], fx[bad]))
         return CheckReport(passed=False,
                            worst_margin=min(w.value for w in witnesses),
-                           witnesses=tuple(witnesses), label=label)
+                           witnesses=witnesses, label=label)
     if df is not None:
-        def g(x):
-            return -df(x) / f(x)
+        g = -_values(df, pts) / fx
         noise = eval_noise if eval_noise is not None else _EPS
     else:
-        def g(x):
-            d = x * 1e-6
-            return -(f(x + d) - f(x - d)) / (2.0 * d) / f(x)
+        g = -(fp - fm) / (2.0 * d) / fx
         noise = eval_noise if eval_noise is not None else 1e-9
-    return cm_check(g, grid, eval_noise=noise, label=label)
+    return _cm_report(g, grid, noise, label)
 
 
 DEFAULT_HORN_ALPHAS = (0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 2.0)
@@ -140,10 +161,12 @@ def horn_check(f, alphas=DEFAULT_HORN_ALPHAS, grid=None, eval_noise=None,
                label=""):
     """f^alpha completely monotonic for each alpha; aggregate verdict."""
     grid = grid or CheckGrid.default()
+    eps = eval_noise if eval_noise is not None else _EPS
+    vals = _values(f, _grid_points(grid))
     witnesses = []
     worst = math.inf
     for alpha in alphas:
-        rep = cm_check(lambda x: f(x) ** alpha, grid, eval_noise=eval_noise)
+        rep = _cm_report(vals ** alpha, grid, eps, "")
         worst = min(worst, rep.worst_margin)
         witnesses.extend(rep.witnesses)
     return CheckReport(passed=not witnesses, worst_margin=worst,
@@ -151,42 +174,39 @@ def horn_check(f, alphas=DEFAULT_HORN_ALPHAS, grid=None, eval_noise=None,
 
 
 def pick_region(re_max=20.0, im_max=20.0, n=40, exclusion=0.1):
-    """Grid on [-re_max, re_max] x (0, im_max] minus a neighborhood of the
-    cut (-inf, 0]."""
-    res = np.linspace(-re_max, re_max, n)
-    ims = np.linspace(im_max / n, im_max, n)
-    pts = []
-    for re in res:
-        for im in ims:
-            dist = abs(im) if re <= 0 else math.hypot(re, im)
-            if dist >= exclusion:
-                pts.append(complex(re, im))
-    return pts
+    """Complex ndarray grid on [-re_max, re_max] x (0, im_max] minus a
+    neighborhood of the cut (-inf, 0]."""
+    re, im = np.meshgrid(np.linspace(-re_max, re_max, n),
+                         np.linspace(im_max / n, im_max, n), indexing="ij")
+    dist = np.where(re <= 0, np.abs(im), np.hypot(re, im))
+    return (re + 1j * im)[dist >= exclusion]
 
 
 def pick_check(h, re_max=20.0, im_max=20.0, n=40, exclusion=0.1,
                floor=-1e-10, label=""):
-    """Im h >= floor on the upper-half-plane region; reports the Im range."""
+    """Im h >= floor on the upper-half-plane region; reports the Im range.
+
+    A point where h raises, or returns NaN, is a witness with value NaN.
+    """
     pts = pick_region(re_max, im_max, n, exclusion)
-    witnesses = []
-    sup_im = -math.inf
-    inf_im = math.inf
-    worst = math.inf
-    for z in pts:
+
+    def guarded(z):
         try:
-            val = complex(h(z))
-        except Exception as exc:  # evaluation failures reported per point
-            witnesses.append(Witness(float(z.real), 0, math.nan, float(z.imag)))
-            continue
-        im = val.imag
-        sup_im = max(sup_im, im)
-        inf_im = min(inf_im, im)
-        worst = min(worst, im - floor)
-        if im < floor:
-            witnesses.append(Witness(float(z.real), 0, im, float(z.imag)))
-    return CheckReport(passed=not witnesses, worst_margin=worst,
-                       witnesses=tuple(witnesses), sup_im=sup_im,
-                       inf_im=inf_im, label=label)
+            return np.asarray(h(z), dtype=complex)
+        except Exception:  # evaluation failures reported per point
+            return complex(math.nan, math.nan)
+
+    im = np.imag(vectorized(guarded)(pts))
+    bad = np.isnan(im) | (im < floor)
+    witnesses = tuple(Witness(float(z.real), 0, float(v), float(z.imag))
+                      for z, v in zip(pts[bad], im[bad]))
+    return CheckReport(passed=not witnesses,
+                       worst_margin=float(np.fmin.reduce(im - floor,
+                                                         initial=math.inf)),
+                       witnesses=witnesses,
+                       sup_im=float(np.fmax.reduce(im, initial=-math.inf)),
+                       inf_im=float(np.fmin.reduce(im, initial=math.inf)),
+                       label=label)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadrature import quad
-from ._series import alternating_sum, alternating_sum_direct
+from ._series import (alternating_sum, alternating_sum_direct,
+                      pochhammer_ratio_terms)
 from .errors import ConvergenceError, DomainError
 
 EULER_GAMMA = 0.5772156649015328606065
@@ -67,6 +68,15 @@ def _prepare(z, cut_plane=False):
         if np.any(arr <= 0) or np.any(~np.isfinite(arr)):
             raise DomainError("argument must be a positive real")
     return arr, np.isscalar(z) or np.ndim(z) == 0
+
+
+def _positive(x):
+    """``x`` as a float ndarray, after checking that every entry is
+    positive."""
+    arr = np.asarray(x, dtype=float)
+    if not np.all(arr > 0):
+        raise DomainError(f"x must be positive, got {x}")
+    return arr
 
 
 def _shift_then(arr, recurrence_term, asymptotic):
@@ -218,20 +228,19 @@ def nielsen_beta_deriv(x):
 
 def nielsen_beta_series(x, policy=None):
     """Independent series route for beta(x), per the truncation policy."""
-    if not np.isscalar(x) and np.ndim(x) > 0:
-        return np.array([nielsen_beta_series(v, policy) for v in x])
-    if not x > 0:
-        raise DomainError(f"x must be positive, got {x}")
+    arr = _positive(x)
     policy = policy or SeriesPolicy()
     if policy.acceleration == "alternating-acceleration":
         n = max(8, int(math.log(4.0 / policy.abs_tol) / 1.7627) + 4)
-        return alternating_sum(lambda k: 1.0 / (x + k), n_terms=n)
-    value, bound = alternating_sum_direct(
-        lambda k: 1.0 / (x + k), policy.abs_tol, policy.max_terms)
-    if bound > policy.abs_tol:
-        raise ConvergenceError(
-            f"direct beta series: tail bound {bound:.2e} > {policy.abs_tol:.2e}")
-    return value
+        value = alternating_sum(lambda k: 1.0 / (arr + k), n_terms=n)
+    else:
+        value, bound = alternating_sum_direct(
+            lambda k: 1.0 / (arr + k), policy.abs_tol, policy.max_terms)
+        if np.max(bound) > policy.abs_tol:
+            raise ConvergenceError(
+                f"direct beta series: tail bound {np.max(bound):.2e} > "
+                f"{policy.abs_tol:.2e}")
+    return float(value) if np.ndim(x) == 0 else value
 
 
 def sin_cos_integrals(x):
@@ -280,20 +289,20 @@ def sin_cos_integrals(x):
 
 def prym_P(x):
     """Prym's function P(x) = sum (-1)^n / (n!(x+n)), factorial truncation."""
-    if not np.isscalar(x) and np.ndim(x) > 0:
-        return np.array([prym_P(v) for v in x])
-    if not x > 0:
-        raise DomainError(f"x must be positive, got {x}")
-    total = 0.0
+    arr = _positive(x)
+    total = np.zeros_like(arr)
+    active = np.ones(arr.shape, dtype=bool)
     inv_fact = 1.0
     for n in range(0, 400):
         if n:
             inv_fact /= n
-        term = inv_fact / (x + n)
-        total += -term if n % 2 else term
-        if term < 1e-18 * abs(total):
+        term = inv_fact / (arr + n)
+        total = np.where(active, total - term if n % 2 else total + term,
+                         total)
+        active &= ~(term < 1e-18 * np.abs(total))
+        if not active.any():
             break
-    return total
+    return float(total) if np.ndim(x) == 0 else total
 
 
 def prym_P_integral(x):
@@ -315,21 +324,15 @@ def prym_Q(x):
 
 def beta_a_lambda(x, a, lam):
     """sum (-1)^n (a)_n/n! (x+n)^(-lam) for x > 0, 0 < a <= 1, lam > 0."""
-    if not x > 0:
-        raise DomainError(f"x must be positive, got {x}")
+    arr = _positive(x)
     if not 0 < a <= 1:
         raise DomainError(f"a must be in (0, 1], got {a}")
     if not lam > 0:
         raise DomainError(f"lam must be positive, got {lam}")
-    poch = [1.0]
-
-    def term(k):
-        while len(poch) <= k:
-            n = len(poch)
-            poch.append(poch[-1] * (a + n - 1) / n)
-        return poch[k] * (x + k) ** (-lam)
-
-    return alternating_sum(term, n_terms=30)
+    poch = pochhammer_ratio_terms(a, 30)
+    value = alternating_sum(lambda k: poch[k] * (arr + k) ** (-lam),
+                            n_terms=30)
+    return float(value) if np.ndim(x) == 0 else value
 
 
 def beta_a_lambda_integral(x, a, lam):
@@ -353,8 +356,7 @@ def beta_a_lambda_integral(x, a, lam):
 
 def gamma_ratio_log(x, a, b):
     """log[ Gamma(x) Gamma(x+a+b) / (Gamma(x+a) Gamma(x+b)) ], nonnegative."""
-    if not x > 0:
-        raise DomainError(f"x must be positive, got {x}")
+    x = _positive(x)
     if a < 0 or b < 0:
         raise DomainError("a and b must be nonnegative")
     return (log_gamma(x) + log_gamma(x + a + b)

@@ -78,6 +78,90 @@ class TestHypotheses:
             cs.hypotheses_check("ones", 0, 1.0, n_probe=10)
 
 
+def unchunked_hypotheses(seq, k, lam, n_probe):
+    """The whole-prefix probe: (verdicts, (min, max |s|, windows, total,
+    recent)) from one array of n_probe + 1 partial sums."""
+    s = np.asarray(cs._as_coef(seq)(np.arange(n_probe + 1)), dtype=float)
+    for _ in range(k + 1):
+        s = np.cumsum(s)
+
+    def window_max(idx):
+        lo = max(1, int(0.9 * idx))
+        return float(np.max(np.abs(s[lo:idx + 1]))) / idx ** lam
+
+    n = np.arange(1, n_probe + 1, dtype=float)
+    terms = s[1:] / n ** (1.0 + lam)
+    stats = (float(np.min(s)), float(np.max(np.abs(s))),
+             window_max(n_probe // 10), window_max(n_probe),
+             float(np.sum(terms)), float(np.sum(terms[n_probe // 10:])))
+    s_min, s_max, r_old, r_new, total, recent = stats
+    nonneg = "pass" if s_min >= -1e-12 * max(1.0, s_max) else "fail"
+    if r_old == 0.0 and r_new == 0.0:
+        decay = "pass"
+    else:
+        ratio = r_new / max(r_old, 1e-300)
+        decay = "pass" if ratio <= 0.5 else (
+            "fail" if ratio >= 0.9 else "inconclusive")
+    if total <= 0:
+        summable = "pass" if nonneg == "pass" else "inconclusive"
+    else:
+        growth = recent / total
+        summable = "pass" if growth < 1e-6 else (
+            "fail" if growth > 1e-2 else "inconclusive")
+    return (nonneg, decay, summable), stats
+
+
+PRESETS = [("alternating", "alternating", 1.0),
+           ("binomial", cs.preset_sequence("binomial-a", 0.5), 1.5),
+           ("prym", "prym", 1.0),
+           ("ones", "ones", 2.0)]
+
+
+class TestHypothesesStreaming:
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("name,seq,lam", PRESETS,
+                             ids=[p[0] for p in PRESETS])
+    def test_matches_unchunked(self, monkeypatch, name, seq, lam, k):
+        monkeypatch.setattr(cs, "_CHUNK", 1000)
+        n_probe = 12_345
+        verdicts, stats = unchunked_hypotheses(seq, k, lam, n_probe)
+        rep = cs.hypotheses_check(seq, k, lam, n_probe=n_probe)
+        assert (rep.nonneg, rep.decay, rep.summable) == verdicts
+        got = cs._prefix_stats(seq, k, lam, n_probe)
+        assert got[:4] == stats[:4]
+        assert got[4:] == pytest.approx(stats[4:], rel=1e-12, abs=1e-300)
+
+    def test_default_chunk_binomial(self):
+        seq = cs.preset_sequence("binomial-a", 0.5)
+        n_probe = (1 << 20) + 4321
+        verdicts, stats = unchunked_hypotheses(seq, 1, 1.5, n_probe)
+        got = cs._prefix_stats(seq, 1, 1.5, n_probe)
+        assert got[:4] == stats[:4]
+        assert got[4:] == pytest.approx(stats[4:], rel=1e-12)
+        rep = cs.hypotheses_check(seq, 1, 1.5, n_probe=n_probe)
+        assert (rep.nonneg, rep.decay, rep.summable) == verdicts
+
+
+def test_cesaro_suite_probes_once_per_item(monkeypatch):
+    from cmfun import suites
+    calls = []
+    probe = cs.hypotheses_check
+
+    def counting(*args, **kwargs):
+        calls.append(args[:3])
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(cs, "hypotheses_check", counting)
+    three_way = 0
+    for thunk in suites._suite_cesaro():
+        before = len(calls)
+        item = thunk()
+        expected = 1 if item["name"].startswith("three-way:") else 0
+        three_way += expected
+        assert item["passed"] and len(calls) - before == expected, item
+    assert three_way == 4
+
+
 class TestKappa:
     def test_prym_closed_form(self):
         ts = np.linspace(0.05, 4.0, 20)

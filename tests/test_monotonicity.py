@@ -183,3 +183,117 @@ class TestReportSerialization:
         rep = mono.pick_check(lambda z: -1.0 / z, n=10)
         d = rep.to_dict()
         assert "sup_im" in d and "inf_im" in d
+
+
+class CountingCalls:
+    """Wraps ``f`` and records the type of each argument it is called on."""
+
+    def __init__(self, f):
+        self.f = f
+        self.args = []
+
+    def __call__(self, x):
+        self.args.append(type(x))
+        return self.f(x)
+
+
+def reference_cm(f, grid, eps=mono._EPS):
+    """Per-point cm_check: one scalar call of f per grid point."""
+    witnesses = []
+    worst = math.inf
+    for x in grid.x_points:
+        h = x * grid.h_factor
+        vals = [float(f(x + j * h)) for j in range(grid.n_max + 1)]
+        scale = max(abs(v) for v in vals)
+        for n in range(grid.n_max + 1):
+            diff = math.fsum((-1) ** j * math.comb(n, j) * vals[j]
+                             for j in range(n + 1))
+            slack = 16.0 * 2 ** n * eps * scale
+            worst = min(worst, diff + slack)
+            if diff < -slack:
+                witnesses.append(mono.Witness(float(x), n, diff, slack))
+    return worst, tuple(witnesses)
+
+
+def reference_pick(h, floor=-1e-10):
+    """Per-point pick_check over the default region."""
+    witnesses = []
+    worst = math.inf
+    for z in mono.pick_region():
+        im = complex(h(complex(z))).imag
+        worst = min(worst, im - floor)
+        if im < floor:
+            witnesses.append(mono.Witness(float(z.real), 0, im,
+                                          float(z.imag)))
+    return worst, tuple(witnesses)
+
+
+class TestBatchedEvaluation:
+    def test_cm_check_one_call(self):
+        f = CountingCalls(lambda x: np.exp(-x))
+        assert mono.cm_check(f).passed
+        assert f.args == [np.ndarray]
+
+    def test_lcm_check_one_call(self):
+        f = CountingCalls(sf.nielsen_beta)
+        df = CountingCalls(sf.nielsen_beta_deriv)
+        assert mono.lcm_check(f, df=df).passed
+        assert f.args == [np.ndarray] and df.args == [np.ndarray]
+        f = CountingCalls(sf.nielsen_beta)
+        assert mono.lcm_check(f).passed
+        assert f.args == [np.ndarray]
+
+    def test_horn_check_one_call(self):
+        f = CountingCalls(sf.nielsen_beta)
+        assert mono.horn_check(f).passed
+        assert f.args == [np.ndarray]
+
+    def test_pick_check_one_call(self):
+        h = CountingCalls(lambda z: -1.0 / z)
+        assert mono.pick_check(h).passed
+        assert h.args == [np.ndarray]
+
+    def test_scalar_only_callables(self):
+        assert not mono.cm_check(math.sin).passed
+        assert not mono.cm_check(lambda x: math.sin(x) + 2.0).passed
+        assert not mono.cm_check(math.exp).passed
+        assert mono.cm_check(lambda x: 1.0).passed
+        assert mono.horn_check(lambda x: 1.0).passed
+        assert not mono.lcm_check(math.exp, df=math.exp).passed
+        assert mono.pick_check(lambda z: -1.0 / complex(z)).passed
+        assert not mono.pick_check(cmath.exp).passed
+
+    @pytest.mark.parametrize("f", [sf.nielsen_beta,
+                                   lambda x: np.sin(x) + 2.0],
+                             ids=["beta", "sin-plus-2"])
+    def test_matches_per_point_reference(self, f):
+        grid = mono.CheckGrid.default()
+        rep = mono.cm_check(f, grid)
+        worst, witnesses = reference_cm(f, grid)
+        assert rep.worst_margin == worst
+        assert rep.witnesses == witnesses
+
+    def test_pick_matches_per_point_reference(self):
+        def h(z):
+            return sf.log_gamma_complex(z + 0.5) - sf.log_gamma_complex(z)
+        for fn in (h, lambda z: z * z):
+            rep = mono.pick_check(fn)
+            worst, witnesses = reference_pick(fn)
+            assert rep.worst_margin == worst
+            assert rep.witnesses == witnesses
+
+    def test_pick_failures_are_witnesses(self):
+        def h(z):
+            if np.any(np.real(z) < 0):
+                raise ValueError("left half plane")
+            return -1.0 / z
+        rep = mono.pick_check(h, n=10)
+        assert not rep.passed
+        assert all(math.isnan(w.value) and w.x < 0 for w in rep.witnesses)
+        assert len(rep.witnesses) == 50
+
+    def test_nan_values_fail(self):
+        assert not mono.cm_check(lambda x: x * np.nan).passed
+        assert not mono.pick_check(lambda z: z * np.nan).passed
+        with np.errstate(invalid="ignore"):  # sin(x)^alpha is NaN where < 0
+            assert not mono.horn_check(lambda x: np.sin(x)).passed

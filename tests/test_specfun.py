@@ -242,3 +242,39 @@ def test_domain_errors(fn):
         fn(0.0)
     with pytest.raises(DomainError):
         fn(-2.0)
+
+
+DIRECT = sf.SeriesPolicy(max_terms=300_001, abs_tol=1e-5,
+                         acceleration="direct-with-tail-bound")
+
+
+@pytest.mark.parametrize("fn", [
+    sf.prym_P,
+    sf.nielsen_beta_series,
+    lambda x: sf.nielsen_beta_series(x, DIRECT),
+    lambda x: sf.gamma_ratio_log(x, 0.5, 1.3),
+], ids=["prym", "beta-series", "beta-series-direct", "gamma-ratio-log"])
+def test_array_input_matches_scalar_calls(fn):
+    # each entry, including the direct route's per-point stopping index
+    # (1/(x+k+2) < 1e-5 at k near 1e5 - x), equals the scalar call
+    xs = np.array([[0.03, 0.7, 5.0], [40.0, 3e3, 9e4]])
+    out = fn(xs)
+    assert out.shape == xs.shape
+    assert np.array_equal(out, [[fn(float(x)) for x in row] for row in xs])
+    assert isinstance(fn(0.7), float)
+
+
+def test_beta_a_lambda_array_input():
+    # numpy's array power may differ from the scalar pow by an ulp
+    xs = np.geomspace(0.05, 100.0, 32)
+    ref = np.array([sf.beta_a_lambda(float(x), 0.5, 1.5) for x in xs])
+    assert np.allclose(sf.beta_a_lambda(xs, 0.5, 1.5), ref, rtol=4e-15,
+                       atol=0.0)
+
+
+@pytest.mark.parametrize("fn", [sf.prym_P, sf.nielsen_beta_series,
+                                lambda x: sf.beta_a_lambda(x, 0.5, 1.0),
+                                lambda x: sf.gamma_ratio_log(x, 0.5, 1.0)])
+def test_array_domain_errors(fn):
+    with pytest.raises(DomainError):
+        fn(np.array([1.0, 0.0, 2.0]))
