@@ -120,8 +120,8 @@ def p_kernel(t, n=1):
         raise DomainError("n must be a positive integer")
     scalar = np.isscalar(t) or np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t <= 0):
-        raise DomainError("p_kernel needs t > 0")
+    if not np.all((t > 0) & np.isfinite(t)):
+        raise DomainError("p_kernel needs finite t > 0")
     a = t / _TWO_PI
     s1, s2 = _aux_sums(a, n)
     pref = _TWO_PI ** (-2.0 * n) / t ** 2

@@ -8,6 +8,7 @@ Exit codes: 0 success / all checks pass, 1 verification failure,
 import argparse
 import inspect
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -86,6 +87,9 @@ def _report_json(report):
 def cmd_eval(args, cfg):
     fmt = args.fmt or cfg.fmt
     values = [(x, _eval_one(args.key, x, args)) for x in args.x]
+    for x, v in values:
+        if not math.isfinite(v):
+            raise DomainError(f"{args.key}({x:.12g}) is not finite: {v}")
     if fmt == "json":
         text = _report_json({"function": args.key,
                              "rows": [{"x": x, "value": v}
@@ -99,18 +103,21 @@ def cmd_eval(args, cfg):
 
 def cmd_check(args, cfg):
     overrides = {}
-    sig = inspect.signature(suites.SUITES[args.suite])
+    params = inspect.signature(suites.SUITES[args.suite]).parameters
+    for flag in ("tol", "r"):
+        if getattr(args, flag) is not None and flag not in params:
+            raise DomainError(f"suite {args.suite} takes no --{flag}")
     tol = args.tol if args.tol is not None else \
         cfg.tolerances.get(args.suite)
-    if tol is not None and "tol" in sig.parameters:
+    if tol is not None and "tol" in params:
         overrides["tol"] = float(tol)
-    if getattr(args, "r", None) is not None and "r" in sig.parameters:
+    if args.r is not None:
         overrides["r"] = args.r
-    if "seed" in sig.parameters:
+    if "seed" in params:
         overrides["seed"] = args.seed if args.seed is not None else cfg.seed
-    if "dt" in sig.parameters:
+    if "dt" in params:
         overrides["dt"] = cfg.dt
-    if "t_max" in sig.parameters:
+    if "t_max" in params:
         overrides["t_max"] = cfg.t_max
     jobs = args.jobs if args.jobs is not None else cfg.jobs
     report = suites.run_suite(args.suite, jobs=jobs, **overrides)

@@ -5,7 +5,9 @@ inversion, and the convolution semigroup with L(m_c) = beta^c.
 Inversion pairs the Euler (Bromwich with Euler summation) method with
 Gaver-Stehfest; both evaluate F only on Re z > 0, which is all the catalog
 transforms (beta^c in particular) are defined on.  A result is accepted when
-the two methods agree to a relative tolerance.
+the two methods agree to a relative tolerance.  One batched path serves a
+single t and a whole grid: each method calls F once on all of its nodes, and
+a scalar-only F is adapted by ``_quadrature.vectorized`` and called per node.
 """
 
 import math
@@ -119,10 +121,7 @@ def step_F(phi, x):
     a = phi.levels
     if a[0] != a[-1]:
         raise DomainError("step_F requires a_n = a_1")
-    lam = phi.breakpoints
-    den = -math.expm1(-lam[-1] * x)
-    s = float(np.sum((a[:-1] - a[1:]) * (-np.expm1(-lam[:-1] * x)))) / den
-    return (a[-1] + s) / x
+    return (a[-1] + _step_sum(phi, 1.0, x)) / x
 
 
 def _step_sum(phi, alpha, x):
@@ -161,6 +160,22 @@ def _check_shift(phi, alpha, beta, x):
         raise DomainError("need x > 0")
 
 
+def _continuous_parts(dphi, T, alpha, beta, x, breaks, kernel):
+    """(int_0^beta phi'(t) kernel((x/alpha)(t - beta)) dt,
+    int_0^T phi'(t) e^(-xt/alpha) dt, 1 - e^(-Tx/alpha))."""
+    _check_cont(T, alpha, beta, x)
+    dv = vectorized(dphi)
+    pts = [b for b in (breaks or []) if 0 < b < T]
+    head = 0.0
+    if beta > 0:
+        head = quad(lambda t: dv(t) * kernel((x / alpha) * (t - beta)),
+                    0.0, beta, abs_tol=1e-14, rel_tol=1e-12,
+                    points=[b for b in pts if b < beta])
+    per = quad(lambda t: dv(t) * np.exp(-x * t / alpha), 0.0, T,
+               abs_tol=1e-14, rel_tol=1e-12, points=pts)
+    return head, per, -math.expm1(-T * x / alpha)
+
+
 def sigma_continuous(dphi, T, alpha, beta, x, phi_at_beta, breaks=None):
     """The continuous analogue of sigma for an even T-periodic phi that is
     continuous and piecewise smooth, given its derivative on [0, T):
@@ -170,17 +185,8 @@ def sigma_continuous(dphi, T, alpha, beta, x, phi_at_beta, breaks=None):
 
     Satisfies sigma(x)/x = (1/2) L[phi(alpha t + beta) + phi(alpha t - beta)].
     """
-    _check_cont(T, alpha, beta, x)
-    dv = vectorized(dphi)
-    pts = [b for b in (breaks or []) if 0 < b < T]
-    head = 0.0
-    if beta > 0:
-        head = quad(lambda t: dv(t) * np.cosh((x / alpha) * (t - beta)),
-                    0.0, beta, abs_tol=1e-14, rel_tol=1e-12,
-                    points=[b for b in pts if b < beta])
-    per = quad(lambda t: dv(t) * np.exp(-x * t / alpha), 0.0, T,
-               abs_tol=1e-14, rel_tol=1e-12, points=pts)
-    geom = -math.expm1(-T * x / alpha)
+    head, per, geom = _continuous_parts(dphi, T, alpha, beta, x, breaks,
+                                        np.cosh)
     return phi_at_beta - head + math.cosh(beta * x / alpha) * per / geom
 
 
@@ -191,19 +197,10 @@ def tau_continuous(dphi, T, alpha, beta, x, phi_max, sign=1, breaks=None):
                   + sinh(beta x/alpha)/(1 - e^(-Tx/alpha))
                     int_0^T phi'(t) e^(-xt/alpha) dt ]
     """
-    _check_cont(T, alpha, beta, x)
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
-    dv = vectorized(dphi)
-    pts = [b for b in (breaks or []) if 0 < b < T]
-    head = 0.0
-    if beta > 0:
-        head = quad(lambda t: dv(t) * np.sinh((x / alpha) * (t - beta)),
-                    0.0, beta, abs_tol=1e-14, rel_tol=1e-12,
-                    points=[b for b in pts if b < beta])
-    per = quad(lambda t: dv(t) * np.exp(-x * t / alpha), 0.0, T,
-               abs_tol=1e-14, rel_tol=1e-12, points=pts)
-    geom = -math.expm1(-T * x / alpha)
+    head, per, geom = _continuous_parts(dphi, T, alpha, beta, x, breaks,
+                                        np.sinh)
     return phi_max + sign * 2.0 * \
         (head + math.sinh(beta * x / alpha) * per / geom)
 
@@ -238,20 +235,6 @@ def _stehfest_coefficients(n):
 
 _STEHFEST_16 = _stehfest_coefficients(16)
 
-
-def gaver_stehfest(F, t, n=16):
-    """Gaver-Stehfest inversion (real nodes k ln2 / t).
-
-    Order 16 is the float64 optimum; the binomial coefficients reach ~1e8,
-    so the intrinsic accuracy is a few times 1e-5 relative on the catalog.
-    """
-    coeffs = _STEHFEST_16 if n == 16 else _stehfest_coefficients(n)
-    ln2_t = math.log(2.0) / t
-    k = np.arange(1, n + 1, dtype=float)
-    vals = np.array([np.real(F(ki * ln2_t)) for ki in k], dtype=float)
-    return ln2_t * float(np.sum(coeffs * vals))
-
-
 _EULER_A = 23.0
 _EULER_N = 32
 _EULER_M = 18
@@ -259,22 +242,9 @@ _EULER_BINOM = np.array([math.comb(_EULER_M, j) for j in range(_EULER_M + 1)],
                         dtype=float) / 2.0 ** _EULER_M
 
 
-def euler_inversion(F, t):
-    """Bromwich inversion with Euler summation; nodes (A + 2 pi i k)/(2t)."""
-    A, N, M = _EULER_A, _EULER_N, _EULER_M
-    kmax = N + M
-    k = np.arange(1, kmax + 1)
-    s = (A + 2j * math.pi * k) / (2.0 * t)
-    vals = np.array([F(sk) for sk in s], dtype=complex).real
-    terms = vals * (-1.0) ** k
-    partial = 0.5 * float(np.real(F(complex(A / (2.0 * t)))))
-    sums = partial + np.cumsum(terms)
-    avg = float(np.sum(_EULER_BINOM * sums[N - 1:N + M]))
-    return math.exp(A / 2.0) / t * avg
-
-
 def euler_inversion_grid(F, ts):
-    """Vectorized Euler inversion; F must map a complex ndarray to one."""
+    """Bromwich inversion with Euler summation at every t in ``ts``; nodes
+    (A + 2 pi i k)/(2t), k = 0..N+M.  F must map a complex ndarray to one."""
     ts = np.asarray(ts, dtype=float)
     A, N, M = _EULER_A, _EULER_N, _EULER_M
     k = np.arange(0, N + M + 1)
@@ -287,13 +257,28 @@ def euler_inversion_grid(F, ts):
     return np.exp(A / 2.0) / ts * avg
 
 
-def stehfest_grid(F, ts, n=16):
+def stehfest_grid(F, ts):
+    """Order-16 Gaver-Stehfest inversion at every t in ``ts``; real nodes
+    k ln2 / t, k = 1..16.  F must map a real ndarray to an ndarray.
+
+    Order 16 is the float64 optimum; the binomial coefficients reach ~1e8,
+    so the intrinsic accuracy is a few times 1e-5 relative on the catalog.
+    """
     ts = np.asarray(ts, dtype=float)
-    coeffs = _STEHFEST_16 if n == 16 else _stehfest_coefficients(n)
-    k = np.arange(1, n + 1, dtype=float)
+    k = np.arange(1, len(_STEHFEST_16) + 1, dtype=float)
     nodes = math.log(2.0) * k[None, :] / ts[:, None]
-    vals = F(nodes.ravel()).reshape(nodes.shape)
-    return math.log(2.0) / ts * (vals @ coeffs)
+    vals = np.real(F(nodes.ravel()).reshape(nodes.shape))
+    return math.log(2.0) / ts * (vals @ _STEHFEST_16)
+
+
+def _invert(F, ts):
+    """(Euler values on ``ts``, max relative Euler/Gaver-Stehfest spread).
+    F is called once per method on all nodes, or per node if scalar-only."""
+    Fv = vectorized(F)
+    v_euler = euler_inversion_grid(Fv, ts)
+    v_gs = stehfest_grid(Fv, ts)
+    scale = np.maximum(np.maximum(np.abs(v_euler), np.abs(v_gs)), 1e-300)
+    return v_euler, float(np.max(np.abs(v_euler - v_gs) / scale))
 
 
 def laplace_invert(F, t, rel_tol=1e-4):
@@ -311,10 +296,8 @@ def laplace_invert_diag(F, t):
     """(value, relative method spread) without the acceptance gate."""
     if not t > 0:
         raise DomainError("need t > 0")
-    v_euler = euler_inversion(F, t)
-    v_gs = gaver_stehfest(F, t)
-    scale = max(abs(v_euler), abs(v_gs), 1e-300)
-    return v_euler, abs(v_euler - v_gs) / scale
+    values, spread = _invert(F, [t])
+    return float(values[0]), spread
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +315,7 @@ class SampledDensity:
 
     @property
     def dt(self):
-        return float(self.t[1] - self.t[0]) if len(self.t) > 1 else float(self.t[0])
+        return float(self.t[1] - self.t[0])
 
     def to_csv(self):
         lines = ["t,value"]
@@ -358,16 +341,8 @@ def semigroup_density(c, dt=1e-3, t_max=12.0):
     if not (dt > 0 and math.isfinite(t_max)) or round(t_max / dt) < 2:
         raise DomainError(f"grid dt={dt}, t_max={t_max} needs dt > 0, a finite "
                           "t_max and at least 2 points")
-    n = int(round(t_max / dt))
-    ts = dt * np.arange(1, n + 1)
-
-    def F_real(z):
-        return np.real(F(z.astype(complex)))
-
-    v_euler = euler_inversion_grid(F, ts)
-    v_gs = stehfest_grid(F_real, ts)
-    scale = np.maximum(np.maximum(np.abs(v_euler), np.abs(v_gs)), 1e-300)
-    spread = float(np.max(np.abs(v_euler - v_gs) / scale))
+    ts = dt * np.arange(1, int(round(t_max / dt)) + 1)
+    v_euler, spread = _invert(F, ts)
     raw_min = float(np.min(v_euler))
     if raw_min < -1e-8:
         raise InversionDisagreementError(

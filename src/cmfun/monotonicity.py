@@ -70,7 +70,6 @@ class CheckReport:
     witnesses: tuple = ()
     sup_im: float = None
     inf_im: float = None
-    label: str = ""
 
     def to_dict(self):
         d = {"verdict": "pass" if self.passed else "fail",
@@ -79,8 +78,6 @@ class CheckReport:
         if self.sup_im is not None:
             d["sup_im"] = self.sup_im
             d["inf_im"] = self.inf_im
-        if self.label:
-            d["label"] = self.label
         return d
 
 
@@ -90,7 +87,7 @@ def _grid_points(grid):
     return x + np.arange(grid.n_max + 1) * (x * grid.h_factor)
 
 
-def _cm_report(vals, grid, eps, label):
+def _cm_report(vals, grid, eps):
     """The cm_check verdict for f's values on ``_grid_points(grid)``; a NaN
     difference is a witness."""
     witnesses = []
@@ -105,7 +102,7 @@ def _cm_report(vals, grid, eps, label):
             if not diff >= -slack:
                 witnesses.append(Witness(float(x), n, diff, slack))
     return CheckReport(passed=not witnesses, worst_margin=worst,
-                       witnesses=tuple(witnesses), label=label)
+                       witnesses=tuple(witnesses))
 
 
 def _values(f, pts):
@@ -113,7 +110,7 @@ def _values(f, pts):
     return np.asarray(vectorized(f)(pts), dtype=float)
 
 
-def cm_check(f, grid=None, eval_noise=None, label=""):
+def cm_check(f, grid=None, eval_noise=None):
     """Check (-1)^n-alternating finite differences of f for nonnegativity.
 
     For each grid point x and n <= n_max the quantity
@@ -124,10 +121,10 @@ def cm_check(f, grid=None, eval_noise=None, label=""):
     """
     grid = grid or CheckGrid.default()
     eps = eval_noise if eval_noise is not None else _EPS
-    return _cm_report(_values(f, _grid_points(grid)), grid, eps, label)
+    return _cm_report(_values(f, _grid_points(grid)), grid, eps)
 
 
-def lcm_check(f, grid=None, df=None, eval_noise=None, label=""):
+def lcm_check(f, grid=None, df=None, eval_noise=None):
     """Logarithmic complete monotonicity: f > 0 and -f'/f completely
     monotonic.  With no analytic derivative, a central difference with step
     x * 1e-6 is used and the rounding slack widened accordingly."""
@@ -144,21 +141,20 @@ def lcm_check(f, grid=None, df=None, eval_noise=None, label=""):
                           for x, v in zip(pts[bad], fx[bad]))
         return CheckReport(passed=False,
                            worst_margin=min(w.value for w in witnesses),
-                           witnesses=witnesses, label=label)
+                           witnesses=witnesses)
     if df is not None:
         g = -_values(df, pts) / fx
         noise = eval_noise if eval_noise is not None else _EPS
     else:
         g = -(fp - fm) / (2.0 * d) / fx
         noise = eval_noise if eval_noise is not None else 1e-9
-    return _cm_report(g, grid, noise, label)
+    return _cm_report(g, grid, noise)
 
 
 DEFAULT_HORN_ALPHAS = (0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 2.0)
 
 
-def horn_check(f, alphas=DEFAULT_HORN_ALPHAS, grid=None, eval_noise=None,
-               label=""):
+def horn_check(f, alphas=DEFAULT_HORN_ALPHAS, grid=None, eval_noise=None):
     """f^alpha completely monotonic for each alpha; aggregate verdict."""
     grid = grid or CheckGrid.default()
     eps = eval_noise if eval_noise is not None else _EPS
@@ -166,11 +162,11 @@ def horn_check(f, alphas=DEFAULT_HORN_ALPHAS, grid=None, eval_noise=None,
     witnesses = []
     worst = math.inf
     for alpha in alphas:
-        rep = _cm_report(vals ** alpha, grid, eps, "")
+        rep = _cm_report(vals ** alpha, grid, eps)
         worst = min(worst, rep.worst_margin)
         witnesses.extend(rep.witnesses)
     return CheckReport(passed=not witnesses, worst_margin=worst,
-                       witnesses=tuple(witnesses), label=label)
+                       witnesses=tuple(witnesses))
 
 
 def pick_region(re_max=20.0, im_max=20.0, n=40, exclusion=0.1):
@@ -183,7 +179,7 @@ def pick_region(re_max=20.0, im_max=20.0, n=40, exclusion=0.1):
 
 
 def pick_check(h, re_max=20.0, im_max=20.0, n=40, exclusion=0.1,
-               floor=-1e-10, label=""):
+               floor=-1e-10):
     """Im h >= floor on the upper-half-plane region; reports the Im range.
 
     A point where h raises, or returns NaN, is a witness with value NaN.
@@ -205,8 +201,7 @@ def pick_check(h, re_max=20.0, im_max=20.0, n=40, exclusion=0.1,
                                                          initial=math.inf)),
                        witnesses=witnesses,
                        sup_im=float(np.fmax.reduce(im, initial=-math.inf)),
-                       inf_im=float(np.fmin.reduce(im, initial=math.inf)),
-                       label=label)
+                       inf_im=float(np.fmin.reduce(im, initial=math.inf)))
 
 
 @dataclass(frozen=True)
@@ -235,7 +230,7 @@ def find_lcm_counterexample(r):
     return Counterexample(c=c, z_c=z_c, residual=abs(g))
 
 
-def lemma_pos_check(c, t_max=50.0, n_points=2000, floor=-1e-12, label=""):
+def lemma_pos_check(c, t_max=50.0, n_points=2000, floor=-1e-12):
     """h(t) = t - sin t + c (1 - cos t - t sin(t)/2) >= 0 on (0, t_max]."""
     if not 0 <= c <= 1:
         raise DomainError("c must lie in [0, 1]")
@@ -245,7 +240,7 @@ def lemma_pos_check(c, t_max=50.0, n_points=2000, floor=-1e-12, label=""):
     witnesses = tuple(Witness(float(t), 0, float(v), -floor)
                       for t, v in zip(ts, vals) if v < floor)
     return CheckReport(passed=not witnesses, worst_margin=worst - floor,
-                       witnesses=witnesses, label=label)
+                       witnesses=witnesses)
 
 
 def conjugate_symmetry_spread(h, zs):

@@ -72,10 +72,10 @@ def _prepare(z, cut_plane=False):
 
 def _positive(x):
     """``x`` as a float ndarray, after checking that every entry is
-    positive."""
+    positive and finite."""
     arr = np.asarray(x, dtype=float)
-    if not np.all(arr > 0):
-        raise DomainError(f"x must be positive, got {x}")
+    if not np.all((arr > 0) & np.isfinite(arr)):
+        raise DomainError(f"x must be positive and finite, got {x}")
     return arr
 
 

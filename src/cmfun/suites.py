@@ -116,22 +116,22 @@ _S3_NUS = (0.0, 0.3, 1.0)
 # suites
 # ---------------------------------------------------------------------------
 
-def _suite_cm_catalog(tol=None):
+def _suite_cm_catalog():
     grid = monotonicity.CheckGrid.default()
     small = monotonicity.CheckGrid.default(hi=50.0, n_max=6)
     members = [
-        ("beta", specfun.nielsen_beta, grid, None),
-        ("trigamma", specfun.trigamma, grid, None),
-        ("prym-P", specfun.prym_P, grid, None),
-        ("sigma1-over-x", lambda x: sigma1(x, 0.3) / x, grid, None),
-        ("sigma2-over-x", lambda x: sigma2(x, 0.3) / x, grid, None),
-        ("tau-over-x", lambda x: tau_pm(x, 0.5, 1) / x, grid, None),
+        ("beta", specfun.nielsen_beta, grid),
+        ("trigamma", specfun.trigamma, grid),
+        ("prym-P", specfun.prym_P, grid),
+        ("sigma1-over-x", lambda x: sigma1(x, 0.3) / x, grid),
+        ("sigma2-over-x", lambda x: sigma2(x, 0.3) / x, grid),
+        ("tau-over-x", lambda x: tau_pm(x, 0.5, 1) / x, grid),
         ("gamma-ratio-log", lambda x: specfun.gamma_ratio_log(x, 0.5, 1.3),
-         grid, None),
+         grid),
         ("beta-a-lambda", lambda x: specfun.beta_a_lambda(x, 0.5, 1.5),
-         grid, None),
-        ("p1", lambda t: barnes.p_kernel(t, 1), small, None),
-        ("p2", lambda t: barnes.p_kernel(t, 2), small, None),
+         grid),
+        ("p1", lambda t: barnes.p_kernel(t, 1), small),
+        ("p2", lambda t: barnes.p_kernel(t, 2), small),
     ]
     non_members = [
         ("sin-plus-2", lambda x: math.sin(x) + 2.0),
@@ -139,9 +139,9 @@ def _suite_cm_catalog(tol=None):
         ("identity", lambda x: x),
     ]
     items = []
-    for name, f, g, noise in members:
-        items.append(lambda f=f, g=g, noise=noise, name=name: _report_item(
-            "cm:" + name, monotonicity.cm_check(f, g, eval_noise=noise)))
+    for name, f, g in members:
+        items.append(lambda f=f, g=g, name=name: _report_item(
+            "cm:" + name, monotonicity.cm_check(f, g)))
     for name, f in non_members:
         def thunk(f=f, name=name):
             rep = monotonicity.cm_check(f, grid)
@@ -151,7 +151,7 @@ def _suite_cm_catalog(tol=None):
     return items
 
 
-def _suite_lcm_catalog(tol=None):
+def _suite_lcm_catalog():
     grid = monotonicity.CheckGrid.default()
     beta = specfun.nielsen_beta
     dbeta = specfun.nielsen_beta_deriv

@@ -49,6 +49,13 @@ class TestEval:
         code, _, _ = run(capsys, "eval", "nosuchfn", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("key, x", [("p-kernel", "inf"), ("r22", "1e200"),
+                                        ("prym", "inf")])
+    def test_non_finite_exits_2(self, capsys, key, x):
+        code, out, err = run(capsys, "eval", key, x)
+        assert code == 2 and out == ""
+        assert err.strip().splitlines()[-1].startswith("error:")
+
 
 class TestCheck:
     def test_passing_suite(self, capsys):
@@ -76,6 +83,13 @@ class TestCheck:
         report = json.loads(out)
         assert code == 0
         assert report["items"][0]["residual"] < 1e-10
+
+    @pytest.mark.parametrize("argv", [("cm-catalog", "--tol", "1e-300"),
+                                      ("hamburger", "--r", "3")])
+    def test_flag_the_suite_lacks_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "check", *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
 
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

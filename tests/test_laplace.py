@@ -245,6 +245,21 @@ class TestInversion:
         assert spread < 1e-4
         assert abs(value - 1.0 / (1.0 + math.exp(-1.0))) < 1e-8
 
+    def test_one_batched_call_per_method(self):
+        calls = []
+
+        def F(z):
+            calls.append(z)
+            return 1.0 / (z + 1.0)
+
+        assert abs(lp.laplace_invert(F, 1.0) - math.exp(-1.0)) <= 1e-9
+        assert len(calls) == 2
+        assert all(isinstance(z, np.ndarray) for z in calls)
+
+    def test_scalar_only_transform(self):
+        value = lp.laplace_invert(lambda z: 1 / (complex(z) + 1), 1.0)
+        assert abs(value - math.exp(-1.0)) <= 1e-9
+
     def test_domain(self):
         with pytest.raises(DomainError):
             lp.laplace_invert(lambda z: 1.0 / z, 0.0)
@@ -268,6 +283,13 @@ class TestSemigroup:
 
     def test_unit_pair_reproduces_order_two(self):
         assert lp.semigroup_check(1.0, 1.0, dt=2e-3, t_max=8.0) < 1e-4
+
+    def test_grid_matches_single_point_inversion(self):
+        dens = lp.semigroup_density(0.7, 1e-2, 6)
+        F = lp.beta_power(0.7)
+        for j in (0, 17, 150, 599):
+            value, _ = lp.laplace_invert_diag(F, dens.t[j])
+            assert abs(dens.values[j] - value) <= 1e-12 * abs(value)
 
     def test_csv_format(self):
         dens = lp.semigroup_density(1.0, dt=0.5, t_max=2.0)
