@@ -122,12 +122,17 @@ def p_kernel(t, n=1):
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all((t > 0) & np.isfinite(t)):
         raise DomainError("p_kernel needs finite t > 0")
-    a = t / _TWO_PI
-    s1, s2 = _aux_sums(a, n)
-    pref = _TWO_PI ** (-2.0 * n) / t ** 2
-    val = pref * (2.0 * s1[n - 1] + (t / math.pi ** 2) * s2[n - 1]
-                  + ((2.0 * n - 1.0) * t / (2.0 * math.pi ** 2)) * s1[n])
+    val = _t2_p_kernel(t, n) / t ** 2
     return float(val[0]) if scalar else val
+
+
+def _t2_p_kernel(t, n):
+    """t^2 p_n(t) for an array of t > 0; finite as t -> 0, where 1/t^2
+    overflows."""
+    s1, s2 = _aux_sums(t / _TWO_PI, n)
+    return _TWO_PI ** (-2.0 * n) * (
+        2.0 * s1[n - 1] + (t / math.pi ** 2) * s2[n - 1]
+        + ((2.0 * n - 1.0) * t / (2.0 * math.pi ** 2)) * s1[n])
 
 
 def p_kernel_series(t, params):
@@ -162,7 +167,7 @@ def r_2_2n(w, n=1):
     t_hi = transform_cutoff(w)
 
     def integrand(t):
-        return np.exp(-w * t) * t ** (2.0 * n) * p_kernel(t, n)
+        return np.exp(-w * t) * t ** (2.0 * n - 2.0) * _t2_p_kernel(t, n)
 
     seeds = [s / w for s in (1.0, 4.0, 12.0) if s / w < t_hi]
     return quad(integrand, 0.0, t_hi, abs_tol=1e-16, rel_tol=5e-14,

@@ -109,7 +109,10 @@ def cmd_check(args, cfg):
             raise DomainError(f"suite {args.suite} takes no --{flag}")
     tol = args.tol if args.tol is not None else \
         cfg.tolerances.get(args.suite)
-    if tol is not None and "tol" in params:
+    if tol is not None:
+        if "tol" not in params:
+            raise DomainError(f"suite {args.suite} takes no tolerance, but "
+                              f"the config file sets one")
         overrides["tol"] = float(tol)
     if args.r is not None:
         overrides["r"] = args.r

@@ -286,7 +286,7 @@ def laplace_invert(F, t, rel_tol=1e-4):
     Gaver-Stehfest agrees to rel_tol (the default reflects the intrinsic
     accuracy of order-16 Gaver-Stehfest in double precision)."""
     value, spread = laplace_invert_diag(F, t)
-    if spread > rel_tol:
+    if not spread <= rel_tol:
         raise InversionDisagreementError(
             f"inversion methods disagree at t={t}: spread {spread:.3e}")
     return value

@@ -17,7 +17,7 @@ import numpy as np
 from ._quadrature import quad
 from ._series import midpoint_tail
 from .errors import CapTooSmallError, ConvergenceError, DomainError
-from .specfun import log_gamma
+from .specfun import _LGAMMA_C, log_gamma
 
 _MAX_DEGREE = 8
 
@@ -29,27 +29,30 @@ def _pow_diff(a, h, p):
 
 
 def _exp_moments(t, length, max_j):
-    """m_j(t) = int_0^L e^(-t s) s^j ds for j = 0..max_j; ``t`` and
-    ``length`` broadcast (rows of lengths against a vector of t)."""
+    """m_j(t) = int_0^L e^(-t s) s^j ds for j = 0..max_j and t > 0; ``t``
+    and ``length`` broadcast (rows of lengths against a vector of t)."""
     t = np.asarray(t, dtype=float)
     length = np.asarray(length, dtype=float)
     tl = t * length
+    out = [-np.expm1(-tl) / t]
+    if max_j == 0:
+        return out
+    # the upward recurrence cancels for t L < 1/2; there the series
+    # sum_i (-tl)^i / (i! (j+i+1)) replaces it
     small = tl < 0.5
-    out = []
-    # series sum_i (-tl)^i / (i! (j+i+1)) is used where the recurrence cancels
-    for j in range(max_j + 1):
-        ser = np.zeros_like(tl)
-        term = np.ones_like(tl)
+    tl_small = tl[small]
+    len_small = np.broadcast_to(length, tl.shape)[small]
+    decay = np.exp(-tl)
+    for j in range(1, max_j + 1):
+        mj = (j * out[j - 1] - length ** j * decay) / t
+        ser = np.zeros_like(tl_small)
+        term = np.ones_like(tl_small)
         for i in range(0, 24):
             ser += term / (j + i + 1.0)
-            term *= -tl / (i + 1.0)
-        ser *= length ** (j + 1)
-        out.append(ser)
-    safe_t = np.where(t == 0, 1.0, t)
-    exact = [-np.expm1(-np.where(small, 1.0, tl)) / safe_t * np.ones_like(tl)]
-    for j in range(1, max_j + 1):
-        exact.append((j * exact[j - 1] - length ** j * np.exp(-tl)) / safe_t)
-    return [np.where(small, out[j], exact[j]) for j in range(max_j + 1)]
+            term *= -tl_small / (i + 1.0)
+        mj[small] = ser * len_small ** (j + 1)
+        out.append(mj)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,14 +158,17 @@ class PiecewisePolynomial:
     def laplace(self, t):
         """int e^(-t s) p(s) ds over the support, vectorized in t > 0."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        lefts = self.breakpoints[:-1, None]
-        lengths = np.diff(self.breakpoints)[:, None]
-        max_j = self.coeffs.shape[1] - 1
         n_b = len(self.breakpoints) - 1
+        # cells whose polynomial is zero contribute nothing
+        live = np.any(self.coeffs[:n_b] != 0.0, axis=1)
+        co = self.coeffs[:n_b][live]
+        lefts = self.breakpoints[:-1][live, None]
+        lengths = np.diff(self.breakpoints)[live, None]
+        max_j = self.coeffs.shape[1] - 1
         moments = _exp_moments(t[None, :], lengths, max_j)
-        inner = np.zeros((n_b, len(t)))
+        inner = np.zeros((len(co), len(t)))
         for j in range(max_j + 1):
-            cj = self.coeffs[:n_b, j:j + 1]
+            cj = co[:, j:j + 1]
             if np.any(cj):
                 inner += cj * moments[j]
         total = np.sum(np.exp(-lefts * t[None, :]) * inner, axis=0)
@@ -236,9 +242,38 @@ def _coef_registry(name, params):
     if name == "pochhammer":
         s = params["s"]
         norm = math.gamma(1.0 - s)
-        return lambda k: np.exp(log_gamma(np.asarray(k, dtype=float) + 1 - s)
-                                - log_gamma(np.asarray(k, dtype=float) + 1)) / norm
+        return lambda k: _gamma_ratio_shift(
+            np.asarray(k, dtype=float) + 1.0, s) / norm
     raise DomainError(f"unknown coefficient family {name!r}")
+
+
+def _gamma_ratio_shift(z, s):
+    """Gamma(z - s) / Gamma(z) for 0 < s < 1, smooth in z.
+
+    Two log-gammas of about 1e4 differ by a few units, so the exp of their
+    difference jitters by ~1e-12 between neighbouring z, and adaptive
+    quadratures of the coefficient never converge.  For z >= 50 the
+    difference of the Stirling series is taken term by term instead (four
+    terms, truncation below 1e-19), with the power (z - s)^(-s) kept apart.
+    """
+    def series(y):
+        """sum_n B_2n / (2n (2n - 1)) y^(1 - 2n), n = 1..4."""
+        u2 = 1.0 / (y * y)
+        acc = 0.0
+        for c in _LGAMMA_C[3::-1]:
+            acc = acc * u2 + c
+        return acc / y
+
+    z = np.asarray(z, dtype=float)
+    zb = np.maximum(z, 50.0)
+    w = zb - s
+    expo = (zb - 0.5) * np.log1p(-s / zb) + s + series(w) - series(zb)
+    out = np.array(w ** -s * np.exp(expo))
+    small = z < 50.0
+    if np.any(small):
+        zs = z[small]
+        out[small] = np.exp(log_gamma(zs - s) - log_gamma(zs))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,9 +398,20 @@ class _CoefTail:
                              self.brute)
 
     def laplace(self, t):
+        """sum_m coef(m) e^(-m t) times the unit's transform.  For t >= 1e-3
+        the sum is direct, to m = start + 45/t, over one table of coef;
+        smaller t integrate in u = m t."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        sums = np.array([_smooth_exp_sum(self._coef, self.start, ti)
-                         for ti in t])
+        direct = t >= 1e-3
+        n_terms = np.zeros(len(t), dtype=int)
+        n_terms[direct] = np.ceil(45.0 / t[direct]).astype(int) + 1
+        m = np.arange(self.start, self.start + n_terms.max(initial=0),
+                      dtype=float)
+        coef = self._coef(m)
+        sums = np.array([
+            float(np.sum(coef[:n] * np.exp(-m[:n] * ti))) if n
+            else _smooth_exp_sum(self._coef, self.start, ti)
+            for ti, n in zip(t, n_terms)])
         return sums * self._unit_laplace(t)
 
     def cumulative(self, t):
@@ -427,12 +473,9 @@ class AtomTail(_CoefTail):
 
 
 def _smooth_exp_sum(coef, start, t):
-    """sum_{m >= start} coef(m) e^(-m t) for smooth positive coef."""
-    if t >= 1e-3:
-        n_hi = start + int(math.ceil(45.0 / t)) + 1
-        m = np.arange(start, n_hi, dtype=float)
-        return float(np.sum(coef(m) * np.exp(-m * t)))
-    # the integral in u = m t keeps the range O(1)
+    """sum_{m >= start} coef(m) e^(-m t) for smooth positive coef and small
+    t > 0, as the integral in u = m t (which keeps the range O(1)) plus the
+    midpoint completion."""
     lo = (start - 0.5) * t
     integral = quad(lambda u: coef(u / t) * np.exp(-u), lo, lo + 45.0,
                     abs_tol=3e-12, rel_tol=1e-9,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,20 @@ class TestR22:
         # w R(w) -> t^2 p_1(0+) = 1/12 (the integrand does not vanish at 0)
         w = 1000.0
         assert abs(w * bn.r_2_2n(w, 1) - 1.0 / 12.0) <= 1e-2
+
+    def test_huge_w_follows_the_leading_decay(self):
+        # t^2 p_1(t) is finite where 1/t^2 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for w in (1e200, 1e300):
+                assert bn.r_2_2n(w, 1) == pytest.approx(
+                    bn.barnes_g_limit(1) / w, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("w, value", [(0.1, 0.5775539164402133),
+                                          (1.0, 0.08457885629954907),
+                                          (40.0, 0.0020858937176136847)])
+    def test_moderate_w_values(self, w, value):
+        assert bn.r_2_2n(w, 1) == pytest.approx(value, rel=1e-14, abs=0.0)
 
     def test_cm(self):
         grid = mono.CheckGrid(np.geomspace(0.5, 50.0, 12), n_max=6)

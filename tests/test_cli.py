@@ -49,7 +49,8 @@ class TestEval:
         code, _, _ = run(capsys, "eval", "nosuchfn", "1")
         assert code == 2
 
-    @pytest.mark.parametrize("key, x", [("p-kernel", "inf"), ("r22", "1e200"),
+    @pytest.mark.parametrize("key, x", [("p-kernel", "inf"),
+                                        ("trigamma", "1e-200"),
                                         ("prym", "inf")])
     def test_non_finite_exits_2(self, capsys, key, x):
         code, out, err = run(capsys, "eval", key, x)
@@ -88,6 +89,14 @@ class TestCheck:
                                       ("hamburger", "--r", "3")])
     def test_flag_the_suite_lacks_exits_2(self, capsys, argv):
         code, out, err = run(capsys, "check", *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+
+    def test_config_tolerance_the_suite_lacks_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tolerances": {"cm-catalog": 1e-300}}))
+        code, out, err = run(capsys, "--config", str(cfg), "check",
+                             "cm-catalog")
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:")
 

@@ -5,7 +5,7 @@ import pytest
 
 from cmfun import laplace as lp
 from cmfun import specfun as sf
-from cmfun.errors import DomainError
+from cmfun.errors import DomainError, InversionDisagreementError
 
 PI = math.pi
 
@@ -239,6 +239,10 @@ class TestInversion:
                 value, spread = lp.laplace_invert_diag(F, t)
                 assert abs(value - exact(t)) <= 1e-6
                 assert spread < 1e-2
+
+    def test_nan_spread_is_a_disagreement(self):
+        with pytest.raises(InversionDisagreementError):
+            lp.laplace_invert(lambda z: z * math.nan, 1.0)
 
     def test_diagnostics(self):
         value, spread = lp.laplace_invert_diag(lp.beta_power(1.0), 1.0)

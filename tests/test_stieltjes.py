@@ -1,8 +1,11 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from cmfun import specfun as sf
 from cmfun import stieltjes as st
@@ -46,6 +49,38 @@ class TestPiecewisePolynomial:
             oracle = quad(lambda s: np.exp(-t * s) * pp(s), 0.0, 2.0,
                           abs_tol=1e-14, points=[0.7])
             assert abs(float(pp.laplace(t)[0]) - oracle) < 1e-12
+
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=hs.data())
+    def test_laplace_matches_mpmath(self, data):
+        # degree 0-3 cells, some all zero, with t L on both sides of 1/2
+        n = data.draw(hs.integers(1, 5))
+        deg = data.draw(hs.integers(0, 3))
+        lengths = data.draw(hs.lists(hs.floats(0.05, 3.0), min_size=n,
+                                     max_size=n))
+        coeffs = np.array(data.draw(hs.lists(
+            hs.lists(hs.floats(-2.0, 2.0), min_size=deg + 1,
+                     max_size=deg + 1), min_size=n, max_size=n)))
+        zero = data.draw(hs.lists(hs.booleans(), min_size=n, max_size=n))
+        coeffs[np.array(zero)] = 0.0
+        ts = data.draw(hs.lists(hs.floats(0.01, 30.0), min_size=1,
+                                max_size=4))
+        bps = np.concatenate([[0.0], np.cumsum(lengths)])
+        pp = st.PiecewisePolynomial(bps, coeffs)
+        scale = st.PiecewisePolynomial(bps, np.abs(coeffs)).laplace(ts)
+        got = pp.laplace(ts)
+        # int_0^L e^(-t (a + u)) u^j du = e^(-t a) gamma(j + 1, t L) / t^(j+1)
+        # through mpmath's incomplete gamma (its quad misses 1e-14 here)
+        for t, g, sc in zip(ts, got, scale):
+            with mpmath.workdps(30):
+                tm = mpmath.mpf(t)
+                ref = sum(
+                    c * mpmath.exp(-tm * a) * mpmath.gammainc(j + 1, 0, tm * ln)
+                    / tm ** (j + 1)
+                    for a, ln, row in zip(bps[:-1], lengths, coeffs)
+                    for j, c in enumerate(row))
+            assert abs(g - float(ref)) <= 1e-14 * sc + 1e-300
 
 
 class TestConvolveBox:

@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy.special import polygamma
 
 from cmfun import barnes, cesaro
@@ -56,13 +58,44 @@ def test_atom_tail():
         assert_close(st.stieltjes_eval(m, x), float(polygamma(1, x)))
 
 
-@pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("s", [0.01, 0.1, 0.2, 0.25, 0.3, 0.5, 0.8])
 def test_cell_tail_pochhammer(s):
     m = st.measure_gamma_reciprocal_ratio(s)
     assert isinstance(m.tail, st.SmoothCoefTail)
     for x in XS:
         ref = mpmath.gamma(x) / mpmath.gamma(x + s + 1)
         assert_close(st.stieltjes_eval(m, x) / math.gamma(s + 1), float(ref))
+
+
+@pytest.mark.parametrize("s", [0.01, 0.1, 0.2, 0.25])
+def test_cell_tail_pochhammer_kernel_route(s):
+    m = st.measure_gamma_reciprocal_ratio(s)
+    for x in (0.3, 12.0):
+        ref = mpmath.gamma(s + 1) * mpmath.gamma(x) / mpmath.gamma(x + s + 1)
+        assert_close(st.stieltjes_via_kernel(m, x), float(ref))
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=hs.floats(99.5, 1e9), s=hs.floats(0.005, 0.995))
+def test_pochhammer_coefficient(k, s):
+    # (1-s)_k / k! = Gamma(k+1-s) / (Gamma(1-s) Gamma(k+1)), smooth in k
+    coef = st._coef_registry("pochhammer", {"s": s})
+    ref = mpmath.exp(mpmath.loggamma(k + 1 - mpmath.mpf(s))
+                     - mpmath.loggamma(k + 1)) / mpmath.gamma(1 - s)
+    assert float(coef(k)) == pytest.approx(float(ref), rel=1e-15, abs=0.0)
+
+
+def test_coef_tail_laplace_matches_direct_sums():
+    # one table of coef serves every t >= 1e-3 with the same sums as a
+    # direct sum to start + 45/t per t
+    tail = st.measure_gamma_reciprocal_ratio(0.3).tail
+    t = np.array([0.7, 1e-3, 0.02, 5.0, 0.3])
+    expected = []
+    for ti in t:
+        m = np.arange(tail.start, tail.start + math.ceil(45.0 / ti) + 1.0)
+        expected.append(float(np.sum(tail._coef(m) * np.exp(-m * ti))))
+    assert np.array_equal(tail.laplace(t),
+                          np.array(expected) * tail._unit_laplace(t))
 
 
 def test_cell_tail_affine():
