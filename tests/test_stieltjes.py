@@ -71,14 +71,15 @@ class TestPiecewisePolynomial:
         scale = st.PiecewisePolynomial(bps, np.abs(coeffs)).laplace(ts)
         got = pp.laplace(ts)
         # int_0^L e^(-t (a + u)) u^j du = e^(-t a) gamma(j + 1, t L) / t^(j+1)
-        # through mpmath's incomplete gamma (its quad misses 1e-14 here)
+        # through mpmath's incomplete gamma (its quad misses 1e-14 here); L
+        # is the cell between the rounded breakpoints, not the drawn length
         for t, g, sc in zip(ts, got, scale):
             with mpmath.workdps(30):
                 tm = mpmath.mpf(t)
                 ref = sum(
-                    c * mpmath.exp(-tm * a) * mpmath.gammainc(j + 1, 0, tm * ln)
-                    / tm ** (j + 1)
-                    for a, ln, row in zip(bps[:-1], lengths, coeffs)
+                    c * mpmath.exp(-tm * a) * mpmath.gammainc(
+                        j + 1, 0, tm * (mpmath.mpf(b) - a)) / tm ** (j + 1)
+                    for a, b, row in zip(bps[:-1], bps[1:], coeffs)
                     for j, c in enumerate(row))
             assert abs(g - float(ref)) <= 1e-14 * sc + 1e-300
 
