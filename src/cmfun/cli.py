@@ -12,6 +12,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import barnes, densities, laplace, specfun, suites
 from .errors import DomainError
 
@@ -86,7 +88,8 @@ def _report_json(report):
 
 def cmd_eval(args, cfg):
     fmt = args.fmt or cfg.fmt
-    values = [(x, _eval_one(args.key, x, args)) for x in args.x]
+    with np.errstate(all="ignore"):  # a non-finite value is reported below
+        values = [(x, _eval_one(args.key, x, args)) for x in args.x]
     for x, v in values:
         if not math.isfinite(v):
             raise DomainError(f"{args.key}({x:.12g}) is not finite: {v}")

@@ -1,11 +1,12 @@
-"""Scalar special functions: Nielsen beta, polygammas, log-gamma, si/ci,
-Prym's function, the binomial-weighted beta family and log-gamma ratios.
+"""Special functions: Nielsen beta, polygammas, log-gamma, si/ci, Prym's
+function, the binomial-weighted beta family and log-gamma ratios.
 
 Everything is plain float64.  Real arguments must be positive and finite.
 Nielsen beta and the polygammas also take complex arguments with Re z > 0,
 and log-gamma and digamma take them on the whole cut plane, which the
 Pick-function checks need; the ``*_complex`` names coerce to complex.  All
-functions accept scalars or ndarrays and are pure.
+functions accept scalars or ndarrays and are pure.  Nielsen beta, beta' and
+the polygammas and log-gamma are one loop-free recurrence shift, ``_shift``.
 """
 
 import math
@@ -21,6 +22,11 @@ from .errors import ConvergenceError, DomainError
 EULER_GAMMA = 0.5772156649015328606065
 
 _SHIFT = 12.0
+_BETA_FAR = 40.0
+# a shift block holds at most _BLOCK (point, step) terms, about 2^12 points
+# at the 12 to 20 steps the functions below take
+_BLOCK = 2 ** 16
+_MAX_STEPS = 10_000
 
 # B_{2k}/(2k), B_{2k}, (2k+1) B_{2k}, B_{2k}/((2k)(2k-1)) for k = 1..8
 _PSI_C = np.array([1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132,
@@ -79,91 +85,85 @@ def _positive(x):
     return arr
 
 
-def _shift_then(arr, recurrence_term, asymptotic):
-    """Apply f(z) = f(z+1) + g(z) until Re >= _SHIFT, then the expansion."""
-    w = arr.copy()
-    acc = np.zeros_like(arr)
-    for _ in range(10_000):
-        mask = w.real < _SHIFT
-        if not mask.any():
-            break
-        acc[mask] += recurrence_term(w[mask])
-        w[mask] += 1.0
-    else:
-        raise ConvergenceError("recurrence shift did not terminate")
-    return acc + asymptotic(w)
+def _shift(x, term, asym, step=1.0, until=_SHIFT, far=math.inf,
+           cut_plane=False):
+    """f(x) = sum_{k<n} term(x + step k) + asym(x + step n), with n the
+    fewest steps that reach Re >= until, and n = 0 where |x| >= far; ``x``
+    is checked by ``_prepare`` and a scalar gives a Python scalar.
+
+    The steps of a block of points are one (points x n_max) broadcast,
+    summed in order by ``cumsum``, so a point's sum does not depend on the
+    block it lands in.  numpy's product of two different complex arrays can
+    round by position in the array, so the beta terms are 1/(w*w + w), not
+    1/(w*(w+1)): each point then has the same bits alone or in any batch.
+    """
+    z, scalar = _prepare(x, cut_plane)
+    shape, z = z.shape, z.ravel()
+    n = np.where(np.abs(z) >= far, 0.0,
+                 np.maximum(np.ceil((until - z.real) / step), 0.0))
+    n_max = int(n.max(initial=0.0))
+    if n_max > _MAX_STEPS:
+        raise ConvergenceError(f"recurrence shift needs {n_max} steps")
+    out = asym(z + step * n)
+    k = step * np.arange(n_max)
+    idx = np.flatnonzero(n)
+    rows = _BLOCK // max(n_max, 1)
+    for lo in range(0, idx.size, rows):
+        i = idx[lo:lo + rows]
+        terms = np.where(k < step * n[i, None], term(z[i, None] + k), 0.0)
+        out[i] += np.cumsum(terms, axis=1)[:, -1]
+    return out.item() if scalar else out.reshape(shape)
+
+
+def _even_series(coeffs, u2):
+    """sum_k coeffs[k-1] u2^k for k = 1..len(coeffs), by Horner."""
+    s = np.zeros_like(u2)
+    for c in coeffs[::-1]:
+        s = (s + c) * u2
+    return s
 
 
 def _psi_asym(w):
-    u2 = 1.0 / (w * w)
-    s = np.zeros_like(w)
-    for c in _PSI_C[::-1]:
-        s = (s + c) * u2
-    return np.log(w) - 0.5 / w - s
+    return np.log(w) - 0.5 / w - _even_series(_PSI_C, 1.0 / (w * w))
 
 
 def _psi1_asym(w):
     u = 1.0 / w
     u2 = u * u
-    s = np.zeros_like(w)
-    for c in _PSI1_C[::-1]:
-        s = (s + c) * u2
-    return u + 0.5 * u2 + s * u
+    return u + 0.5 * u2 + _even_series(_PSI1_C, u2) * u
 
 
 def _psi2_asym(w):
     u = 1.0 / w
     u2 = u * u
-    s = np.zeros_like(w)
-    for c in _PSI2_C[::-1]:
-        s = (s + c) * u2
-    return -u2 - u * u2 - s * u2
+    return -u2 - u * u2 - _even_series(_PSI2_C, u2) * u2
 
 
 def _lgamma_asym(w):
-    u = 1.0 / w
-    u2 = u * u
-    s = np.zeros_like(w)
-    for c in _LGAMMA_C[::-1]:
-        s = s * u2 + c
-    return (w - 0.5) * np.log(w) - w + 0.5 * math.log(2 * math.pi) + s * u
-
-
-def _restore(out, scalar):
-    if not scalar:
-        return out
-    val = out[()] if out.ndim == 0 else out[0]
-    return complex(val) if np.iscomplexobj(out) else float(val)
+    return ((w - 0.5) * np.log(w) - w + 0.5 * math.log(2 * math.pi)
+            + _even_series(_LGAMMA_C, 1.0 / (w * w)) * w)
 
 
 def digamma(x):
     """psi(x) = Gamma'(x)/Gamma(x) for x > 0, abs error below 1e-13; for
     complex input the analytic psi on the plane cut along (-inf, 0]."""
-    arr, scalar = _prepare(x, cut_plane=True)
-    out = _shift_then(arr, lambda w: -1.0 / w, _psi_asym)
-    return _restore(out, scalar)
+    return _shift(x, lambda w: -1.0 / w, _psi_asym, cut_plane=True)
 
 
 def trigamma(x):
     """psi'(x) = sum 1/(x+n)^2 for x > 0."""
-    arr, scalar = _prepare(x)
-    out = _shift_then(arr, lambda w: 1.0 / (w * w), _psi1_asym)
-    return _restore(out, scalar)
+    return _shift(x, lambda w: 1.0 / (w * w), _psi1_asym)
 
 
 def tetragamma(x):
     """psi''(x); analytic derivative feed for the log-CM checks."""
-    arr, scalar = _prepare(x)
-    out = _shift_then(arr, lambda w: -2.0 / (w * w * w), _psi2_asym)
-    return _restore(out, scalar)
+    return _shift(x, lambda w: -2.0 / (w * w * w), _psi2_asym)
 
 
 def log_gamma(x):
     """log Gamma(x) for x > 0; for complex input the analytic log-gamma
     branch on the cut plane (not the log of Gamma)."""
-    arr, scalar = _prepare(x, cut_plane=True)
-    out = _shift_then(arr, lambda w: -np.log(w), _lgamma_asym)
-    return _restore(out, scalar)
+    return _shift(x, lambda w: -np.log(w), _lgamma_asym, cut_plane=True)
 
 
 def digamma_complex(z):
@@ -177,40 +177,29 @@ def log_gamma_complex(z):
 
 
 # beta(z) ~ 1/(2z) + sum_k b_k z^(-2k), from the Laplace-Watson expansion of
-# 1/(1+e^(-t)) = 1/2 + tanh(t/2)/2; avoids the psi-difference cancellation
-# at large arguments.
+# 1/(1+e^(-t)) = 1/2 + tanh(t/2)/2; _BETA_DERIV holds -2k b_k for beta'.
 _BETA_ASYM = np.array([1 / 4, -1 / 8, 1 / 4, -17 / 16, 31 / 4, -691 / 8,
                        5461 / 4])
+_BETA_DERIV = -2.0 * np.arange(1, 8) * _BETA_ASYM
 
 
 def _beta_asym(z):
-    u2 = 1.0 / (z * z)
-    s = np.zeros_like(z)
-    for c in _BETA_ASYM[::-1]:
-        s = (s + c) * u2
-    return 0.5 / z + s
+    return 0.5 / z + _even_series(_BETA_ASYM, 1.0 / (z * z))
 
 
-def _beta_core(arr):
-    out = np.empty_like(arr)
-    big = arr.real >= 40.0
-    if big.any():
-        out[big] = _beta_asym(arr[big])
-    rest = ~big
-    if rest.any():
-        w = arr[rest]
-        out[rest] = 0.5 * (
-            _shift_then((w + 1) / 2, lambda v: -1.0 / v, _psi_asym)
-            - _shift_then(w / 2, lambda v: -1.0 / v, _psi_asym))
-    return out
+def _beta_deriv_asym(z):
+    u = 1.0 / z
+    u2 = u * u
+    return -0.5 * u2 + _even_series(_BETA_DERIV, u2) * u
 
 
 def nielsen_beta(x):
-    """beta(x) = sum (-1)^n / (x+n), evaluated as the digamma difference
-    beta(x) = (psi((x+1)/2) - psi(x/2)) / 2 (asymptotic series for large x).
+    """beta(x) = sum (-1)^n / (x+n), by the pair recurrence
+    beta(x) = 1/(x^2 + x) + beta(x+2) up to Re >= 40, then the asymptotic
+    series (directly where |x| >= 40); every term is positive for real x.
     Complex input needs Re z > 0; there beta(conj z) = conj beta(z)."""
-    arr, scalar = _prepare(x)
-    return _restore(_beta_core(arr), scalar)
+    return _shift(x, lambda w: 1.0 / (w * w + w), _beta_asym, 2.0,
+                  _BETA_FAR, _BETA_FAR)
 
 
 def nielsen_beta_complex(z):
@@ -219,11 +208,10 @@ def nielsen_beta_complex(z):
 
 
 def nielsen_beta_deriv(x):
-    """beta'(x) = -sum (-1)^n / (x+n)^2, via the trigamma difference."""
-    arr, scalar = _prepare(x)
-    out = 0.25 * (_shift_then((arr + 1) / 2, lambda w: 1.0 / (w * w), _psi1_asym)
-                  - _shift_then(arr / 2, lambda w: 1.0 / (w * w), _psi1_asym))
-    return _restore(out, scalar)
+    """beta'(x) = -sum (-1)^n / (x+n)^2, by the derivative of the pair
+    recurrence, -(2x+1)/(x^2 + x)^2 + beta'(x+2), and of the series."""
+    return _shift(x, lambda w: -(2.0 * w + 1.0) / (w * w + w) ** 2,
+                  _beta_deriv_asym, 2.0, _BETA_FAR, _BETA_FAR)
 
 
 def nielsen_beta_series(x, policy=None):

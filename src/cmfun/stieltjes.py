@@ -17,7 +17,7 @@ import numpy as np
 from ._quadrature import quad
 from ._series import midpoint_tail
 from .errors import CapTooSmallError, ConvergenceError, DomainError
-from .specfun import _LGAMMA_C, log_gamma
+from .specfun import _LGAMMA_C, _even_series, log_gamma
 
 _MAX_DEGREE = 8
 
@@ -290,11 +290,7 @@ def _gamma_ratio_shift(z, s):
     """
     def series(y):
         """sum_n B_2n / (2n (2n - 1)) y^(1 - 2n), n = 1..4."""
-        u2 = 1.0 / (y * y)
-        acc = 0.0
-        for c in _LGAMMA_C[3::-1]:
-            acc = acc * u2 + c
-        return acc / y
+        return _even_series(_LGAMMA_C[:4], 1.0 / (y * y)) * y
 
     z = np.asarray(z, dtype=float)
     zb = np.maximum(z, 50.0)
@@ -342,8 +338,8 @@ class GapTail:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         h = self.step
         a0 = self.offset + 2.0 * h * self.start
-        return self.weight * np.exp(-t * a0) * np.expm1(-h * t) / \
-            (t * np.expm1(-2.0 * h * t))
+        # expm1(-h t) / expm1(-2 h t) = 1 / (1 + e^(-h t)), finite as t -> 0
+        return self.weight * np.exp(-t * a0) / (t * (1.0 + np.exp(-h * t)))
 
     def cumulative(self, t):
         t = np.asarray(t, dtype=float)
@@ -558,12 +554,23 @@ class RepresentingMeasure:
         self._check_density_nonneg()
 
     def _check_density_nonneg(self):
+        """Checks the values at both ends of every cell, which is exact for
+        degree <= 1; higher degrees add 1,000 samples.  At the far end of an
+        unbounded row the top coefficient stands in for the value."""
         if self.density is None:
             return
-        bp = self.density.breakpoints
-        hi = bp[-1] + (2.0 if self.density.unbounded else 0.0)
-        ts = np.linspace(bp[0], hi, 1000)
-        vals = self.density(ts)
+        d = self.density
+        bp, co = d.breakpoints, d.coeffs[:len(d.breakpoints) - 1]
+        ts = np.concatenate([bp[:-1], bp[1:]])
+        vals = np.concatenate([co[:, 0], np.polynomial.polynomial.polyval(
+            np.diff(bp), co.T, tensor=False)])
+        if d.unbounded:
+            ts = np.append(ts, [bp[-1], math.inf])
+            vals = np.append(vals, d.coeffs[-1, [0, -1]])
+        if d.degree >= 2:
+            sample = np.linspace(bp[0], bp[-1] + 2.0 * d.unbounded, 1000)
+            ts = np.concatenate([ts, sample])
+            vals = np.concatenate([vals, d(sample)])
         floor = -1e-9 * (1.0 + np.max(np.abs(vals)))
         if np.min(vals) < floor:
             t_bad = ts[int(np.argmin(vals))]

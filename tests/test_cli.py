@@ -55,7 +55,8 @@ class TestEval:
     def test_non_finite_exits_2(self, capsys, key, x):
         code, out, err = run(capsys, "eval", key, x)
         assert code == 2 and out == ""
-        assert err.strip().splitlines()[-1].startswith("error:")
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 class TestCheck:

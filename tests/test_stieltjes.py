@@ -178,6 +178,17 @@ class TestKernelKappa:
             assert abs(st.stieltjes_via_kernel(m, x)
                        - sf.nielsen_beta(x)) <= 1e-8
 
+    def test_gap_tail_kernel_finite_at_tiny_t(self):
+        # expm1(-2 h t) underflowed to 0 for t below about 1e-160
+        kappa = st.kernel_kappa(st.measure_alternating(lambda n: n + 1, 0.05))
+        assert kappa(1e-200) == pytest.approx(2.5e198, rel=1e-12)
+        assert kappa(1e-160) == pytest.approx(2.5e158, rel=1e-12)
+
+    def test_kernel_route_small_lam(self):
+        m = st.measure_alternating(lambda n: n + 1, 0.05)
+        assert st.stieltjes_via_kernel(m, 1.0) == pytest.approx(
+            st.stieltjes_eval(m, 1.0), rel=1e-10)
+
 
 class TestGammaRatioMeasure:
     @pytest.mark.parametrize("a,b", [(0.5, 1.3), (1.0, 1.0), (0.5, 2.0)])
@@ -348,6 +359,26 @@ class TestEquivalenceOfRepresentations:
         pp = st.PiecewisePolynomial(np.array([0.0, 1.0]), np.array([[-1.0]]))
         with pytest.raises(DomainError):
             st.RepresentingMeasure(order=2.0, density=pp)
+
+    def test_one_negative_cell_of_4096_rejected(self):
+        # 1,000 samples missed a single negative cell about 3 times in 4
+        bps = np.arange(4097.0)
+        for i in range(4096):
+            rows = np.ones((4096, 1))
+            rows[i] = -5.0
+            with pytest.raises(DomainError):
+                st.RepresentingMeasure(
+                    order=2.0, density=st.PiecewisePolynomial(bps, rows))
+
+    @pytest.mark.parametrize("rows, unbounded", [
+        ([[1.0, 0.0], [1.0, -1.001]], False),   # negative only at t = 2
+        ([[1.0, 0.0], [1.0, -1e-6]], True),     # negative for t > 1e6
+    ])
+    def test_linear_cell_negative_at_an_end_rejected(self, rows, unbounded):
+        bps = np.array([0.0, 1.0] if unbounded else [0.0, 1.0, 2.0])
+        pp = st.PiecewisePolynomial(bps, np.array(rows), unbounded=unbounded)
+        with pytest.raises(DomainError):
+            st.RepresentingMeasure(order=3.0, density=pp)
 
 
 class TestSerialization:
