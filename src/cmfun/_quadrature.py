@@ -77,7 +77,7 @@ def quad(f, a, b, abs_tol=1e-12, rel_tol=1e-12, limit=2000, points=None):
         edges += [p for p in points if a < p < b]
     edges = sorted(set(float(e) for e in edges))
     heap = []
-    total = 0.0 + 0.0j if np.iscomplexobj(f(np.array([0.5 * (a + b)]))) else 0.0
+    total = 0.0  # a complex panel sum promotes it
     err_sum = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         ik, err = _panel(f, lo, hi)

@@ -27,10 +27,6 @@ def zeta_even_cached(m):
     return _ZETA_EVEN[m] if m in _ZETA_EVEN else zeta_even(m)
 
 
-# pair terms evaluated per block of alternating_sum_direct
-_DIRECT_CELLS = 1 << 16
-
-
 def alternating_sum(term, n_terms=28):
     """Accelerated value of sum_{k>=0} (-1)^k term(k).
 
@@ -48,42 +44,6 @@ def alternating_sum(term, n_terms=28):
         s += c * term(k)
         b = (k + n_terms) * (k - n_terms) * b / ((k + 0.5) * (k + 1.0))
     return s / d
-
-
-def alternating_sum_direct(term, abs_tol, max_terms):
-    """Plain alternating summation with the first-omitted-term bound.
-
-    Terms are paired to keep the partial sums monotone, and the sum stops
-    after the first pair (k, k + 1) whose next term term(k + 2) is below
-    ``abs_tol``, or at ``max_terms``.  ``term`` maps an ndarray of k to an
-    ndarray; it may broadcast against an array of evaluation points, and
-    each point stops on its own.  Pairs are taken in blocks and summed in
-    order, with the running total carried into each block.  Raises no error
-    but returns (value, bound) so the caller can decide whether the bound
-    is acceptable.
-    """
-    first = term(0)
-    lead = (1,) * np.ndim(first)
-    step = 2 * max(1, _DIRECT_CELLS // max(1, np.size(first)))
-    total = 0.0
-    bound = math.inf
-    live = True
-    for k0 in range(0, max_terms, step):
-        k = np.arange(k0, min(k0 + step, max_terms), 2)
-        k = k.reshape(k.shape + lead)
-        nxt = term(k + 2)
-        stop = nxt < abs_tol
-        keep = live & (np.cumsum(stop, axis=0) - stop == 0)
-        pairs = np.where(keep, term(k) - term(k + 1), 0.0)
-        pairs[0] += total
-        total = np.cumsum(pairs, axis=0)[-1]
-        last = np.maximum(np.sum(keep, axis=0) - 1, 0)
-        bound = np.where(live, np.take_along_axis(nxt, last[None], 0)[0],
-                         bound)
-        live = live & ~np.any(stop, axis=0)
-        if not np.any(live):
-            break
-    return total, bound
 
 
 def pochhammer_ratio_terms(a, n_max):

@@ -8,10 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import quad, quad_to_inf
+from ._quadrature import quad_to_inf
 from ._series import zeta_even_cached
 from .errors import DomainError
-from .laplace import transform_cutoff
+from .laplace import laplace_quad
 from .specfun import log_gamma
 from .stieltjes import PeriodicTail, PiecewisePolynomial, RepresentingMeasure
 
@@ -160,18 +160,12 @@ def p_kernel_series(t, params):
 def r_2_2n(w, n=1):
     """R_{2,2n}(w) = int_0^inf e^(-wt) t^(2n) p_n(t) dt, positive and
     decreasing in w."""
-    if not w > 0:
-        raise DomainError("need w > 0")
+    if not (w > 0 and math.isfinite(w)):
+        raise DomainError(f"need finite w > 0, got {w}")
     if n < 1 or int(n) != n:
         raise DomainError("n must be a positive integer")
-    t_hi = transform_cutoff(w)
-
-    def integrand(t):
-        return np.exp(-w * t) * t ** (2.0 * n - 2.0) * _t2_p_kernel(t, n)
-
-    seeds = [s / w for s in (1.0, 4.0, 12.0) if s / w < t_hi]
-    return quad(integrand, 0.0, t_hi, abs_tol=1e-16, rel_tol=5e-14,
-                points=seeds)
+    return laplace_quad(lambda t: t ** (2.0 * n - 2.0) * _t2_p_kernel(t, n),
+                        w, abs_tol=1e-16, rel_tol=5e-14)
 
 
 def barnes_g_limit(n=1):

@@ -280,7 +280,6 @@ def kappa_eval(seq, k, t):
     if preset is not None:
         core = preset.gen(np.exp(-t))
     else:
-        coef = _as_coef(seq)
         n_terms = int(min(50.0 / max(np.min(t), 1e-6), 2_000_000))
         if n_terms >= 2_000_000:
             raise CapTooSmallError("generic kappa series needs too many terms")

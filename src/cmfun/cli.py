@@ -33,15 +33,24 @@ class RunConfig:
     @staticmethod
     def load(path):
         cfg = RunConfig()
-        if path:
-            with open(path) as fh:
+        if not path:
+            return cfg
+        with open(path) as fh:
+            try:
                 data = json.load(fh)
-            cfg.tolerances = dict(data.get("tolerances", {}))
-            cfg.jobs = int(data.get("jobs", cfg.jobs))
-            cfg.seed = int(data.get("seed", cfg.seed))
-            cfg.fmt = data.get("format", cfg.fmt)
-            cfg.dt = float(data.get("dt", cfg.dt))
-            cfg.t_max = float(data.get("t_max", cfg.t_max))
+                if not isinstance(data, dict):
+                    raise TypeError("not a JSON object")
+                cfg.tolerances = dict(data.get("tolerances", {}))
+                cfg.jobs = int(data.get("jobs", cfg.jobs))
+                cfg.seed = int(data.get("seed", cfg.seed))
+                cfg.fmt = data.get("format", cfg.fmt)
+                cfg.dt = float(data.get("dt", cfg.dt))
+                cfg.t_max = float(data.get("t_max", cfg.t_max))
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"config file {path}: {exc}") from None
+        if cfg.fmt not in ("csv", "json"):
+            raise DomainError(f"config file {path}: format must be csv or "
+                              f"json, got {cfg.fmt!r}")
         return cfg
 
 
@@ -234,13 +243,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    cfg = RunConfig.load(args.config)
     try:
-        return args.fn(args, cfg)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+        return args.fn(args, RunConfig.load(args.config))
+    except (ValueError, KeyError, OSError) as exc:  # DomainError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

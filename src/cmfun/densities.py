@@ -136,25 +136,12 @@ def density_sample(spec, count, seed):
     u = np.clip(u, 1e-15, 1.0 - 1e-15)
     edges, cdf = _cdf_table(spec)
     t = np.interp(u, cdf, edges)
-    # two Newton polishing passes, vectorized on the table interpolant
+    # three Newton polishing passes, vectorized on the table interpolant
     for _ in range(3):
         f = np.interp(t, edges, cdf) - u
         df = density_eval(spec, np.maximum(t, 1e-300))
         t = np.clip(t - f / np.maximum(df, 1e-300), 1e-300, edges[-1])
     return t
-
-
-def density_mean(spec):
-    """First moment by quadrature."""
-    t_hi = support_cutoff(spec)
-    return quad(lambda t: t * density_eval(spec, t), 0.0, t_hi,
-                abs_tol=1e-13, rel_tol=1e-11)
-
-
-def density_second_moment(spec):
-    t_hi = support_cutoff(spec)
-    return quad(lambda t: t * t * density_eval(spec, t), 0.0, t_hi,
-                abs_tol=1e-13, rel_tol=1e-11)
 
 
 def normalization_residual(spec):

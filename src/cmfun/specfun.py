@@ -10,13 +10,11 @@ the polygammas and log-gamma are one loop-free recurrence shift, ``_shift``.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._quadrature import quad
-from ._series import (alternating_sum, alternating_sum_direct,
-                      pochhammer_ratio_terms)
+from ._series import alternating_sum, pochhammer_ratio_terms
 from .errors import ConvergenceError, DomainError
 
 EULER_GAMMA = 0.5772156649015328606065
@@ -37,24 +35,6 @@ _PSI2_C = np.array([3 / 6, -5 / 30, 7 / 42, -9 / 30, 55 / 66,
                     -13 * 691 / 2730, 15 * 7 / 6, -17 * 3617 / 510])
 _LGAMMA_C = np.array([1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
                       -691 / 360360, 1 / 156, -3617 / 122400])
-
-
-@dataclass(frozen=True)
-class SeriesPolicy:
-    """Truncation policy for alternating series evaluation."""
-
-    max_terms: int = 1_000_000
-    abs_tol: float = 1e-12
-    acceleration: str = "alternating-acceleration"
-
-    def __post_init__(self):
-        if self.max_terms < 8:
-            raise DomainError("max_terms must be >= 8")
-        if not self.abs_tol > 0:
-            raise DomainError("abs_tol must be positive")
-        if self.acceleration not in ("alternating-acceleration",
-                                     "direct-with-tail-bound"):
-            raise DomainError(f"unknown acceleration {self.acceleration!r}")
 
 
 def _prepare(z, cut_plane=False):
@@ -214,23 +194,6 @@ def nielsen_beta_deriv(x):
                   _beta_deriv_asym, 2.0, _BETA_FAR, _BETA_FAR)
 
 
-def nielsen_beta_series(x, policy=None):
-    """Independent series route for beta(x), per the truncation policy."""
-    arr = _positive(x)
-    policy = policy or SeriesPolicy()
-    if policy.acceleration == "alternating-acceleration":
-        n = max(8, int(math.log(4.0 / policy.abs_tol) / 1.7627) + 4)
-        value = alternating_sum(lambda k: 1.0 / (arr + k), n_terms=n)
-    else:
-        value, bound = alternating_sum_direct(
-            lambda k: 1.0 / (arr + k), policy.abs_tol, policy.max_terms)
-        if np.max(bound) > policy.abs_tol:
-            raise ConvergenceError(
-                f"direct beta series: tail bound {np.max(bound):.2e} > "
-                f"{policy.abs_tol:.2e}")
-    return float(value) if np.ndim(x) == 0 else value
-
-
 def sin_cos_integrals(x):
     """(si(x), ci(x)) with si(x) = Si(x) - pi/2 and ci the cosine integral.
 
@@ -241,8 +204,8 @@ def sin_cos_integrals(x):
     if not np.isscalar(x) and np.ndim(x) > 0:
         pairs = [sin_cos_integrals(v) for v in x]
         return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
-    if not x > 0:
-        raise DomainError(f"x must be positive, got {x}")
+    if not (x > 0 and math.isfinite(x)):
+        raise DomainError(f"x must be positive and finite, got {x}")
     if x <= 4.0:
         x2 = x * x
         b = x          # x^(2k+1) / (2k+1)!
@@ -293,23 +256,6 @@ def prym_P(x):
     return float(total) if np.ndim(x) == 0 else total
 
 
-def prym_P_integral(x):
-    """P(x) = int_0^1 t^(x-1) e^(-t) dt, via t = v^(1/x) (smooth integrand)."""
-    if not x > 0:
-        raise DomainError(f"x must be positive, got {x}")
-    return quad(lambda v: np.exp(-v ** (1.0 / x)) / x, 0.0, 1.0,
-                abs_tol=1e-14, rel_tol=1e-13)
-
-
-def prym_Q(x):
-    """Q(x) = int_1^inf t^(x-1) e^(-t) dt, the tail partner of P."""
-    if not x > 0:
-        raise DomainError(f"x must be positive, got {x}")
-    t_hi = 60.0 + 5.0 * x
-    return quad(lambda t: t ** (x - 1.0) * np.exp(-t), 1.0, t_hi,
-                abs_tol=1e-14, rel_tol=1e-13)
-
-
 def beta_a_lambda(x, a, lam):
     """sum (-1)^n (a)_n/n! (x+n)^(-lam) for x > 0, 0 < a <= 1, lam > 0."""
     arr = _positive(x)
@@ -321,25 +267,6 @@ def beta_a_lambda(x, a, lam):
     value = alternating_sum(lambda k: poch[k] * (arr + k) ** (-lam),
                             n_terms=30)
     return float(value) if np.ndim(x) == 0 else value
-
-
-def beta_a_lambda_integral(x, a, lam):
-    """Quadrature of (1/Gamma(lam)) int e^(-xt) (1+e^(-t))^(-a) t^(lam-1) dt."""
-    if not (x > 0 and 0 < a <= 1 and lam > 0):
-        raise DomainError("need x > 0, 0 < a <= 1, lam > 0")
-
-    # t = v^(1/lam) on [0,1] removes the endpoint singularity for lam < 1
-    def head(v):
-        t = v ** (1.0 / lam)
-        return np.exp(-x * t) * (1 + np.exp(-t)) ** (-a) / lam
-
-    def tail(t):
-        return np.exp(-x * t) * (1 + np.exp(-t)) ** (-a) * t ** (lam - 1.0)
-
-    t_hi = (40.0 + 8.0 * lam) / min(x, 1.0) if x < 1 else 40.0 + 8.0 * lam / x + 40.0 / x
-    total = quad(head, 0.0, 1.0, abs_tol=1e-14, rel_tol=1e-13) + \
-        quad(tail, 1.0, max(2.0, t_hi), abs_tol=1e-14, rel_tol=1e-13)
-    return total / math.gamma(lam)
 
 
 def gamma_ratio_log(x, a, b):

@@ -314,7 +314,7 @@ class GapTail:
     step: float
     weight: float
     start: int
-    brute: int = 512
+    brute = 512  # gaps summed directly before the midpoint completion
 
     def _interval_sum(self, x, order, n):
         a_left = self.offset + 2.0 * self.step * n
@@ -341,16 +341,6 @@ class GapTail:
         # expm1(-h t) / expm1(-2 h t) = 1 / (1 + e^(-h t)), finite as t -> 0
         return self.weight * np.exp(-t * a0) / (t * (1.0 + np.exp(-h * t)))
 
-    def cumulative(self, t):
-        t = np.asarray(t, dtype=float)
-        h = self.step
-        rel = (t - self.offset) / (2.0 * h) - self.start
-        n_full = np.floor(rel)
-        frac = np.clip((rel - n_full) * 2.0 * h, 0.0, h)
-        out = self.weight * np.where(rel > 0, np.maximum(n_full, 0) * h +
-                                     np.where(n_full >= 0, frac, 0.0), 0.0)
-        return out if out.ndim else float(out)
-
     def to_dict(self):
         return {"kind": "gaps", "offset": self.offset, "step": self.step,
                 "weight": self.weight, "start": self.start}
@@ -364,7 +354,7 @@ class PeriodicTail:
     start: float
     period: float
     profile: PiecewisePolynomial
-    brute: int = 64
+    brute = 64  # periods summed directly before the midpoint completion
 
     def __post_init__(self):
         if abs(self.profile.breakpoints[-1] - self.period) > 1e-12:
@@ -393,15 +383,6 @@ class PeriodicTail:
         cell = self.profile.laplace(t)
         return -cell * np.exp(-t * self.start) / np.expm1(-self.period * t)
 
-    def cumulative(self, t):
-        t = np.asarray(t, dtype=float)
-        rel = np.maximum(t - self.start, 0.0)
-        n_full = np.floor(rel / self.period)
-        frac = rel - n_full * self.period
-        cell_mass = self.profile.cumulative(self.period)
-        out = n_full * cell_mass + self.profile.cumulative(frac)
-        return out if out.ndim else float(out)
-
     def to_dict(self):
         return {"kind": "periodic", "start": self.start,
                 "period": self.period, "profile": self.profile.to_dict()}
@@ -415,7 +396,7 @@ class _CoefTail:
     start: int
     coef_name: str
     coef_params: dict = field(default_factory=dict)
-    brute: int = 512
+    brute = 512  # units summed directly before the midpoint completion
 
     def _coef(self, k):
         return _coef_registry(self.coef_name, self.coef_params)(k)
@@ -442,15 +423,6 @@ class _CoefTail:
             for ti, n in zip(t, n_terms)])
         return sums * self._unit_laplace(t)
 
-    def cumulative(self, t):
-        t = np.asarray(t, dtype=float)
-        hi = int(np.max(np.atleast_1d(t)))
-        m = np.arange(self.start, max(self.start, hi) + 1, dtype=float)
-        out = np.zeros_like(t, dtype=float)
-        for mi, ci in zip(m, self._coef(m) if len(m) else []):
-            out += ci * self._unit_cumulative(t - mi)
-        return out if out.ndim else float(out)
-
     def to_dict(self):
         return {"kind": self.kind, "start": self.start,
                 "coef_name": self.coef_name, "coef_params": dict(self.coef_params)}
@@ -473,10 +445,6 @@ class SmoothCoefTail(_CoefTail):
     def _unit_laplace(t):
         return -np.expm1(-t) / t
 
-    @staticmethod
-    def _unit_cumulative(s):
-        return np.clip(s, 0.0, 1.0)
-
 
 @dataclass(frozen=True, eq=False)
 class AtomTail(_CoefTail):
@@ -494,10 +462,6 @@ class AtomTail(_CoefTail):
     @staticmethod
     def _unit_laplace(t):
         return 1.0
-
-    @staticmethod
-    def _unit_cumulative(s):
-        return s >= 0.0
 
 
 def _smooth_exp_sum(coef, start, t):
@@ -624,19 +588,6 @@ def stieltjes_eval(m, x):
     if m.tail is not None:
         total += m.tail.stieltjes(x, m.order)
     return total
-
-
-def measure_cumulative(m, t):
-    """mu([0, t]) for measures whose parts support cumulatives."""
-    t_arr = np.asarray(t, dtype=float)
-    out = np.zeros_like(t_arr, dtype=float)
-    for loc, mass in m.atoms:
-        out += mass * (t_arr >= loc)
-    if m.density is not None:
-        out += m.density.cumulative(t_arr)
-    if m.tail is not None:
-        out += m.tail.cumulative(t_arr)
-    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,6 +6,7 @@ import pytest
 
 from cmfun import barnes as bn
 from cmfun import monotonicity as mono
+from cmfun import specfun as sf
 from cmfun.errors import DomainError
 
 
@@ -123,3 +124,12 @@ def test_p1_p2_cm_acceptance_order():
     grid = mono.CheckGrid.default(n_max=6)
     assert mono.cm_check(lambda t: bn.p_kernel(t, 1), grid).passed
     assert mono.cm_check(lambda t: bn.p_kernel(t, 2), grid).passed
+
+
+@pytest.mark.parametrize("fn", [bn.r_2_2n, sf.sin_cos_integrals],
+                         ids=["r22", "si-ci"])
+@pytest.mark.parametrize("w", [math.inf, math.nan])
+def test_non_finite_argument_raises(fn, w):
+    # Laplace-type integrals of a non-finite argument have no value
+    with pytest.raises(DomainError):
+        fn(w)

@@ -51,12 +51,34 @@ class TestEval:
 
     @pytest.mark.parametrize("key, x", [("p-kernel", "inf"),
                                         ("trigamma", "1e-200"),
-                                        ("prym", "inf")])
+                                        ("prym", "inf"),
+                                        ("r22", "inf")])
     def test_non_finite_exits_2(self, capsys, key, x):
         code, out, err = run(capsys, "eval", key, x)
         assert code == 2 and out == ""
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "eval", "beta", "1",
+                             "--out", str(tmp_path / "missing" / "x.csv"))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("text", [None, "{bad", '{"jobs": "two"}',
+                                      '{"format": "xml"}'],
+                             ids=["missing", "not-json", "bad-jobs",
+                                  "bad-format"])
+    def test_bad_config_exits_2(self, capsys, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        code, out, err = run(capsys, "--config", str(cfg), "check",
+                             "hamburger")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
 
 
 class TestCheck:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -99,8 +100,13 @@ class TestSampling:
         spec = dn.DensitySpec("nu", 1.0)
         n = 100_000
         s = dn.density_sample(spec, n, seed=1)
-        mu = dn.density_mean(spec)
-        var = dn.density_second_moment(spec) - mu * mu
+        # L(nu_a)(x) = beta(a + x)/beta(a), so the moments are
+        # -beta'(a)/beta(a) and beta''(a)/beta(a), here at a = 1
+        with mpmath.workdps(30):
+            b0, b1, b2 = (mpmath.psi(k, 1.0) - mpmath.psi(k, 0.5)
+                          for k in (0, 1, 2))
+            mu = float(-b1 / 2 / b0)
+            var = float(b2 / 4 / b0) - mu * mu
         assert abs(np.mean(s) - mu) <= 3.0 * math.sqrt(var / n)
 
     def test_count_validation(self):

@@ -333,22 +333,38 @@ class TestEquivalenceOfRepresentations:
             assert float(np.min(m.density(ts))) >= -1e-12
 
     def test_order_monotonicity_identity(self):
-        # f(x) = order * int mu([0,t]) (x+t)^(-order-1) dt for the
-        # atom-free members with computable cumulatives
+        # f(x) = order * int mu([0,t]) (x+t)^(-order-1) dt, with mu([0,t])
+        # in closed form for two atom-free members
+        def gaps_cumulative(t):
+            # weight 1 on every gap (2n, 2n+1)
+            n = np.floor(t / 2.0)
+            return n + np.clip(t - 2.0 * n, 0.0, 1.0)
+
+        def trap_sum_cumulative(t, a=0.5, b=1.3):
+            # density sum_k trap(t - k), trap = chi_(0,a) * chi_(0,b), whose
+            # integral over (0, u) is the area of a clipped triangle
+            def corner(v):
+                return 0.5 * np.maximum(v, 0.0) ** 2
+
+            u = np.asarray(t)[..., None] - np.arange(np.floor(np.max(t)) + 1.0)
+            area = corner(u) - corner(u - a) - corner(u - b) + \
+                corner(u - a - b)
+            return np.sum(area, axis=-1)
+
         x = 1.3
-        for m in (st.measure_alternating(lambda n: float(n), 1.0),
-                  st.measure_gamma_ratio(0.5, 1.3)):
+        for m, cum in ((st.measure_alternating(lambda n: float(n), 1.0),
+                        gaps_cumulative),
+                       (st.measure_gamma_ratio(0.5, 1.3),
+                        trap_sum_cumulative)):
             order = m.order
             T = 400.0
-            head = sum(quad(lambda t: st.measure_cumulative(m, t)
-                            * (x + t) ** (-order - 1.0),
+            head = sum(quad(lambda t: cum(t) * (x + t) ** (-order - 1.0),
                             0.5 * k, 0.5 * (k + 1), abs_tol=1e-15,
                             rel_tol=1e-11) for k in range(800))
             # affine tail model through the period-averaged cumulative
-            c_mid = quad(lambda t: st.measure_cumulative(m, t), T, T + 2.0,
-                         abs_tol=1e-13) / 2.0
-            slope = (quad(lambda t: st.measure_cumulative(m, t),
-                          T + 2.0, T + 4.0, abs_tol=1e-13) / 2.0 - c_mid) / 2.0
+            c_mid = quad(cum, T, T + 2.0, abs_tol=1e-13) / 2.0
+            slope = (quad(cum, T + 2.0, T + 4.0, abs_tol=1e-13) / 2.0
+                     - c_mid) / 2.0
             t_mid = T + 1.0
             tail = quad(lambda t: (c_mid + slope * (t - t_mid))
                         * (x + t) ** (-order - 1.0), T, 1e7,

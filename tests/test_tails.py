@@ -1,6 +1,7 @@
 """Oracle tests of every truncated-series tail completion: each must land
 within 1e-13 * max(1, |ref|) of an independent mpmath or scipy value."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -127,10 +128,10 @@ def test_coef_tails_share_fields_and_differ_in_unit():
     assert cells.brute == 512
     assert (atoms.to_dict()["kind"], cells.to_dict()["kind"]) == \
         ("atoms", "cells")
-    assert np.array_equal(atoms.cumulative(np.array([2.5, 3.0, 4.5])),
-                          [0.0, 1.0, 2.0])
-    assert np.array_equal(cells.cumulative(np.array([2.5, 3.0, 4.5])),
-                          [0.0, 0.0, 1.5])
+    # brute is a class constant, so a JSON round trip cannot lose it
+    for tail in (atoms, cells, st.GapTail(0.0, 1.0, 1.0, 3),
+                 barnes._Q_MEASURE.tail):
+        assert "brute" not in {f.name for f in dataclasses.fields(tail)}
     t = np.array([0.5, 2.0])
     assert np.allclose(cells.laplace(t), atoms.laplace(t) * -np.expm1(-t) / t,
                        rtol=1e-15, atol=0.0)
