@@ -10,7 +10,7 @@ from .specfun import (beta_a_lambda, digamma, gamma_ratio_log, log_gamma,
                       nielsen_beta, nielsen_beta_complex, prym_P,
                       sin_cos_integrals, trigamma)
 from .stieltjes import (CmKernel, PiecewisePolynomial, RepresentingMeasure,
-                        convolve_box, kernel_kappa, measure_alternating,
+                        convolve_box, measure_alternating,
                         measure_cesaro, measure_gamma_ratio,
                         measure_gamma_reciprocal_ratio,
                         measure_genus1_log_ratio, measure_integer_atoms,

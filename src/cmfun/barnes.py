@@ -93,7 +93,8 @@ def _aux_sums(a, m_max):
         ab = a[big]
         pa = math.pi * ab
         coth = 1.0 / np.tanh(pa)
-        csch2 = 1.0 / np.sinh(pa) ** 2
+        # 1 / sinh(pa)^2, whose square overflows for pa > 355
+        csch2 = 4.0 * np.exp(-2.0 * pa) / np.expm1(-2.0 * pa) ** 2
         t1 = math.pi * coth / (2.0 * ab) - 1.0 / (2.0 * ab ** 2)
         t2 = (math.pi ** 2 * csch2 / (4.0 * ab ** 2)
               + math.pi * coth / (4.0 * ab ** 3) - 1.0 / (2.0 * ab ** 4))

@@ -244,7 +244,8 @@ def preset_sequence(key, a=0.5):
         return SequencePreset("binomial-a", coef,
                               lambda u: (1.0 + u) ** (-a), ratio=ratio)
     if key == "prym":
-        return SequencePreset("prym", _prym_coef, lambda u: np.exp(-u))
+        return SequencePreset("prym", _prym_coef, lambda u: np.exp(-u),
+                              ratio=lambda n: -1.0 / n)
     if key == "ones":
         return SequencePreset("ones", _ones_coef,
                               lambda u: 1.0 / (1.0 - u), default_lam=2.0)

@@ -390,7 +390,7 @@ def _conv_direct(t, phi_c, phi_d, c, d):
 def convolve_densities(dc, dd, c, d):
     """(m_c * m_d) on the common grid; trapezoids in the interior with
     power-law product integration in the end cells, since m_c ~ t^(c-1)
-    is unbounded near 0 for c < 1."""
+    blows up at 0 for c < 1."""
     dt = dc.dt
     n = len(dc.t)
     fc, fd = dc.values, dd.values

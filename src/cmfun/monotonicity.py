@@ -56,10 +56,6 @@ class Witness:
     value: float
     slack: float
 
-    def to_dict(self):
-        return {"x": self.x, "n": self.n, "value": self.value,
-                "slack": self.slack}
-
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -70,15 +66,6 @@ class CheckReport:
     witnesses: tuple = ()
     sup_im: float = None
     inf_im: float = None
-
-    def to_dict(self):
-        d = {"verdict": "pass" if self.passed else "fail",
-             "worst_margin": self.worst_margin,
-             "witnesses": [w.to_dict() for w in self.witnesses]}
-        if self.sup_im is not None:
-            d["sup_im"] = self.sup_im
-            d["inf_im"] = self.inf_im
-        return d
 
 
 def _grid_points(grid):

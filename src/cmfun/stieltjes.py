@@ -1,16 +1,18 @@
 """Representing measures of generalized Stieltjes functions.
 
-A measure mu is stored as atoms + a piecewise-polynomial density + an
-optional analytic tail model, together with the order lam of the transform
+A measure mu is stored as atoms + a piecewise-polynomial density on
+bounded cells + an optional analytic tail model that holds all mass beyond
+them, together with the order lam of the transform
 f(x) = int dmu(t)/(x+t)^lam + c.  Interval integrals use closed forms; the
-infinite catalog measures (alternating gaps, eventually periodic densities,
-smoothly decaying cell coefficients, integer atoms) are truncated at a cap
-and completed with midpoint Euler-Maclaurin corrections so the truncation
-error stays far below the contract tolerances.
+infinite catalog measures (alternating gaps, eventually periodic or constant
+densities, cell or atom coefficients given by a smooth callable) are
+truncated at a cap and completed with midpoint Euler-Maclaurin corrections
+so the truncation error stays far below the contract tolerances.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -92,13 +94,12 @@ class PiecewisePolynomial:
     """Breakpoints with per-interval coefficient rows in local coordinates.
 
     Row i holds the polynomial on [breakpoints[i], breakpoints[i+1]) in the
-    variable s = t - breakpoints[i].  With ``unbounded`` set, one extra row
-    applies on [breakpoints[-1], inf).  Evaluation is right-continuous.
+    variable s = t - breakpoints[i]; the polynomial is zero outside
+    [breakpoints[0], breakpoints[-1]).  Evaluation is right-continuous.
     """
 
     breakpoints: np.ndarray
     coeffs: np.ndarray
-    unbounded: bool = False
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
@@ -111,10 +112,9 @@ class PiecewisePolynomial:
             raise DomainError("breakpoints must be strictly increasing")
         if bp[0] < 0:
             raise DomainError("breakpoints must be nonnegative")
-        expected = len(bp) - 1 + (1 if self.unbounded else 0)
-        if co.shape[0] != expected:
+        if co.shape[0] != len(bp) - 1:
             raise DomainError(
-                f"expected {expected} coefficient rows, got {co.shape[0]}")
+                f"expected {len(bp) - 1} coefficient rows, got {co.shape[0]}")
         if co.shape[1] > _MAX_DEGREE + 1:
             raise DomainError("polynomial degree too high")
 
@@ -125,23 +125,14 @@ class PiecewisePolynomial:
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         idx = np.searchsorted(self.breakpoints, t, side="right") - 1
-        n_bounded = len(self.breakpoints) - 1
-        inside = (idx >= 0) & (idx < n_bounded)
-        beyond = idx >= n_bounded
-        idx_c = np.clip(idx, 0, self.coeffs.shape[0] - 1)
-        s = t - self.breakpoints[np.clip(idx, 0, n_bounded)]
-        if self.unbounded:
-            use = inside | beyond
-            row = np.where(beyond, n_bounded, idx_c)
-            s = np.where(beyond, t - self.breakpoints[-1], s)
-        else:
-            use = inside
-            row = idx_c
+        n_cells = len(self.breakpoints) - 1
+        row = np.clip(idx, 0, n_cells - 1)
+        s = t - self.breakpoints[row]
         rows = self.coeffs[row]
         acc = np.zeros_like(t, dtype=float)
         for j in range(self.coeffs.shape[1] - 1, -1, -1):
             acc = acc * s + rows[..., j]
-        val = np.where(use, acc, 0.0)
+        val = np.where((idx >= 0) & (idx < n_cells), acc, 0.0)
         return val if val.ndim else float(val)
 
     def integrate_power(self, x, lam):
@@ -151,7 +142,6 @@ class PiecewisePolynomial:
         X = x[..., None] + self.breakpoints[:-1]
         L = np.diff(self.breakpoints)
         n_cols = self.coeffs.shape[1]
-        co = self.coeffs[:L.size]
         basics = []
         for i in range(n_cols):
             p = i - lam + 1.0
@@ -161,39 +151,21 @@ class PiecewisePolynomial:
                 basics.append(_pow_diff(X, L, p) / p)
         total = np.zeros_like(x)
         for j in range(n_cols):
-            cj = co[:, j]
+            cj = self.coeffs[:, j]
             if not np.any(cj):
                 continue
             acc = np.zeros_like(X)
             for i in range(j + 1):
                 acc += math.comb(j, i) * (-X) ** (j - i) * basics[i]
             total += np.sum(cj * acc, axis=-1)
-        if self.unbounded:
-            total += self._tail_power(x, lam)
         return total if total.ndim else float(total)
-
-    def _tail_power(self, x, lam):
-        row = self.coeffs[-1]
-        X = x + self.breakpoints[-1]
-        total = 0.0
-        for j, cj in enumerate(row):
-            if cj == 0.0:
-                continue
-            if lam <= j + 1:
-                raise ConvergenceError(
-                    f"unbounded tail of degree {j} diverges for order {lam}")
-            total += cj * X ** (j + 1 - lam) * \
-                math.exp(math.lgamma(j + 1) + math.lgamma(lam - j - 1)
-                         - math.lgamma(lam))
-        return total
 
     def laplace(self, t):
         """int e^(-t s) p(s) ds over the support, vectorized in t > 0."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        n_b = len(self.breakpoints) - 1
         # cells whose polynomial is zero contribute nothing
-        live = np.any(self.coeffs[:n_b] != 0.0, axis=1)
-        co = self.coeffs[:n_b][live]
+        live = np.any(self.coeffs != 0.0, axis=1)
+        co = self.coeffs[live]
         lefts = self.breakpoints[:-1][live, None]
         lengths = np.diff(self.breakpoints)[live, None]
         max_j = self.coeffs.shape[1] - 1
@@ -203,14 +175,7 @@ class PiecewisePolynomial:
             cj = co[:, j:j + 1]
             if np.any(cj):
                 inner += cj * moments[j]
-        total = np.sum(_exp_neg_product(lefts, t[None, :]) * inner, axis=0)
-        if self.unbounded:
-            row = self.coeffs[-1]
-            T = self.breakpoints[-1]
-            tail = sum(row[j] * math.factorial(j) / t ** (j + 1)
-                       for j in range(len(row)) if row[j] != 0.0)
-            total += _exp_neg_product(T, t) * tail
-        return total
+        return np.sum(_exp_neg_product(lefts, t[None, :]) * inner, axis=0)
 
     def cumulative(self, t):
         """int_0^t p(s) ds, vectorized."""
@@ -226,11 +191,6 @@ class PiecewisePolynomial:
         out = prefix[np.clip(idx, 0, n_b)] + \
             np.where(idx >= 0, self._antideriv_rows(idx_c, s), 0.0)
         out = np.where(idx >= n_b, prefix[n_b], out)
-        if self.unbounded:
-            s_tail = np.maximum(t - bp[-1], 0.0)
-            rows = np.full(np.shape(s_tail), n_b)
-            out = out + np.where(t > bp[-1],
-                                 self._antideriv_rows(rows, s_tail), 0.0)
         return out if out.ndim else float(out)
 
     def _antideriv_rows(self, rows, s):
@@ -241,42 +201,39 @@ class PiecewisePolynomial:
         return acc * s
 
     def mass(self):
-        if self.unbounded and np.any(self.coeffs[-1]):
-            return math.inf
         return float(self.cumulative(self.breakpoints[-1]))
 
     def shifted_mean_removed(self, mean):
         co = self.coeffs.copy()
         co[:, 0] -= mean
-        if self.unbounded:
-            raise DomainError("cannot mean-correct an unbounded polynomial")
         return PiecewisePolynomial(self.breakpoints, co)
 
-    def to_dict(self):
-        return {"breakpoints": self.breakpoints.tolist(),
-                "coeffs": self.coeffs.tolist(),
-                "unbounded": self.unbounded}
 
-    @staticmethod
-    def from_dict(d):
-        return PiecewisePolynomial(np.asarray(d["breakpoints"]),
-                                   np.asarray(d["coeffs"]),
-                                   bool(d.get("unbounded", False)))
+def _check_nonneg(pp, name):
+    """Raise DomainError where the piecewise polynomial ``pp`` is negative.
+
+    Checks the values at both ends of every cell, which is exact for
+    degree <= 1; higher degrees add 1,000 samples."""
+    bp, co = pp.breakpoints, pp.coeffs
+    ts = np.concatenate([bp[:-1], bp[1:]])
+    vals = np.concatenate([co[:, 0], np.polynomial.polynomial.polyval(
+        np.diff(bp), co.T, tensor=False)])
+    if pp.degree >= 2:
+        sample = np.linspace(bp[0], bp[-1], 1000)
+        ts = np.concatenate([ts, sample])
+        vals = np.concatenate([vals, pp(sample)])
+    floor = -1e-9 * (1.0 + np.max(np.abs(vals)))
+    if np.min(vals) < floor:
+        t_bad = ts[int(np.argmin(vals))]
+        raise DomainError(
+            f"{name} is negative at t={t_bad:.6g}: {np.min(vals):.3e}")
 
 
-def _coef_registry(name, params):
-    if name == "const":
-        v = params["value"]
-        return lambda k: np.full_like(np.asarray(k, dtype=float), v)
-    if name == "affine":
-        a0, a1 = params["a0"], params["a1"]
-        return lambda k: a0 + a1 * np.asarray(k, dtype=float)
-    if name == "pochhammer":
-        s = params["s"]
-        norm = math.gamma(1.0 - s)
-        return lambda k: _gamma_ratio_shift(
-            np.asarray(k, dtype=float) + 1.0, s) / norm
-    raise DomainError(f"unknown coefficient family {name!r}")
+def _pochhammer_coef(k, s):
+    """(1-s)_k / k! = Gamma(k+1-s) / (Gamma(1-s) Gamma(k+1)), smooth in a
+    real k."""
+    return _gamma_ratio_shift(np.asarray(k, dtype=float) + 1.0, s) / \
+        math.gamma(1.0 - s)
 
 
 def _gamma_ratio_shift(z, s):
@@ -341,15 +298,12 @@ class GapTail:
         # expm1(-h t) / expm1(-2 h t) = 1 / (1 + e^(-h t)), finite as t -> 0
         return self.weight * np.exp(-t * a0) / (t * (1.0 + np.exp(-h * t)))
 
-    def to_dict(self):
-        return {"kind": "gaps", "offset": self.offset, "step": self.step,
-                "weight": self.weight, "start": self.start}
-
 
 @dataclass(frozen=True, eq=False)
 class PeriodicTail:
     """Density equal to ``profile`` (defined on [0, period]) repeated with
-    period ``period`` on [start, inf)."""
+    period ``period`` on [start, inf); a constant density on [start, inf)
+    is the period-1 case with a constant profile."""
 
     start: float
     period: float
@@ -359,8 +313,7 @@ class PeriodicTail:
     def __post_init__(self):
         if abs(self.profile.breakpoints[-1] - self.period) > 1e-12:
             raise DomainError("profile must span exactly one period")
-        if self.profile.unbounded:
-            raise DomainError("profile must be bounded")
+        _check_nonneg(self.profile, "periodic profile")
 
     @property
     def mean(self):
@@ -381,29 +334,30 @@ class PeriodicTail:
     def laplace(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         cell = self.profile.laplace(t)
-        return -cell * np.exp(-t * self.start) / np.expm1(-self.period * t)
+        return -cell * _exp_neg_product(self.start, t) / \
+            np.expm1(-self.period * t)
 
-    def to_dict(self):
-        return {"kind": "periodic", "start": self.start,
-                "period": self.period, "profile": self.profile.to_dict()}
+
+def _constant_tail(start, value):
+    """Density ``value`` on [start, inf), as a period-1 tail."""
+    return PeriodicTail(start=float(start), period=1.0,
+                        profile=PiecewisePolynomial(np.array([0.0, 1.0]),
+                                                    np.array([[value]])))
 
 
 @dataclass(frozen=True, eq=False)
 class _CoefTail:
-    """Mass coef(m) on a unit at each integer m >= start, with coef a smooth
-    function of a real argument; subclasses fix the unit and its ``kind``."""
+    """Mass coef(m) on a unit at each integer m >= start, with ``coef`` a
+    smooth function mapping an ndarray of real m to an ndarray; subclasses
+    fix the unit."""
 
     start: int
-    coef_name: str
-    coef_params: dict = field(default_factory=dict)
+    coef: Callable
     brute = 512  # units summed directly before the midpoint completion
-
-    def _coef(self, k):
-        return _coef_registry(self.coef_name, self.coef_params)(k)
 
     def _sum(self, unit):
         """sum_{m >= start} coef(m) unit(m)."""
-        return midpoint_tail(lambda m: self._coef(m) * unit(m), self.start,
+        return midpoint_tail(lambda m: self.coef(m) * unit(m), self.start,
                              self.brute)
 
     def laplace(self, t):
@@ -416,24 +370,18 @@ class _CoefTail:
         n_terms[direct] = np.ceil(45.0 / t[direct]).astype(int) + 1
         m = np.arange(self.start, self.start + n_terms.max(initial=0),
                       dtype=float)
-        coef = self._coef(m)
+        coef = self.coef(m)
         sums = np.array([
             float(np.sum(coef[:n] * np.exp(-m[:n] * ti))) if n
-            else _smooth_exp_sum(self._coef, self.start, ti)
+            else _smooth_exp_sum(self.coef, self.start, ti)
             for ti, n in zip(t, n_terms)])
         return sums * self._unit_laplace(t)
-
-    def to_dict(self):
-        return {"kind": self.kind, "start": self.start,
-                "coef_name": self.coef_name, "coef_params": dict(self.coef_params)}
 
 
 @dataclass(frozen=True, eq=False)
 class SmoothCoefTail(_CoefTail):
     """Degree-0 density coef(m) on the unit cell (m, m+1) for integer
     m >= start, with coef a smooth function of a real argument."""
-
-    kind = "cells"
 
     def stieltjes(self, x, order):
         if order <= 1.0:
@@ -449,10 +397,6 @@ class SmoothCoefTail(_CoefTail):
 @dataclass(frozen=True, eq=False)
 class AtomTail(_CoefTail):
     """Unit-spaced atoms at integers n >= start with mass coef(n)."""
-
-    kind = "atoms"
-    coef_name: str = "const"
-    coef_params: dict = field(default_factory=lambda: {"value": 1.0})
 
     def stieltjes(self, x, order):
         if order <= 1.0:
@@ -474,22 +418,6 @@ def _smooth_exp_sum(coef, start, t):
                     points=[lo + 1.0, lo + 5.0]) / t
     return midpoint_tail(lambda m: coef(m) * np.exp(-m * t), start, 0,
                          integral)
-
-
-_TAIL_KINDS = {"gaps": GapTail, "periodic": PeriodicTail,
-               "cells": SmoothCoefTail, "atoms": AtomTail}
-
-
-def _tail_from_dict(d):
-    if d is None:
-        return None
-    kind = d["kind"]
-    d = {k: v for k, v in d.items() if k != "kind"}
-    if kind == "periodic":
-        d["profile"] = PiecewisePolynomial.from_dict(d["profile"])
-    if kind == "gaps":
-        d["start"] = int(d["start"])
-    return _TAIL_KINDS[kind](**d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -515,61 +443,11 @@ class RepresentingMeasure:
             raise DomainError("atom locations must be >= 0, strictly increasing")
         if any(m <= 0 for _, m in atoms):
             raise DomainError("atom masses must be positive")
-        self._check_density_nonneg()
-
-    def _check_density_nonneg(self):
-        """Checks the values at both ends of every cell, which is exact for
-        degree <= 1; higher degrees add 1,000 samples.  At the far end of an
-        unbounded row the top coefficient stands in for the value."""
-        if self.density is None:
-            return
-        d = self.density
-        bp, co = d.breakpoints, d.coeffs[:len(d.breakpoints) - 1]
-        ts = np.concatenate([bp[:-1], bp[1:]])
-        vals = np.concatenate([co[:, 0], np.polynomial.polynomial.polyval(
-            np.diff(bp), co.T, tensor=False)])
-        if d.unbounded:
-            ts = np.append(ts, [bp[-1], math.inf])
-            vals = np.append(vals, d.coeffs[-1, [0, -1]])
-        if d.degree >= 2:
-            sample = np.linspace(bp[0], bp[-1] + 2.0 * d.unbounded, 1000)
-            ts = np.concatenate([ts, sample])
-            vals = np.concatenate([vals, d(sample)])
-        floor = -1e-9 * (1.0 + np.max(np.abs(vals)))
-        if np.min(vals) < floor:
-            t_bad = ts[int(np.argmin(vals))]
-            raise DomainError(
-                f"density is negative at t={t_bad:.6g}: {np.min(vals):.3e}")
+        if self.density is not None:
+            _check_nonneg(self.density, "density")
 
     def __call__(self, x):
         return stieltjes_eval(self, x)
-
-    def to_dict(self):
-        return {
-            "breakpoints": [] if self.density is None
-            else self.density.breakpoints.tolist(),
-            "coeffs": [] if self.density is None
-            else self.density.coeffs.tolist(),
-            "unbounded": bool(self.density.unbounded) if self.density else False,
-            "atoms": [[t, m] for t, m in self.atoms],
-            "order": self.order,
-            "constant": self.constant,
-            "tail": None if self.tail is None else self.tail.to_dict(),
-        }
-
-    @staticmethod
-    def from_dict(d):
-        density = None
-        if d.get("breakpoints"):
-            density = PiecewisePolynomial(
-                np.asarray(d["breakpoints"]), np.asarray(d["coeffs"]),
-                bool(d.get("unbounded", False)))
-        return RepresentingMeasure(
-            order=float(d["order"]),
-            atoms=tuple((t, m) for t, m in d.get("atoms", [])),
-            density=density,
-            constant=float(d.get("constant", 0.0)),
-            tail=_tail_from_dict(d.get("tail")))
 
 
 def stieltjes_eval(m, x):
@@ -612,29 +490,34 @@ class CmKernel:
         return float(total[0]) if scalar else total
 
 
-def kernel_kappa(m):
-    """The CM kernel of a measure; closed interval Laplace transforms plus
-    the analytic tail transforms."""
-    return CmKernel(m)
-
-
-def stieltjes_via_kernel(m, x, rel_tol=1e-11):
+def stieltjes_via_kernel(m, x):
     """Recompute f(x) through (1/Gamma(order)) int e^(-xt) t^(order-1) kappa.
 
-    The head [0, t0] is integrated in v = sqrt(t), which flattens the
-    t^(order-1) kappa ~ t^gamma endpoint behavior of the catalog kernels.
+    The head [0, t0] is integrated in t = v^p with p = max(2, 1/(order-1)).
+    The catalog kernels are O(1/t) at 0, so the head integrand
+    t^(order-1) kappa(t) p v^(p-1) stays bounded in v.  A node whose t
+    underflows below the smallest normal float contributes 0.
     """
-    kappa = kernel_kappa(m)
+    kappa = CmKernel(m)
     order = m.order
+    p = max(2.0, 1.0 / (order - 1.0)) if order > 1.0 else 2.0
     t_max = (40.0 + math.log1p(1.0 / x)) / x
     t0 = min(1.0, 0.5 * t_max)
 
     def integrand(t):
         return np.exp(-x * t) * t ** (order - 1.0) * kappa(t)
 
-    head = quad(lambda v: integrand(v * v) * 2.0 * v, 0.0, math.sqrt(t0),
-                abs_tol=1e-14, rel_tol=rel_tol)
-    tail = quad(integrand, t0, t_max, abs_tol=1e-14, rel_tol=rel_tol,
+    def head_integrand(v):
+        t = v ** p
+        out = np.zeros_like(v)
+        ok = t >= np.finfo(float).tiny
+        out[ok] = integrand(t[ok]) * p * v[ok] ** (p - 1.0)
+        return out
+
+    # sqrt first: at p = 2 the bound is exactly sqrt(t0)
+    head = quad(head_integrand, 0.0, math.sqrt(t0) ** (2.0 / p), abs_tol=1e-14,
+                rel_tol=1e-11)
+    tail = quad(integrand, t0, t_max, abs_tol=1e-14, rel_tol=1e-11,
                 points=[min(4.0, 0.5 * (t0 + t_max))])
     return m.constant + (head + tail) / math.gamma(order)
 
@@ -665,7 +548,7 @@ def measure_alternating(a, lam, cap=2048):
     the gaps (a_2n, a_2n+1).
 
     ``a`` is a finite nondecreasing sequence (even length: plain gaps; odd
-    length: a trailing unbounded interval) or a callable n -> a_n for the
+    length: a trailing interval [a_last, inf)) or a callable n -> a_n for the
     infinite case, truncated at ``cap`` gaps.  Affine location sequences get
     an exact analytic tail; the measure has order lam + 1.
     """
@@ -683,12 +566,10 @@ def measure_alternating(a, lam, cap=2048):
                            step=float(pts[1] - pts[0]),
                            weight=lam, start=cap)
         pts = pts[:n_pts]
-        unbounded = False
     else:
         pts = np.asarray(a, dtype=float)
         if np.any(np.diff(pts) < 0):
             raise DomainError("location sequence must be nondecreasing")
-        unbounded = len(pts) % 2 == 1
     # collapse zero-length gaps
     keep = np.ones(len(pts), dtype=bool)
     i = 0 if len(pts) % 2 == 0 else 1
@@ -697,15 +578,12 @@ def measure_alternating(a, lam, cap=2048):
             keep[i] = keep[i + 1] = False
         i += 2
     pts = pts[keep]
+    if len(pts) % 2 == 1:
+        tail = _constant_tail(pts[-1], lam)
     density = None
-    if len(pts) >= 2 or (len(pts) >= 1 and unbounded):
+    if len(pts) >= 2:
         bps, rows = _gap_rows(pts)
-        rows = rows * lam
-        if unbounded:
-            density = PiecewisePolynomial(bps, np.vstack([rows, [[lam]]]),
-                                          unbounded=True)
-        else:
-            density = PiecewisePolynomial(bps, rows)
+        density = PiecewisePolynomial(bps, rows * lam)
     return RepresentingMeasure(order=lam + 1.0, density=density, tail=tail)
 
 
@@ -714,8 +592,8 @@ def measure_integer_atoms(cap=512, mass=1.0):
     atoms = tuple((float(n), mass) for n in range(cap))
     return RepresentingMeasure(
         order=2.0, atoms=atoms,
-        tail=AtomTail(start=cap, coef_name="const",
-                      coef_params={"value": mass}))
+        tail=AtomTail(start=cap, coef=lambda k: np.full_like(
+            np.asarray(k, dtype=float), mass)))
 
 
 def _trap_eval(u, a, b):
@@ -846,8 +724,8 @@ def measure_gamma_reciprocal_ratio(s, cap=2048):
     density = PiecewisePolynomial(bps, coefs[:, None])
     return RepresentingMeasure(
         order=2.0, density=density,
-        tail=SmoothCoefTail(start=cap, coef_name="pochhammer",
-                            coef_params={"s": s}))
+        tail=SmoothCoefTail(start=cap,
+                            coef=lambda k: _pochhammer_coef(k, s)))
 
 
 def _cesaro_rows(a_vals, k, lam):
@@ -896,10 +774,8 @@ def measure_cesaro(a, k, lam, cap=4096):
         n_fin = min(cap, len(s_all) - (window if len(s_all) > cap else 0))
         n_fin = max(n_fin, 1)
         scale = 1.0 + np.max(np.abs(s_win))
-        tail = None
-        extra_rows = None
         if np.max(np.abs(np.diff(s_win))) < 1e-13 * scale:
-            extra_rows = [[float(s_win[-1])]]
+            tail = _constant_tail(n_fin, float(s_win[-1]))
         elif np.max(np.abs(s_win[2:] - s_win[:-2])) < 1e-13 * scale:
             even, odd = float(s_win[-2]), float(s_win[-1])
             if (n_fin + window) % 2 == 1:
@@ -910,20 +786,15 @@ def measure_cesaro(a, k, lam, cap=4096):
         elif np.max(np.abs(np.diff(s_win, 2))) < 1e-11 * scale:
             slope = float(np.mean(np.diff(s_win)))
             a0 = float(s_win[-1] - slope * (n_fin + window - 1))
-            tail = SmoothCoefTail(start=n_fin, coef_name="affine",
-                                  coef_params={"a0": a0, "a1": slope})
+            tail = SmoothCoefTail(
+                n_fin, lambda m: a0 + slope * np.asarray(m, dtype=float))
         else:
             # averaged limit; residual alternates and decays for the catalog
             r = s_win.copy()
             for _ in range(8):
                 r = 0.5 * (r[1:] + r[:-1])
-            extra_rows = [[float(r[-1])]]
-        bps = np.arange(0.0, n_fin + 1.0)
-        if extra_rows is not None:
-            density = PiecewisePolynomial(
-                bps, np.vstack([rows[:n_fin], extra_rows]), unbounded=True)
-        else:
-            density = PiecewisePolynomial(bps, rows[:n_fin])
+            tail = _constant_tail(n_fin, float(r[-1]))
+        density = PiecewisePolynomial(np.arange(0.0, n_fin + 1.0), rows[:n_fin])
         return RepresentingMeasure(order=order, density=density, tail=tail)
     n_fin = len(rows)
     bps = np.arange(0.0, n_fin + 1.0)

@@ -67,6 +67,15 @@ class TestPKernel:
         assert np.all(vals > 0)
         assert np.all(np.diff(vals) < 0)
 
+    def test_large_t_without_overflow(self):
+        # csch^2 as 1/sinh^2 overflowed for t > ~710
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bn.r_2_2n(0.05)
+            value = bn.p_kernel(1000.0)
+        params = bn.BarnesKernelParams(n=1, k_cap=10 ** 5)
+        assert abs(value - bn.p_kernel_series(1000.0, params)) <= 1e-12 * value
+
     def test_small_t_limit(self):
         # t^2 p_n(t) -> 2 (2 pi)^(-2n) zeta(2n); equals 1/12 for n = 1
         assert bn.barnes_g_limit(1) == pytest.approx(1.0 / 12.0, abs=1e-15)

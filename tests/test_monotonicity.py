@@ -171,20 +171,6 @@ class TestLemmaPos:
             mono.lemma_pos_check(1.5)
 
 
-class TestReportSerialization:
-    def test_check_report_dict(self):
-        rep = mono.cm_check(lambda x: x)
-        d = rep.to_dict()
-        assert d["verdict"] == "fail"
-        assert d["witnesses"] and {"x", "n", "value", "slack"} <= set(
-            d["witnesses"][0])
-
-    def test_pick_report_dict(self):
-        rep = mono.pick_check(lambda z: -1.0 / z, n=10)
-        d = rep.to_dict()
-        assert "sup_im" in d and "inf_im" in d
-
-
 class CountingCalls:
     """Wraps ``f`` and records the type of each argument it is called on."""
 

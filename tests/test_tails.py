@@ -80,10 +80,10 @@ def test_cell_tail_pochhammer_kernel_route(s):
 @given(k=hs.floats(99.5, 1e9), s=hs.floats(0.005, 0.995))
 def test_pochhammer_coefficient(k, s):
     # (1-s)_k / k! = Gamma(k+1-s) / (Gamma(1-s) Gamma(k+1)), smooth in k
-    coef = st._coef_registry("pochhammer", {"s": s})
     ref = mpmath.exp(mpmath.loggamma(k + 1 - mpmath.mpf(s))
                      - mpmath.loggamma(k + 1)) / mpmath.gamma(1 - s)
-    assert float(coef(k)) == pytest.approx(float(ref), rel=1e-15, abs=0.0)
+    assert float(st._pochhammer_coef(k, s)) == pytest.approx(
+        float(ref), rel=1e-15, abs=0.0)
 
 
 def test_coef_tail_laplace_matches_direct_sums():
@@ -94,7 +94,7 @@ def test_coef_tail_laplace_matches_direct_sums():
     expected = []
     for ti in t:
         m = np.arange(tail.start, tail.start + math.ceil(45.0 / ti) + 1.0)
-        expected.append(float(np.sum(tail._coef(m) * np.exp(-m * ti))))
+        expected.append(float(np.sum(tail.coef(m) * np.exp(-m * ti))))
     assert np.array_equal(tail.laplace(t),
                           np.array(expected) * tail._unit_laplace(t))
 
@@ -102,13 +102,15 @@ def test_coef_tail_laplace_matches_direct_sums():
 def test_cell_tail_affine():
     m = st.measure_cesaro(cesaro.preset_sequence("ones").coef, 0, 2.0)
     assert isinstance(m.tail, st.SmoothCoefTail)
-    assert m.tail.coef_name == "affine"
+    # cell m carries lam (m + 1) = 2 m + 2, affine in m
+    assert np.array_equal(m.tail.coef(np.array([4096.0, 5000.0])),
+                          [8194.0, 10002.0])
     for x in XS:
         assert_close(st.stieltjes_eval(m, x), float(polygamma(1, x)))
 
 
 def test_smooth_exp_sum_small_t():
-    kappa = st.kernel_kappa(st.measure_integer_atoms())
+    kappa = st.CmKernel(st.measure_integer_atoms())
     for t in (1e-5, 1e-4, 9e-4):
         assert_close(kappa(t), 1.0 / -math.expm1(-t))
 
@@ -120,15 +122,13 @@ def test_direct_series_positive_coefficients():
 
 
 def test_coef_tails_share_fields_and_differ_in_unit():
-    atoms = st.AtomTail(start=3)
-    assert (atoms.coef_name, atoms.coef_params, atoms.brute) == \
-        ("const", {"value": 1.0}, 512)
-    cells = st.SmoothCoefTail(start=3, coef_name="const",
-                              coef_params={"value": 1.0})
-    assert cells.brute == 512
-    assert (atoms.to_dict()["kind"], cells.to_dict()["kind"]) == \
-        ("atoms", "cells")
-    # brute is a class constant, so a JSON round trip cannot lose it
+    def one(k):
+        return np.ones_like(np.asarray(k, dtype=float))
+
+    atoms = st.AtomTail(start=3, coef=one)
+    cells = st.SmoothCoefTail(start=3, coef=one)
+    assert (atoms.brute, cells.brute) == (512, 512)
+    # brute is a class constant, not a settable field
     for tail in (atoms, cells, st.GapTail(0.0, 1.0, 1.0, 3),
                  barnes._Q_MEASURE.tail):
         assert "brute" not in {f.name for f in dataclasses.fields(tail)}
