@@ -23,8 +23,7 @@ from .laplace import (PeriodicStep, SampledDensity, beta_power,
 from .monotonicity import (CheckGrid, CheckReport, cm_check,
                            find_lcm_counterexample, horn_check, lcm_check,
                            lemma_pos_check, pick_check)
-from .barnes import (BarnesKernelParams, p_kernel, q_kernel, r_2_2n,
-                     stirling_remainder)
+from .barnes import p_kernel, q_kernel, r_2_2n, stirling_remainder
 from .cesaro import (hypotheses_check, iterate_sums, kappa_eval,
                      lemma_s_check, preset_sequence, series_eval_three_ways)
 from .densities import (DensitySpec, density_cdf, density_eval,

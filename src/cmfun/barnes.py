@@ -4,7 +4,6 @@ R_{2,2n}(w) = int e^(-wt) t^(2n) p_n(t) dt.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,20 +15,6 @@ from .specfun import log_gamma
 from .stieltjes import PeriodicTail, PiecewisePolynomial, RepresentingMeasure
 
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class BarnesKernelParams:
-    """Expansion half-order n and the series cap for the brute-force route."""
-
-    n: int
-    k_cap: int = 10_000
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("n must be >= 1")
-        if self.k_cap < 100:
-            raise DomainError("k_cap must be >= 100")
 
 
 def q_kernel(t):
@@ -136,10 +121,14 @@ def _t2_p_kernel(t, n):
         + ((2.0 * n - 1.0) * t / (2.0 * math.pi ** 2)) * s1[n])
 
 
-def p_kernel_series(t, params):
-    """Brute-force k-series for p_n with a midpoint integral completing the
-    k^(-2n) tail; the independent cross-check for p_kernel."""
-    n = params.n
+def p_kernel_series(t, n=1, k_cap=10_000):
+    """Brute-force k-series for p_n, summed to ``k_cap`` with a midpoint
+    integral completing the k^(-2n) tail; the independent cross-check for
+    p_kernel."""
+    if n < 1 or int(n) != n:
+        raise DomainError("n must be a positive integer")
+    if k_cap < 100:
+        raise DomainError("k_cap must be >= 100")
     t = float(t)
     if t <= 0:
         raise DomainError("p_kernel_series needs t > 0")
@@ -152,9 +141,9 @@ def p_kernel_series(t, params):
                                        + 8.0 * math.pi * k * t / den ** 2
                                        + (2.0 * n - 1.0) / w * 2.0 * t / den)
 
-    k = np.arange(1.0, params.k_cap + 1.0)
+    k = np.arange(1.0, k_cap + 1.0)
     head = float(np.sum(term(k)))
-    tail = quad_to_inf(term, params.k_cap + 0.5, abs_tol=1e-18, rel_tol=1e-12)
+    tail = quad_to_inf(term, k_cap + 0.5, abs_tol=1e-18, rel_tol=1e-12)
     return (head + tail) / (t * t)
 
 

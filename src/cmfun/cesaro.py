@@ -10,10 +10,9 @@ from typing import Callable
 import numpy as np
 
 from ._quadrature import quad
-from ._series import alternating_sum, midpoint_tail, pochhammer_ratio_terms
+from ._series import alternating_sum, midpoint_tail
 from .errors import CapTooSmallError, DomainError, HypothesisViolationError
 from .laplace import transform_cutoff
-from .specfun import log_gamma
 from .stieltjes import measure_cesaro, stieltjes_eval
 
 
@@ -197,18 +196,15 @@ class SequencePreset:
     ratio: Callable = None
 
 
-def _sign(n):
-    return np.where(np.asarray(n, dtype=np.int64) % 2 == 0, 1.0, -1.0)
+def _product_coef(ratio):
+    """a_n at integer n for a_0 = 1, a_n = a_(n-1) ratio(n): one table of
+    running products up to the largest n requested."""
+    def coef(n):
+        n = np.asarray(n, dtype=np.int64)
+        steps = ratio(np.arange(1.0, np.max(n, initial=0) + 1.0))
+        return np.concatenate([[1.0], np.cumprod(steps)])[n]
 
-
-def _alt_coef(n):
-    return _sign(n)
-
-
-def _prym_coef(n):
-    sign = _sign(n)
-    n = np.asarray(n, dtype=float)
-    return sign * np.exp(-log_gamma(n + 1.0))
+    return coef
 
 
 def _ones_coef(n):
@@ -217,39 +213,21 @@ def _ones_coef(n):
 
 def preset_sequence(key, a=0.5):
     """Presets: 'alternating', 'binomial-a' (parameter a), 'prym', 'ones'."""
-    if key == "alternating":
-        return SequencePreset("alternating", _alt_coef,
-                              lambda u: 1.0 / (1.0 + u))
-    if key == "binomial-a":
-        if not 0 < a <= 1:
-            raise DomainError("binomial parameter must be in (0, 1]")
-
-        def ratio(n):
-            return -((a + n - 1.0) / n)
-
-        def coef(n):
-            n_int = np.asarray(n, dtype=np.int64)
-            if n_int.size <= 128:
-                table = pochhammer_ratio_terms(a, int(np.max(n_int)) + 1)
-                return _sign(n) * table[n_int]
-            if n_int[0] == 0 and n_int[-1] == n_int.size - 1:
-                # contiguous range: one cumulative-product pass
-                return np.concatenate(
-                    [[1.0], np.cumprod(ratio(np.arange(1.0, n_int.size)))])
-            n_f = n_int.astype(float)
-            mag = np.exp(log_gamma(n_f + a) - log_gamma(n_f + 1.0)
-                         - math.lgamma(a))
-            return _sign(n) * mag
-
-        return SequencePreset("binomial-a", coef,
-                              lambda u: (1.0 + u) ** (-a), ratio=ratio)
-    if key == "prym":
-        return SequencePreset("prym", _prym_coef, lambda u: np.exp(-u),
-                              ratio=lambda n: -1.0 / n)
     if key == "ones":
         return SequencePreset("ones", _ones_coef,
                               lambda u: 1.0 / (1.0 - u), default_lam=2.0)
-    raise DomainError(f"unknown sequence preset {key!r}")
+    if key == "binomial-a" and not 0 < a <= 1:
+        raise DomainError("binomial parameter must be in (0, 1]")
+    product_forms = {  # generating function and ratio a_n / a_(n-1)
+        "alternating": (lambda u: 1.0 / (1.0 + u), lambda n: -np.ones_like(n)),
+        "binomial-a": (lambda u: (1.0 + u) ** (-a),
+                       lambda n: -((a + n - 1.0) / n)),
+        "prym": (lambda u: np.exp(-u), lambda n: -1.0 / n),
+    }
+    if key not in product_forms:
+        raise DomainError(f"unknown sequence preset {key!r}")
+    gen, ratio = product_forms[key]
+    return SequencePreset(key, _product_coef(ratio), gen, ratio=ratio)
 
 
 PRESET_KEYS = ("alternating", "binomial-a", "prym", "ones")

@@ -106,8 +106,8 @@ def density_cdf(spec, t):
 
 
 def density_quantile(spec, u):
-    """Inverse CDF by bisection bracketing plus Newton polishing;
-    |CDF(quantile(u)) - u| <= 1e-10."""
+    """Inverse CDF: Newton on the exact CDF from the table interpolant;
+    raises DomainError unless |CDF(quantile(u)) - u| <= 1e-10."""
     scalar = np.isscalar(u) or np.ndim(u) == 0
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any((u <= 0.0) | (u >= 1.0)):
@@ -123,7 +123,7 @@ def density_quantile(spec, u):
             break
     residual = np.max(np.abs(density_cdf(spec, t) - u))
     if residual > 1e-10:
-        raise DomainError(f"quantile bracketing failed: residual {residual:.2e}")
+        raise DomainError(f"quantile Newton failed: residual {residual:.2e}")
     return float(t[0]) if scalar else t
 
 
@@ -133,15 +133,7 @@ def density_sample(spec, count, seed):
         raise DomainError("count must be >= 1")
     rng = np.random.default_rng(seed)
     u = rng.random(count)
-    u = np.clip(u, 1e-15, 1.0 - 1e-15)
-    edges, cdf = _cdf_table(spec)
-    t = np.interp(u, cdf, edges)
-    # three Newton polishing passes, vectorized on the table interpolant
-    for _ in range(3):
-        f = np.interp(t, edges, cdf) - u
-        df = density_eval(spec, np.maximum(t, 1e-300))
-        t = np.clip(t - f / np.maximum(df, 1e-300), 1e-300, edges[-1])
-    return t
+    return density_quantile(spec, np.clip(u, 1e-15, 1.0 - 1e-15))
 
 
 def normalization_residual(spec):

@@ -19,7 +19,7 @@ import numpy as np
 from ._quadrature import quad
 from ._series import midpoint_tail
 from .errors import CapTooSmallError, ConvergenceError, DomainError
-from .specfun import _LGAMMA_C, _even_series, log_gamma
+from .specfun import _LGAMMA_C, _even_series
 
 _MAX_DEGREE = 8
 
@@ -177,31 +177,11 @@ class PiecewisePolynomial:
                 inner += cj * moments[j]
         return np.sum(_exp_neg_product(lefts, t[None, :]) * inner, axis=0)
 
-    def cumulative(self, t):
-        """int_0^t p(s) ds, vectorized."""
-        t = np.asarray(t, dtype=float)
-        bp = self.breakpoints
-        n_b = len(bp) - 1
-        lengths = np.diff(bp)
-        cell_mass = self._antideriv_rows(np.arange(n_b), lengths)
-        prefix = np.concatenate([[0.0], np.cumsum(cell_mass)])
-        idx = np.searchsorted(bp, t, side="right") - 1
-        idx_c = np.clip(idx, 0, n_b - 1)
-        s = np.clip(t - bp[idx_c], 0.0, lengths[idx_c])
-        out = prefix[np.clip(idx, 0, n_b)] + \
-            np.where(idx >= 0, self._antideriv_rows(idx_c, s), 0.0)
-        out = np.where(idx >= n_b, prefix[n_b], out)
-        return out if out.ndim else float(out)
-
-    def _antideriv_rows(self, rows, s):
-        acc = np.zeros_like(s, dtype=float)
-        co = self.coeffs[rows]
-        for j in range(self.coeffs.shape[1] - 1, -1, -1):
-            acc = acc * s + co[..., j] / (j + 1.0)
-        return acc * s
-
     def mass(self):
-        return float(self.cumulative(self.breakpoints[-1]))
+        """int p over the support: sum_j c_j L^(j+1) / (j+1) per cell."""
+        lengths = np.diff(self.breakpoints)[:, None]
+        powers = np.arange(1.0, self.coeffs.shape[1] + 1.0)
+        return float(np.sum(self.coeffs * lengths ** powers / powers))
 
     def shifted_mean_removed(self, mean):
         co = self.coeffs.copy()
@@ -237,28 +217,24 @@ def _pochhammer_coef(k, s):
 
 
 def _gamma_ratio_shift(z, s):
-    """Gamma(z - s) / Gamma(z) for 0 < s < 1, smooth in z.
+    """Gamma(z - s) / Gamma(z) for 0 < s < 1 and z >= 50, smooth in z.
 
     Two log-gammas of about 1e4 differ by a few units, so the exp of their
     difference jitters by ~1e-12 between neighbouring z, and adaptive
-    quadratures of the coefficient never converge.  For z >= 50 the
-    difference of the Stirling series is taken term by term instead (four
-    terms, truncation below 1e-19), with the power (z - s)^(-s) kept apart.
+    quadratures of the coefficient never converge.  The difference of the
+    Stirling series is taken term by term instead (four terms, truncation
+    below 1e-19 for z >= 50), with the power (z - s)^(-s) kept apart.  The
+    callers' tails start at a cap >= 100 and the midpoint stencil reaches
+    start - 0.75, so z >= 100.25.
     """
     def series(y):
         """sum_n B_2n / (2n (2n - 1)) y^(1 - 2n), n = 1..4."""
         return _even_series(_LGAMMA_C[:4], 1.0 / (y * y)) * y
 
     z = np.asarray(z, dtype=float)
-    zb = np.maximum(z, 50.0)
-    w = zb - s
-    expo = (zb - 0.5) * np.log1p(-s / zb) + s + series(w) - series(zb)
-    out = np.array(w ** -s * np.exp(expo))
-    small = z < 50.0
-    if np.any(small):
-        zs = z[small]
-        out[small] = np.exp(log_gamma(zs - s) - log_gamma(zs))
-    return out
+    w = z - s
+    expo = (z - 0.5) * np.log1p(-s / z) + s + series(w) - series(z)
+    return w ** -s * np.exp(expo)
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,7 +293,7 @@ class PeriodicTail:
 
     @property
     def mean(self):
-        return self.profile.cumulative(self.period) / self.period
+        return self.profile.mass() / self.period
 
     def stieltjes(self, x, order):
         if order <= 1.0:
@@ -450,12 +426,18 @@ class RepresentingMeasure:
         return stieltjes_eval(self, x)
 
 
+def _check_x(x):
+    """Raise DomainError unless every x is positive and finite."""
+    x = np.asarray(x, dtype=float)
+    if not np.all((x > 0) & (x < math.inf)):
+        raise DomainError(f"x must be positive and finite, got {x}")
+
+
 def stieltjes_eval(m, x):
     """f(x) = int dmu(t)/(x+t)^order + c for a RepresentingMeasure."""
+    _check_x(x)
     if not np.isscalar(x) and np.ndim(x) > 0:
         return np.array([stieltjes_eval(m, v) for v in x])
-    if not x > 0:
-        raise DomainError(f"x must be positive, got {x}")
     total = m.constant
     if m.atoms:
         locs = np.array([t for t, _ in m.atoms])
@@ -477,8 +459,8 @@ class CmKernel:
     def __call__(self, t):
         scalar = np.isscalar(t) or np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t <= 0):
-            raise DomainError("kappa is evaluated for t > 0")
+        if not np.all((t > 0) & (t < math.inf)):
+            raise DomainError("kappa is evaluated for finite t > 0")
         m = self.measure
         total = np.zeros_like(t)
         for loc, mass in m.atoms:
@@ -498,6 +480,7 @@ def stieltjes_via_kernel(m, x):
     t^(order-1) kappa(t) p v^(p-1) stays bounded in v.  A node whose t
     underflows below the smallest normal float contributes 0.
     """
+    _check_x(x)
     kappa = CmKernel(m)
     order = m.order
     p = max(2.0, 1.0 / (order - 1.0)) if order > 1.0 else 2.0
@@ -596,13 +579,6 @@ def measure_integer_atoms(cap=512, mass=1.0):
             np.asarray(k, dtype=float), mass)))
 
 
-def _trap_eval(u, a, b):
-    """chi_(0,a) * chi_(0,b) at u, for a <= b."""
-    u = np.asarray(u, dtype=float)
-    out = np.minimum(np.minimum(u, a), a + b - u)
-    return np.clip(out, 0.0, None)
-
-
 def convolve_box(a, b):
     """The trapezoid chi_(0,a) * chi_(0,b) as a piecewise polynomial."""
     if a < 0 or b < 0:
@@ -610,35 +586,35 @@ def convolve_box(a, b):
     if a == 0.0 or b == 0.0:
         return PiecewisePolynomial(np.array([0.0, 1.0]), np.array([[0.0]]))
     lo, hi = min(a, b), max(a, b)
-    if lo == hi:
-        bps = np.array([0.0, lo, 2.0 * lo])
-        rows = np.array([[0.0, 1.0], [lo, -1.0]])
-    else:
-        bps = np.array([0.0, lo, hi, lo + hi])
-        rows = np.array([[0.0, 1.0], [lo, 0.0], [lo, -1.0]])
+    bps = np.array([0.0, lo, hi, lo + hi])
+    rows = np.array([[0.0, 1.0], [lo, 0.0], [lo, -1.0]])
+    # equal widths, or one below half an ulp of the other, leave empty cells
+    keep = np.diff(bps) > 0
+    return PiecewisePolynomial(np.append(bps[:-1][keep], bps[-1]), rows[keep])
+
+
+def _trapezoid_train(shifts, a, b, lo, hi):
+    """sum_z trap(t - z) on [lo, hi) with exact linear rows, trap =
+    convolve_box(a, b); the cells are cut at every knot of a shifted box.
+
+    Each box's row is the one live at the midpoint of a cell: knots such as
+    k + 1.3 and (k + 1) + 0.3 can round an ulp apart, and at the left end
+    of the sliver between them the wrong row would be picked."""
+    box = convolve_box(a, b)
+    shifts = np.asarray(shifts, dtype=float)
+    knots = (shifts[:, None] + box.breakpoints).ravel()
+    bps = np.unique(np.concatenate(
+        [[lo, hi], knots[(knots > lo) & (knots < hi)]]))
+    left = bps[:-1]
+    mid = 0.5 * (left + bps[1:])
+    rows = np.zeros((len(left), 2))
+    for z in shifts:
+        idx = np.searchsorted(box.breakpoints, mid - z, side="right") - 1
+        live = (idx >= 0) & (idx < len(box.coeffs))
+        c0, c1 = box.coeffs[idx[live]].T
+        rows[live, 0] += c0 + c1 * (left[live] - z - box.breakpoints[idx[live]])
+        rows[live, 1] += c1
     return PiecewisePolynomial(bps, rows)
-
-
-def _linear_rows_from_samples(fn, bps):
-    """Per-interval linear rows recovered from two interior samples."""
-    bps = np.asarray(bps, dtype=float)
-    lo = bps[:-1]
-    ln = np.diff(bps)
-    f1 = fn(lo + ln / 3.0)
-    f2 = fn(lo + 2.0 * ln / 3.0)
-    slope = (f2 - f1) * 3.0 / ln
-    c0 = f1 - slope * ln / 3.0
-    return np.column_stack([c0, slope])
-
-
-def _merge_breaks(cands, lo, hi, tol=1e-9):
-    pts = sorted(set([lo, hi] + [float(c) for c in cands if lo < c < hi]))
-    out = [pts[0]]
-    for p in pts[1:]:
-        if p - out[-1] > tol:
-            out.append(p)
-    out[-1] = hi
-    return np.array(out)
 
 
 def measure_gamma_ratio(a, b, cap=60):
@@ -649,34 +625,14 @@ def measure_gamma_ratio(a, b, cap=60):
     if a == 0.0 or b == 0.0:
         return RepresentingMeasure(order=2.0, density=PiecewisePolynomial(
             np.array([0.0, 1.0]), np.array([[0.0]])))
-    width = a + b
-    min_cap = int(math.ceil(width)) + 20
+    min_cap = int(math.ceil(a + b)) + 20
     if cap < min_cap:
         raise CapTooSmallError(f"cap must be at least {min_cap}")
     T = int(cap)
-    lo, hi = min(a, b), max(a, b)
-
-    def g(t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for k in range(0, int(math.floor(np.max(t))) + 1):
-            out += np.where(t >= k, _trap_eval(t - k, lo, hi), 0.0)
-        return out
-
-    cands = [k + off for k in range(T + 1) for off in (0.0, lo, hi, width)]
-    bps = _merge_breaks(cands, 0.0, float(T))
-    density = PiecewisePolynomial(bps, _linear_rows_from_samples(g, bps))
-
-    def rho(s):
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        for i in range(0, int(math.ceil(width)) + 1):
-            out += _trap_eval(s + i, lo, hi)
-        return out
-
-    p_cands = sorted({v % 1.0 for v in (lo, hi, width)} | {0.0, 1.0})
-    p_bps = _merge_breaks(p_cands, 0.0, 1.0)
-    profile = PiecewisePolynomial(p_bps, _linear_rows_from_samples(rho, p_bps))
+    density = _trapezoid_train(np.arange(T), a, b, 0.0, float(T))
+    # beyond T the density is 1-periodic: rho(s) = sum_i trap(s + i)
+    profile = _trapezoid_train(-np.arange(math.ceil(a + b) + 1), a, b,
+                               0.0, 1.0)
     return RepresentingMeasure(order=2.0, density=density,
                                tail=PeriodicTail(start=float(T), period=1.0,
                                                  profile=profile))
@@ -693,20 +649,8 @@ def measure_genus1_log_ratio(zeros, a, b):
     if a == 0.0 or b == 0.0 or not zeros:
         return RepresentingMeasure(order=2.0, density=PiecewisePolynomial(
             np.array([0.0, 1.0]), np.array([[0.0]])))
-    lo, hi = min(a, b), max(a, b)
-
-    def g(t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for z in zeros:
-            out += _trap_eval(t - z, lo, hi)
-        return out
-
-    cands = [z + off for z in zeros for off in (0.0, lo, hi, lo + hi)]
-    bps = _merge_breaks(cands, 0.0, max(cands))
-    return RepresentingMeasure(
-        order=2.0,
-        density=PiecewisePolynomial(bps, _linear_rows_from_samples(g, bps)))
+    return RepresentingMeasure(order=2.0, density=_trapezoid_train(
+        zeros, a, b, 0.0, zeros[-1] + (a + b)))
 
 
 def measure_gamma_reciprocal_ratio(s, cap=2048):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -225,3 +226,23 @@ def test_preset_keys():
         assert preset.coef(np.arange(4)).shape == (4,)
     with pytest.raises(DomainError):
         cs.preset_sequence("unknown")
+
+
+@pytest.mark.parametrize("key,a", [("prym", None), ("binomial-a", 0.25),
+                                   ("binomial-a", 0.5), ("binomial-a", 0.77),
+                                   ("binomial-a", 1.0)])
+def test_product_form_coefficients(key, a):
+    # prym: (-1)^n / n!; binomial-a: (-1)^n (a)_n / n!; 1/n! underflows
+    # past n = 170
+    preset = cs.preset_sequence(key) if a is None else \
+        cs.preset_sequence(key, a)
+    n = np.arange(170)
+    got = preset.coef(n)
+    with mpmath.workdps(40):
+        for k in n:
+            top = 1 if a is None else mpmath.rf(mpmath.mpf(a), int(k))
+            ref = float((-1) ** int(k) * top / mpmath.factorial(int(k)))
+            assert got[k] == pytest.approx(ref, rel=1e-14, abs=0.0), k
+    # any index set reads the same table as the contiguous range
+    picks = np.array([169, 3, 0, 77])
+    assert np.array_equal(preset.coef(picks), got[picks])

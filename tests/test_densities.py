@@ -109,6 +109,14 @@ class TestSampling:
             var = float(b2 / 4 / b0) - mu * mu
         assert abs(np.mean(s) - mu) <= 3.0 * math.sqrt(var / n)
 
+    @pytest.mark.parametrize("family", dn.FAMILIES)
+    @pytest.mark.parametrize("a", [0.02, 1.0, 50.0])
+    def test_samples_invert_the_exact_cdf(self, family, a):
+        spec = dn.DensitySpec(family, a)
+        s = dn.density_sample(spec, 2000, seed=11)
+        u = np.clip(np.random.default_rng(11).random(2000), 1e-15, 1 - 1e-15)
+        assert np.max(np.abs(dn.density_cdf(spec, s) - u)) <= 1e-10
+
     def test_count_validation(self):
         with pytest.raises(DomainError):
             dn.density_sample(dn.DensitySpec("nu", 1.0), 0, seed=1)

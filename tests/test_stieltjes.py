@@ -93,6 +93,80 @@ class TestConvolveBox:
     def test_degenerate(self):
         assert st.convolve_box(0.0, 1.0).mass() == 0.0
 
+    def test_width_below_half_an_ulp(self):
+        # 1 + 1e-17 == 1, so the descending cell is empty and is dropped
+        pp = st.convolve_box(1e-17, 1.0)
+        assert pp.mass() == pytest.approx(1e-17, rel=1e-15)
+        assert st.stieltjes_eval(
+            st.measure_genus1_log_ratio((1.0,), 1e-17, 1.0), 1.0) > 0.0
+
+
+@hs.composite
+def trapezoid_trains(draw):
+    """(zeros, a, b): widths in (0, 3], sometimes equal or an integer apart
+    so that knots of different boxes coincide, and 1-4 zeros in (0, 10],
+    sometimes integers."""
+    # widths below ~1e-6 are not representable as cell lengths next to a
+    # zero near 10 (ulp 1.8e-15), which rounds their mass by far more than
+    # 1e-13
+    width = hs.floats(1e-6, 3.0)
+    a = draw(width)
+    kind = draw(hs.sampled_from(("free", "equal", "integer-gap")))
+    if kind == "free":
+        b = draw(width)
+    elif kind == "equal":
+        b = a
+    else:
+        a = draw(hs.floats(1e-6, 1.0))
+        b = a + draw(hs.integers(1, 2))
+    if draw(hs.booleans()):
+        a, b = b, a
+    zero = hs.one_of(hs.floats(0.0, 10.0, exclude_min=True),
+                     hs.integers(1, 10).map(float))
+    return draw(hs.lists(zero, min_size=1, max_size=4)), a, b
+
+
+def assert_matches_boxes(pp, boxes):
+    """Both ends of every cell of ``pp`` against ``boxes``(t), a direct sum
+    of trapezoids."""
+    bp, co = pp.breakpoints, pp.coeffs
+    left = co[:, 0]
+    right = co[:, 0] + co[:, 1] * np.diff(bp)
+    for ends, values in ((bp[:-1], left), (bp[1:], right)):
+        direct = boxes(ends)
+        assert np.all(np.abs(values - direct) <= 1e-14 * (1.0 + direct))
+
+
+class TestTrapezoidTrains:
+    @settings(max_examples=150, deadline=None)
+    @given(trapezoid_trains())
+    def test_genus1_density_is_the_box_sum(self, train):
+        zeros, a, b = train
+        box = st.convolve_box(a, b)
+        density = st.measure_genus1_log_ratio(zeros, a, b).density
+        assert_matches_boxes(
+            density, lambda t: sum(box(t - z) for z in sorted(zeros)))
+        assert density.mass() == pytest.approx(len(zeros) * a * b, rel=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(trapezoid_trains())
+    def test_gamma_ratio_profile_continues_the_density(self, train):
+        _, a, b = train
+        box = st.convolve_box(a, b)
+        m = st.measure_gamma_ratio(a, b)
+        T = m.tail.start
+        assert_matches_boxes(
+            m.density, lambda t: sum(box(t - k) for k in range(int(T))))
+        # on [T, T+1) the density is sum_{k <= T} trap(T + s - k)
+        #                               = sum_{i <= T} trap(s + i)
+        assert_matches_boxes(
+            m.tail.profile,
+            lambda s: sum(box(s + i) for i in range(int(T) + 1)))
+        last = m.density.coeffs[-1]
+        at_T = last[0] + last[1] * np.diff(m.density.breakpoints)[-1]
+        assert at_T == pytest.approx(m.tail.profile(0.0), abs=1e-14)
+        assert m.tail.mean == pytest.approx(a * b, rel=1e-13)
+
 
 class TestMeasureAlternating:
     def test_two_term(self):
@@ -146,6 +220,23 @@ class TestAtoms:
             st.RepresentingMeasure(order=1.0, atoms=((1.0, 1.0), (0.5, 1.0)))
         with pytest.raises(DomainError):
             st.RepresentingMeasure(order=1.0, atoms=((0.5, -1.0),))
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("route", [st.stieltjes_eval, st.stieltjes_via_kernel])
+def test_routes_reject_bad_x(route, x):
+    m = st.measure_genus1_log_ratio((1.0,), 0.5, 1.3)
+    with pytest.raises(DomainError):
+        route(m, x)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_kernel_rejects_non_finite_t(t):
+    kappa = st.CmKernel(st.measure_genus1_log_ratio((1.0,), 0.5, 1.3))
+    with pytest.raises(DomainError):
+        kappa(t)
+    with pytest.raises(DomainError):
+        kappa(np.array([1.0, t]))
 
 
 class TestKernelKappa:
