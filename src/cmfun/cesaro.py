@@ -221,7 +221,7 @@ def preset_sequence(key, a=0.5):
     product_forms = {  # generating function and ratio a_n / a_(n-1)
         "alternating": (lambda u: 1.0 / (1.0 + u), lambda n: -np.ones_like(n)),
         "binomial-a": (lambda u: (1.0 + u) ** (-a),
-                       lambda n: -((a + n - 1.0) / n)),
+                       lambda n: -((a + (n - 1.0)) / n)),
         "prym": (lambda u: np.exp(-u), lambda n: -1.0 / n),
     }
     if key not in product_forms:

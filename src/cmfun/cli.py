@@ -1,8 +1,8 @@
 """Command line front end: evaluate functions, run verification suites,
 tabulate/invert transforms and sample densities.
 
-Exit codes: 0 success / all checks pass, 1 verification failure,
-2 usage or domain error.
+Exit codes: 0 success / all checks pass, 1 verification failure (also an
+inversion whose cross-check fails), 2 usage or domain error.
 """
 
 import argparse
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import barnes, densities, laplace, specfun, suites
-from .errors import DomainError
+from .errors import DomainError, InversionDisagreementError
 
 
 @dataclass
@@ -150,8 +150,9 @@ def cmd_invert(args, cfg):
     dens = laplace.semigroup_density(args.c, dt, t_max)
     _emit(dens.to_csv(), args.out)
     if args.diag:
-        diag = {"methods": ["euler", "gaver-stehfest"],
+        diag = {"methods": ["fft", "euler"],
                 "method_spread": dens.method_spread,
+                "spread_t": dens.spread_t, "fft_points": dens.fft_points,
                 "raw_min": dens.raw_min, "c": args.c,
                 "dt": dt, "t_max": t_max}
         with open(args.diag, "w") as fh:
@@ -245,6 +246,9 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args, RunConfig.load(args.config))
+    except InversionDisagreementError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError, OSError) as exc:  # DomainError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -146,11 +146,6 @@ def log_gamma(x):
     return _shift(x, lambda w: -np.log(w), _lgamma_asym, cut_plane=True)
 
 
-def digamma_complex(z):
-    """digamma of ``z`` coerced to complex."""
-    return digamma(np.asarray(z, dtype=complex))
-
-
 def log_gamma_complex(z):
     """log_gamma of ``z`` coerced to complex."""
     return log_gamma(np.asarray(z, dtype=complex))

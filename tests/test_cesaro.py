@@ -230,7 +230,8 @@ def test_preset_keys():
 
 @pytest.mark.parametrize("key,a", [("prym", None), ("binomial-a", 0.25),
                                    ("binomial-a", 0.5), ("binomial-a", 0.77),
-                                   ("binomial-a", 1.0)])
+                                   ("binomial-a", 1.0), ("binomial-a", 0.001),
+                                   ("binomial-a", 0.013)])
 def test_product_form_coefficients(key, a):
     # prym: (-1)^n / n!; binomial-a: (-1)^n (a)_n / n!; 1/n! underflows
     # past n = 170

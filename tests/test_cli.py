@@ -152,9 +152,22 @@ class TestInvert:
         assert lines[0] == "t,value"
         t1, v1 = map(float, lines[1].split(","))
         assert v1 == pytest.approx(1.0 / (1.0 + math.exp(-t1)), abs=1e-6)
-        d = json.loads(diag.read_text())
-        assert "method_spread" in d and d["methods"] == ["euler",
-                                                         "gaver-stehfest"]
+        report = diag.read_text()
+        d = json.loads(report)
+        assert d["methods"] == ["fft", "euler"]
+        assert d["method_spread"] <= 1e-7 and d["fft_points"] == 2 ** 15
+        assert d["spread_t"] in {0.25 * k for k in range(1, 9)}
+        # the diagnostics are as reproducible as the reports
+        run(capsys, "invert", "beta-pow-c", "--c", "1", "--dt", "0.25",
+            "--tmax", "2", "--diag", str(diag))
+        assert diag.read_text() == report
+
+    def test_failed_cross_check_exits_1(self, capsys):
+        # c = 12 on a short grid is beyond what the Euler check resolves
+        code, out, err = run(capsys, "invert", "beta-pow-c", "--c", "12",
+                             "--dt", "0.5", "--tmax", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("error: FFT and Euler") and err.count("\n") == 1
 
     def test_negative_c_exits_2(self, capsys):
         code, _, _ = run(capsys, "invert", "beta-pow-c", "--c", "-1")

@@ -1,6 +1,10 @@
-"""Every name a module of cmfun imports is used in that module."""
+"""Import hygiene: every name a module of cmfun imports is used in that
+module, and the CLI runs on numpy alone."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,3 +33,16 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_runtime_is_numpy_only():
+    # a fresh interpreter, since the test session itself imports both
+    code = ("import sys, cmfun.cli; "
+            "print(sorted({'scipy', 'mpmath'} & set(sys.modules)))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60,
+                         check=True)
+    assert out.stdout.strip() == "[]"
