@@ -55,6 +55,21 @@ def pochhammer_ratio_terms(a, n_max):
     return out
 
 
+# offsets of the 4-point central stencil of step 1/8 around a midpoint a
+_STEP = 0.125
+MIDPOINT_STENCIL = _STEP * np.array([-2.0, -1.0, 1.0, 2.0])
+
+
+def midpoint_correction(g_stencil):
+    """g'(a)/24 - 7 g'''(a)/5760 from ``g_stencil`` = g(a + MIDPOINT_STENCIL)
+    along the last axis; leading axes broadcast, one correction per row."""
+    h = _STEP
+    gm2, gm1, gp1, gp2 = np.moveaxis(np.asarray(g_stencil), -1, 0)
+    d1 = (gm2 - 8.0 * gm1 + 8.0 * gp1 - gp2) / (12.0 * h)
+    d3 = (gp2 - 2.0 * gp1 + 2.0 * gm1 - gm2) / (2.0 * h ** 3)
+    return d1 / 24.0 - 7.0 * d3 / 5760.0
+
+
 def midpoint_tail(g, start, brute, integral=None):
     """sum_{m >= start} g(m) for g smooth and integrable in a real m.
 
@@ -63,17 +78,13 @@ def midpoint_tail(g, start, brute, integral=None):
 
         int_a^inf g + g'(a)/24 - 7 g'''(a)/5760,   a = start + brute - 1/2,
 
-    with g' and g''' from one 4-point central stencil of step 1/8.
-    ``integral`` is int_a^inf g when the caller has it in closed form;
-    otherwise it is integrated numerically.  ``g`` maps an ndarray of m to
-    an ndarray.
+    with g' and g''' from ``midpoint_correction``.  ``integral`` is
+    int_a^inf g when the caller has it in closed form; otherwise it is
+    integrated numerically.  ``g`` maps an ndarray of m to an ndarray.
     """
     a = start + brute - 0.5
     head = float(np.sum(g(np.arange(start, start + brute, dtype=float))))
     if integral is None:
         integral = quad_to_inf(g, a, abs_tol=1e-16, rel_tol=1e-12)
-    h = 0.125
-    gm2, gm1, gp1, gp2 = g(a + h * np.array([-2.0, -1.0, 1.0, 2.0]))
-    d1 = (gm2 - 8.0 * gm1 + 8.0 * gp1 - gp2) / (12.0 * h)
-    d3 = (gp2 - 2.0 * gp1 + 2.0 * gm1 - gm2) / (2.0 * h ** 3)
-    return float(head + integral + d1 / 24.0 - 7.0 * d3 / 5760.0)
+    return float(head + integral
+                 + midpoint_correction(g(a + MIDPOINT_STENCIL)))

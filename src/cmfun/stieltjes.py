@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from ._quadrature import quad
-from ._series import midpoint_tail
+from ._series import MIDPOINT_STENCIL, midpoint_correction, midpoint_tail
 from .errors import CapTooSmallError, ConvergenceError, DomainError
 from .specfun import _LGAMMA_C, _even_series
 
@@ -321,6 +321,16 @@ def _constant_tail(start, value):
                                                     np.array([[value]])))
 
 
+# Exp-sinh rule for int_0^inf f(w) e^(-w) dw (Takahasi & Mori 1974):
+# w = exp(pi/2 sinh tau), trapezoid in tau with step 1/64 on
+# [-435/64, 108/64], i.e. 544 nodes w from 5e-306 to 60.
+_EXP_SINH_TAU = np.arange(-435, 109) / 64.0
+_EXP_SINH_NODES = np.exp(0.5 * np.pi * np.sinh(_EXP_SINH_TAU))
+_EXP_SINH_WEIGHTS = (0.5 * np.pi / 64.0) * np.cosh(_EXP_SINH_TAU) * \
+    _EXP_SINH_NODES * np.exp(-_EXP_SINH_NODES)
+_M_FAR = 2.0 ** 500  # largest m handed to a coefficient by _small_t_sums
+
+
 @dataclass(frozen=True, eq=False)
 class _CoefTail:
     """Mass coef(m) on a unit at each integer m >= start, with ``coef`` a
@@ -339,19 +349,45 @@ class _CoefTail:
     def laplace(self, t):
         """sum_m coef(m) e^(-m t) times the unit's transform.  For t >= 1e-3
         the sum is direct, to m = start + 45/t, over one table of coef;
-        smaller t integrate in u = m t."""
+        all smaller t share one exp-sinh rule (``_small_t_sums``)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         direct = t >= 1e-3
-        n_terms = np.zeros(len(t), dtype=int)
-        n_terms[direct] = np.ceil(45.0 / t[direct]).astype(int) + 1
+        n_terms = np.ceil(45.0 / t[direct]).astype(int) + 1
         m = np.arange(self.start, self.start + n_terms.max(initial=0),
                       dtype=float)
         coef = self.coef(m)
-        sums = np.array([
-            float(np.sum(coef[:n] * np.exp(-m[:n] * ti))) if n
-            else _smooth_exp_sum(self.coef, self.start, ti)
-            for ti, n in zip(t, n_terms)])
+        sums = np.empty(len(t))
+        sums[direct] = [float(np.sum(coef[:n] * np.exp(-m[:n] * ti)))
+                        for ti, n in zip(t[direct], n_terms)]
+        if not direct.all():
+            sums[~direct] = self._small_t_sums(t[~direct])
         return sums * self._unit_laplace(t)
+
+    def _small_t_sums(self, t):
+        """sum_{m >= start} coef(m) e^(-m t) for a vector of small t > 0.
+
+        The midpoint completion with no direct terms: with a = start - 1/2
+        and m = a + w/t, int_a^inf coef(m) e^(-m t) dm is
+        e^(-a t)/t int_0^inf coef(a + w/t) e^(-w) dw, taken by the fixed
+        exp-sinh rule on one (t x node) array.  Beyond m = _M_FAR, which
+        only t < 2e-149 reach and where w/t would overflow for the
+        smallest t, coef is continued as the power of m that it has
+        between _M_FAR/2 and _M_FAR (the catalog's constant, affine and
+        m^(-s)-like coefficients follow it to 1e-140).  A sum beyond the
+        float range reads inf.
+        """
+        a = self.start - 0.5
+        tc = t[:, None]
+        near = np.minimum(_EXP_SINH_NODES, tc * _M_FAR)
+        ends = self.coef(np.array([0.5 * _M_FAR, _M_FAR]))
+        power = np.log2(ends[1] / ends[0])
+        m = a + MIDPOINT_STENCIL
+        with np.errstate(over="ignore"):
+            values = self.coef(a + near / tc) * \
+                (_EXP_SINH_NODES / near) ** power
+            integral = np.exp(-a * t) / t * (values @ _EXP_SINH_WEIGHTS)
+            return integral + midpoint_correction(
+                self.coef(m) * np.exp(-tc * m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,18 +418,6 @@ class AtomTail(_CoefTail):
     @staticmethod
     def _unit_laplace(t):
         return 1.0
-
-
-def _smooth_exp_sum(coef, start, t):
-    """sum_{m >= start} coef(m) e^(-m t) for smooth positive coef and small
-    t > 0, as the integral in u = m t (which keeps the range O(1)) plus the
-    midpoint completion."""
-    lo = (start - 0.5) * t
-    integral = quad(lambda u: coef(u / t) * np.exp(-u), lo, lo + 45.0,
-                    abs_tol=3e-12, rel_tol=1e-9,
-                    points=[lo + 1.0, lo + 5.0]) / t
-    return midpoint_tail(lambda m: coef(m) * np.exp(-m * t), start, 0,
-                         integral)
 
 
 @dataclass(frozen=True, eq=False)

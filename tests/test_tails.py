@@ -3,6 +3,7 @@ within 1e-13 * max(1, |ref|) of an independent mpmath or scipy value."""
 
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -68,7 +69,7 @@ def test_cell_tail_pochhammer(s):
         assert_close(st.stieltjes_eval(m, x) / math.gamma(s + 1), float(ref))
 
 
-@pytest.mark.parametrize("s", [0.01, 0.1, 0.2, 0.25])
+@pytest.mark.parametrize("s", [0.01, 0.1, 0.2, 0.25, 0.5, 0.8, 0.99])
 def test_cell_tail_pochhammer_kernel_route(s):
     m = st.measure_gamma_reciprocal_ratio(s)
     for x in (0.3, 12.0):
@@ -109,10 +110,102 @@ def test_cell_tail_affine():
         assert_close(st.stieltjes_eval(m, x), float(polygamma(1, x)))
 
 
-def test_smooth_exp_sum_small_t():
+KAPPA_TS = (1e-20, 1e-14, 1e-12, 1e-9, 1e-6, 9.99e-4, 1e-3, 0.5, 20.0)
+
+
+def gamma_reciprocal_kappa(s, t):
+    return (-math.expm1(-t)) ** s / t
+
+
+def ones_kernel(lam):
+    # cell m carries lam (m + 1), so kappa(t) = lam / (t (1 - e^(-t)))
+    return st.CmKernel(st.measure_cesaro(cesaro.preset_sequence("ones").coef,
+                                         0, lam))
+
+
+def assert_rel(value, ref, rel):
+    assert abs(value - ref) <= rel * abs(ref), (value, ref)
+
+
+@pytest.mark.parametrize("s", [0.01, 0.3, 0.5, 0.9, 0.99])
+def test_kernel_gamma_reciprocal_closed_form(s):
+    kappa = st.CmKernel(st.measure_gamma_reciprocal_ratio(s))
+    values = kappa(np.array(KAPPA_TS))
+    for t, value in zip(KAPPA_TS, values):
+        assert_rel(value, gamma_reciprocal_kappa(s, t), 1e-13)
+
+
+def test_kernel_integer_atoms_closed_form():
     kappa = st.CmKernel(st.measure_integer_atoms())
-    for t in (1e-5, 1e-4, 9e-4):
-        assert_close(kappa(t), 1.0 / -math.expm1(-t))
+    for t in KAPPA_TS:
+        assert_rel(kappa(t), 1.0 / -math.expm1(-t), 1e-13)
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+def test_kernel_affine_cells_closed_form(lam):
+    kappa = ones_kernel(lam)
+    for t in KAPPA_TS:
+        assert_rel(kappa(t), lam / (t * -math.expm1(-t)), 1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=hs.floats(0.005, 0.995), log_t=hs.floats(-20.0, 1.0))
+def test_kernel_gamma_reciprocal_property(s, log_t):
+    t = 10.0 ** log_t
+    kappa = st.CmKernel(st.measure_gamma_reciprocal_ratio(s))
+    assert_rel(kappa(t), gamma_reciprocal_kappa(s, t), 1e-13)
+
+
+@pytest.mark.parametrize("t", [2.3e-308, 1e-200, 1e-50])
+def test_kernels_at_tiny_t(t):
+    # finite and within 1e-3 wherever the closed form is finite, inf where
+    # it overflows, and no floating-point warning on the way
+    tm = mpmath.mpf(t)
+    cases = [(st.measure_gamma_reciprocal_ratio(s),
+              (-mpmath.expm1(-tm)) ** s / tm) for s in (0.01, 0.5, 0.99)]
+    cases.append((st.measure_integer_atoms(), 1 / -mpmath.expm1(-tm)))
+    cases += [(ones_kernel(lam).measure, lam / (tm * -mpmath.expm1(-tm)))
+              for lam in (1.0, 2.0)]
+    for measure, ref in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = st.CmKernel(measure)(t)
+        ref = float(ref)
+        if math.isinf(ref):
+            assert value == math.inf
+        else:
+            assert_rel(value, ref, 1e-3)
+
+
+def test_small_t_kernel_runs_no_quad_and_one_coef_batch(monkeypatch):
+    quad_calls = []
+    real_quad = st.quad
+
+    def quad(*args, **kwargs):
+        quad_calls.append(args)
+        return real_quad(*args, **kwargs)
+
+    monkeypatch.setattr(st, "quad", quad)
+    m = st.measure_gamma_reciprocal_ratio(0.3)
+    coef_calls = []
+
+    def coef(k):
+        coef_calls.append(np.shape(k))
+        return m.tail.coef(k)
+
+    kappa = st.CmKernel(dataclasses.replace(
+        m, tail=dataclasses.replace(m.tail, coef=coef)))
+    small = np.logspace(-15, -4, 14)
+    large = np.linspace(2e-3, 5.0, 14)
+    counts = []
+    for n_small in (1, 10, 14):
+        coef_calls.clear()
+        values = kappa(np.concatenate([small[:n_small],
+                                       large[:15 - n_small]]))
+        assert np.all(np.isfinite(values))
+        counts.append(len(coef_calls))
+    assert quad_calls == []
+    assert counts[0] == counts[1] == counts[2]
 
 
 def test_direct_series_positive_coefficients():
