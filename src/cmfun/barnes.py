@@ -4,6 +4,7 @@ R_{2,2n}(w) = int e^(-wt) t^(2n) p_n(t) dt.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,6 +51,16 @@ def stirling_remainder(x):
     return lhs, rhs
 
 
+@lru_cache(maxsize=16)
+def _taylor_coefficients(m_max):
+    """(-1)^i zeta(2(m+1+i)) and (-1)^i (i+1) zeta(2(m+2+i)), the
+    coefficients of a^(2i), i < 26, in S1_m and S2_m for m = 0..m_max."""
+    m, i = np.arange(m_max + 1)[:, None], np.arange(26)
+    zeta = np.vectorize(zeta_even_cached)
+    sign = (-1.0) ** i
+    return sign * zeta(m + 1 + i), sign * (i + 1) * zeta(m + 2 + i)
+
+
 def _aux_sums(a, m_max):
     """S1_m = sum_k k^(-2m)/(k^2+a^2) and S2_m = sum_k k^(-2m)/(k^2+a^2)^2
     for m = 0..m_max, elementwise over the array a.
@@ -62,17 +73,10 @@ def _aux_sums(a, m_max):
     s1 = np.empty((m_max + 1,) + a.shape)
     s2 = np.empty_like(s1)
     if small.any():
-        asq = a[small] ** 2
-        for m in range(m_max + 1):
-            acc1 = np.zeros_like(asq)
-            acc2 = np.zeros_like(asq)
-            power = np.ones_like(asq)
-            for i in range(0, 26):
-                acc1 += power * ((-1) ** i) * zeta_even_cached(m + 1 + i)
-                acc2 += power * ((-1) ** i) * (i + 1) * zeta_even_cached(m + 2 + i)
-                power = power * asq
-            s1[m][small] = acc1
-            s2[m][small] = acc2
+        powers = a[small] ** (2 * np.arange(26)[:, None])
+        c1, c2 = _taylor_coefficients(m_max)
+        s1[:, small] = c1 @ powers
+        s2[:, small] = c2 @ powers
     big = ~small
     if big.any():
         ab = a[big]

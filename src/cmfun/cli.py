@@ -164,7 +164,7 @@ def cmd_semigroup(args, cfg):
     dt = args.dt if args.dt is not None else cfg.dt
     t_max = args.tmax if args.tmax is not None else cfg.t_max
     tol = args.tol if args.tol is not None else \
-        float(cfg.tolerances.get("semigroup", 1e-4))
+        float(cfg.tolerances.get("semigroup", laplace.SEMIGROUP_TOL))
     sup = laplace.semigroup_check(args.c, args.d, dt, t_max)
     report = {"c": args.c, "d": args.d, "dt": dt, "t_max": t_max,
               "sup_discrepancy": sup, "tol": tol, "passed": sup < tol}

@@ -119,6 +119,23 @@ def _psi2_asym(w):
     return -u2 - u * u2 - _even_series(_PSI2_C, u2) * u2
 
 
+def _zeta(s):
+    """Riemann zeta at a float s != 1: Euler-Maclaurin from N = 10 with the
+    eight Bernoulli terms of _PSI1_C, after the functional equation
+    zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s) for s < -1."""
+    if s < -1.0:
+        return (2.0 ** s * math.pi ** (s - 1.0) * math.sin(0.5 * math.pi * s)
+                * math.gamma(1.0 - s) * _zeta(1.0 - s))
+    N = 10.0
+    total = (float(np.sum(np.arange(1.0, N) ** -s))
+             + N ** (1.0 - s) / (s - 1.0) + 0.5 * N ** -s)
+    rising = s                      # s (s+1) ... (s+2k-2)
+    for k, b in enumerate(_PSI1_C, start=1):
+        total += b / math.factorial(2 * k) * rising * N ** (1.0 - s - 2 * k)
+        rising *= (s + 2 * k - 1) * (s + 2 * k)
+    return float(total)
+
+
 def _lgamma_asym(w):
     return ((w - 0.5) * np.log(w) - w + 0.5 * math.log(2 * math.pi)
             + _even_series(_LGAMMA_C, 1.0 / (w * w)) * w)

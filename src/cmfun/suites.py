@@ -440,7 +440,7 @@ def _suite_pick(tol=1e-10):
     return items
 
 
-def _suite_semigroup(tol=1e-4, dt=1e-3, t_max=12.0):
+def _suite_semigroup(tol=laplace.SEMIGROUP_TOL, dt=1e-3, t_max=12.0):
     items = []
 
     def closed_form():

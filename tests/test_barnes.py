@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -85,6 +86,19 @@ class TestPKernel:
             bn.p_kernel_series(1.0, n=0)
         with pytest.raises(DomainError):
             bn.p_kernel_series(1.0, n=1, k_cap=10)
+
+
+def test_aux_sums_small_a_match_mpmath():
+    a = np.array([1e-3, 0.05, 0.2, 0.35, 0.4999])
+    s1, s2 = bn._aux_sums(a, 3)
+    for m in range(4):
+        for k, ak in enumerate(a):
+            r1 = mpmath.nsum(lambda n: n ** (-2 * m) / (n * n + ak * ak),
+                             [1, mpmath.inf])
+            r2 = mpmath.nsum(lambda n: n ** (-2 * m) / (n * n + ak * ak) ** 2,
+                             [1, mpmath.inf])
+            assert abs(s1[m, k] - float(r1)) <= 2e-14 * float(r1)
+            assert abs(s2[m, k] - float(r2)) <= 2e-14 * float(r2)
 
 
 class TestR22:

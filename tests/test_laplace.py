@@ -347,6 +347,62 @@ class TestSemigroup:
         # a coarse grid is sampled at dt / 100 here
         assert lp.semigroup_density(1.0, 1.0, 100.0).fft_points == 2 ** 16
 
+    @pytest.mark.parametrize("c,d", [(0.1, 0.1), (0.2, 0.2), (0.5, 1.5),
+                                     (1.6, 0.7), (2.0, 2.0)])
+    def test_convolution_matches_talbot(self, c, d):
+        # j <= 132 is the batched head, j >= 133 the FFT trapezoid with
+        # Navot's end terms, j = n its one-sided stencil
+        conv = lp.convolve_densities(lp.semigroup_density(c),
+                                     lp.semigroup_density(d), c, d)
+        for j in (1, 2, 10, 132, 133, 1000, len(conv)):
+            ref = talbot_m(c + d, 1e-3 * j)
+            assert abs(conv[j - 1] - ref) <= 1e-8 * ref, j
+
+    def test_tolerance_holds_over_the_grid(self):
+        cs = (0.1, 0.2, 0.5, 1.0, 2.0)
+        dens = {c: lp.semigroup_density(c) for c in cs}
+        for c in cs:
+            for d in cs:
+                cd = dens.get(c + d) or lp.semigroup_density(c + d)
+                conv = lp.convolve_densities(dens[c], dens[d], c, d)
+                sup = np.max(np.abs(conv - cd.values))
+                assert sup <= lp.SEMIGROUP_TOL / 10, (c, d)
+
+    def test_convolution_runs_no_quad_or_direct_sum(self, monkeypatch):
+        dc = lp.semigroup_density(0.3, 1e-2, 4.0)
+        dd = lp.semigroup_density(0.8, 1e-2, 4.0)
+        expected = lp.convolve_densities(dc, dd, 0.3, 0.8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(lp, "quad", refuse)
+        monkeypatch.setattr(np, "convolve", refuse)
+        assert np.array_equal(lp.convolve_densities(dc, dd, 0.3, 0.8),
+                              expected)
+
+    @pytest.mark.parametrize("n", [3, 132, 1001])
+    def test_fft_trapezoid_matches_direct_sum(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.random(n), rng.random(n)
+        direct = np.convolve(a, b)[:n]
+        assert np.max(np.abs(lp._causal_conv(a, b, n) - direct)) \
+            <= 1e-13 * np.max(direct)
+        cols = rng.random((n, 3))
+        assert np.allclose(lp._causal_conv(cols, cols, n)[:, 1],
+                           np.convolve(cols[:, 1], cols[:, 1])[:n],
+                           rtol=0.0, atol=1e-13 * n)
+
+    def test_mismatched_grids_are_refused(self):
+        dc = lp.semigroup_density(0.5, 1e-2, 4.0)
+        for other in (lp.semigroup_density(0.5, 2e-2, 4.0),
+                      lp.semigroup_density(0.5, 1e-2, 3.0)):
+            with pytest.raises(DomainError):
+                lp.convolve_densities(dc, other, 0.5, 0.5)
+        short = lp.semigroup_density(0.5, 0.5, 1.0)
+        with pytest.raises(DomainError):
+            lp.convolve_densities(short, short, 0.5, 0.5)
+
     def test_csv_format(self):
         dens = lp.semigroup_density(1.0, dt=0.5, t_max=2.0)
         lines = dens.to_csv().strip().split("\n")

@@ -334,3 +334,16 @@ def test_beta_a_lambda_array_input():
 def test_array_domain_errors(fn):
     with pytest.raises(DomainError):
         fn(np.array([1.0, 0.0, 2.0]))
+
+
+@pytest.mark.parametrize("s", [-3.9, -3.5, -2.7, -1.5, -1.01, -0.99, -0.5,
+                               -0.1, 1e-9, 0.3, 0.9, 0.999])
+def test_zeta_matches_mpmath(s):
+    ref = float(mpmath.zeta(s))
+    assert abs(sf._zeta(s) - ref) <= 5e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, -2.0])
+def test_zeta_at_non_positive_integers(s):
+    assert abs(sf._zeta(s) - float(mpmath.zeta(s))) <= 1e-15
+
