@@ -1,4 +1,5 @@
-"""Adaptive Gauss-Kronrod quadrature (G7/K15), real or complex integrands."""
+"""Adaptive Gauss-Kronrod quadrature (G7/K15), real or complex integrands,
+and a fixed exp-sinh rule for int_0^inf f(w) e^(-w) dw."""
 
 import heapq
 
@@ -30,6 +31,14 @@ _NODES = np.concatenate([-_XK[:-1], _XK[::-1]])          # 15 ascending nodes
 _WEIGHTS_K = np.concatenate([_WK[:-1], _WK[::-1]])
 _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
+
+# Exp-sinh rule for int_0^inf f(w) e^(-w) dw (Takahasi & Mori 1974):
+# w = exp(pi/2 sinh tau), trapezoid in tau with step 1/64 on
+# [-435/64, 108/64], i.e. 544 nodes w from 5e-306 to 60.
+_EXP_SINH_TAU = np.arange(-435, 109) / 64.0
+EXP_SINH_NODES = np.exp(0.5 * np.pi * np.sinh(_EXP_SINH_TAU))
+EXP_SINH_WEIGHTS = (0.5 * np.pi / 64.0) * np.cosh(_EXP_SINH_TAU) * \
+    EXP_SINH_NODES * np.exp(-EXP_SINH_NODES)
 
 
 def vectorized(f):

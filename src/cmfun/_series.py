@@ -1,5 +1,5 @@
-"""Series helpers: acceleration of alternating sums, zeta tables and the
-midpoint Euler-Maclaurin completion of truncated sums."""
+"""Series helpers: acceleration of alternating sums, ordered sums, running
+products and the midpoint Euler-Maclaurin completion of truncated sums."""
 
 import math
 
@@ -8,51 +8,41 @@ import numpy as np
 from ._quadrature import quad_to_inf
 
 
-def zeta_even(m):
-    """zeta(2m) for integer m >= 1, accurate to ~1e-16."""
-    s = 2 * m
-    k = np.arange(1.0, 100.0)
-    head = float(np.sum(k ** (-s)))
-    # Euler-Maclaurin tail from K=100
-    K = 100.0
-    tail = K ** (1 - s) / (s - 1) + 0.5 * K ** (-s) + s / 12.0 * K ** (-s - 1) \
-        - s * (s + 1) * (s + 2) / 720.0 * K ** (-s - 3)
-    return head + tail
-
-
-_ZETA_EVEN = {m: zeta_even(m) for m in range(1, 41)}
-
-
-def zeta_even_cached(m):
-    return _ZETA_EVEN[m] if m in _ZETA_EVEN else zeta_even(m)
-
-
 def alternating_sum(term, n_terms=28):
-    """Accelerated value of sum_{k>=0} (-1)^k term(k).
+    """Accelerated value of sum_{k>=0} (-1)^k term(k), one value per entry
+    of term's leading axes; ``term`` maps the integer array k = 0..n-1,
+    n = n_terms, to an array whose last axis is k.
 
-    Chebyshev-polynomial acceleration; for totally monotone term sequences the
-    error decays like (3 + sqrt(8))^(-n_terms), so the default 28 terms reach
-    full double precision.
+    Chebyshev-polynomial acceleration (Cohen, Rodriguez Villegas & Zagier
+    2000, algorithm 1); for totally monotone term sequences the error
+    decays like (3 + sqrt(8))^(-n), so the default 28 terms reach full
+    double precision.  The weights are c_k / d with b_0 = -1,
+    b_k = b_(k-1) (k-1+n)(k-1-n) / ((k-1/2) k) and c_k = b_k - c_(k-1) from
+    c_(-1) = -d, i.e. (-1)^k c_k = d + sum_(j<=k) (-1)^j b_j.
     """
-    d = (3.0 + math.sqrt(8.0)) ** n_terms
+    n = n_terms
+    d = (3.0 + math.sqrt(8.0)) ** n
     d = (d + 1.0 / d) / 2.0
-    b = -1.0
-    c = -d
-    s = 0.0
-    for k in range(n_terms):
-        c = b - c
-        s += c * term(k)
-        b = (k + n_terms) * (k - n_terms) * b / ((k + 0.5) * (k + 1.0))
-    return s / d
+    b = -running_product(
+        lambda k: (k - 1.0 + n) * (k - 1.0 - n) / ((k - 0.5) * k), n)
+    sign = (-1.0) ** np.arange(n)
+    weights = sign * (d + np.cumsum(sign * b)) / d
+    return ordered_sum(term(np.arange(n)) * weights)
 
 
-def pochhammer_ratio_terms(a, n_max):
-    """Array of (a)_n / n! for n = 0..n_max-1 via a stable running product."""
-    out = np.empty(n_max)
+def ordered_sum(terms):
+    """Sum over the last axis in index order (a running sum), so each
+    row's bits do not depend on the other rows or on the array's shape."""
+    return np.add.accumulate(terms, axis=-1)[..., -1]
+
+
+def running_product(ratio, n):
+    """a_k for k < n with a_0 = 1 and a_k = a_(k-1) ratio(k): ``ratio`` on
+    the float array k = 1..n-1, multiplied up in place."""
+    out = np.arange(float(n))
+    out[1:] = ratio(out[1:])
     out[0] = 1.0
-    for n in range(1, n_max):
-        out[n] = out[n - 1] * (a + n - 1) / n
-    return out
+    return np.multiply.accumulate(out, out=out)
 
 
 # offsets of the 4-point central stencil of step 1/8 around a midpoint a

@@ -9,10 +9,9 @@ from functools import lru_cache
 import numpy as np
 
 from ._quadrature import quad_to_inf
-from ._series import zeta_even_cached
 from .errors import DomainError
 from .laplace import laplace_quad
-from .specfun import log_gamma
+from .specfun import _zeta, log_gamma
 from .stieltjes import PeriodicTail, PiecewisePolynomial, RepresentingMeasure
 
 _TWO_PI = 2.0 * math.pi
@@ -21,8 +20,8 @@ _TWO_PI = 2.0 * math.pi
 def q_kernel(t):
     """Q(t) = (t - [t] - (t - [t])^2)/2, 1-periodic with values in [0, 1/8]."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise DomainError("q_kernel needs t >= 0")
+    if not np.all((t >= 0) & np.isfinite(t)):
+        raise DomainError("q_kernel needs finite t >= 0")
     u = t - np.floor(t)
     out = 0.5 * (u - u * u)
     return out if out.ndim else float(out)
@@ -56,9 +55,10 @@ def _taylor_coefficients(m_max):
     """(-1)^i zeta(2(m+1+i)) and (-1)^i (i+1) zeta(2(m+2+i)), the
     coefficients of a^(2i), i < 26, in S1_m and S2_m for m = 0..m_max."""
     m, i = np.arange(m_max + 1)[:, None], np.arange(26)
-    zeta = np.vectorize(zeta_even_cached)
+    zeta = np.vectorize(_zeta)
     sign = (-1.0) ** i
-    return sign * zeta(m + 1 + i), sign * (i + 1) * zeta(m + 2 + i)
+    return (sign * zeta(2.0 * (m + 1 + i)),
+            sign * (i + 1) * zeta(2.0 * (m + 2 + i)))
 
 
 def _aux_sums(a, m_max):
@@ -90,7 +90,7 @@ def _aux_sums(a, m_max):
         s1[0][big] = t1
         s2[0][big] = t2
         for m in range(1, m_max + 1):
-            t1 = (zeta_even_cached(m) - t1) / ab ** 2
+            t1 = (_zeta(2.0 * m) - t1) / ab ** 2
             t2 = (t1 - t2) / ab ** 2
             s1[m][big] = t1
             s2[m][big] = t2
@@ -165,4 +165,4 @@ def r_2_2n(w, n=1):
 def barnes_g_limit(n=1):
     """lim_{t -> 0} t^2 p_n(t) = 2 (2 pi)^(-2n) zeta(2n); fixes the leading
     w -> inf decay R_{2,2n}(w) ~ barnes_g_limit(n)/w."""
-    return 2.0 * _TWO_PI ** (-2.0 * n) * zeta_even_cached(n)
+    return 2.0 * _TWO_PI ** (-2.0 * n) * _zeta(2.0 * n)

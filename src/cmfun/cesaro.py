@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from ._quadrature import quad
-from ._series import alternating_sum, midpoint_tail
+from ._series import alternating_sum, midpoint_tail, running_product
 from .errors import CapTooSmallError, DomainError, HypothesisViolationError
 from .laplace import transform_cutoff
 from .stieltjes import measure_cesaro, stieltjes_eval
@@ -201,8 +201,7 @@ def _product_coef(ratio):
     running products up to the largest n requested."""
     def coef(n):
         n = np.asarray(n, dtype=np.int64)
-        steps = ratio(np.arange(1.0, np.max(n, initial=0) + 1.0))
-        return np.concatenate([[1.0], np.cumprod(steps)])[n]
+        return running_product(ratio, np.max(n, initial=0) + 1)[n]
 
     return coef
 
@@ -253,8 +252,10 @@ def _as_coef(seq):
 
 def kappa_eval(seq, k, t):
     """kappa(t) = t^(-(k+1)) sum a_n e^(-nt); closed generating function for
-    presets, truncated series otherwise."""
+    presets, truncated series otherwise; t must be positive and finite."""
     t = np.asarray(t, dtype=float)
+    if not np.all((t > 0) & np.isfinite(t)):
+        raise DomainError(f"kappa is evaluated for finite t > 0, got {t}")
     preset = _as_preset(seq)
     if preset is not None:
         core = preset.gen(np.exp(-t))
@@ -290,8 +291,8 @@ def direct_series(seq, lam, x, cap=8192):
     if len(signs) >= 8 and np.all(signs[::2] == signs[0]) and \
             np.all(signs[1::2] == -signs[0]):
         def term(n):
-            return abs(float(coef(np.array([n]))[0])) * (x + n) ** (-lam)
-        return float(signs[0]) * alternating_sum(term, n_terms=36)
+            return np.abs(coef(n)) * (x + n) ** (-lam)
+        return float(signs[0] * alternating_sum(term, n_terms=36))
     if np.all(probe > 0):
         return midpoint_tail(lambda n: coef(n) * (x + n) ** (-lam), 0, cap)
     raise DomainError("direct series needs alternating or positive smooth "

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._quadrature import quad
+from ._quadrature import _NODES, _WEIGHTS_K, quad
 from .errors import DomainError
 from .specfun import nielsen_beta, prym_P, trigamma
 
@@ -44,11 +44,11 @@ def normalization(spec):
 
 
 def density_eval(spec, t):
-    """Pointwise density value(s) for t > 0."""
+    """Pointwise density value(s) for finite t > 0."""
     scalar = np.isscalar(t) or np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t <= 0):
-        raise DomainError("densities live on t > 0")
+    if not np.all((t > 0) & np.isfinite(t)):
+        raise DomainError("densities live on finite t > 0")
     a = spec.a
     norm = normalization(spec)
     if spec.family == "nu":
@@ -69,7 +69,6 @@ def support_cutoff(spec):
 def _cdf_table(spec):
     """Checkpointed CDF on a uniform grid (4096 cells, one 15-point panel
     each, so the cumulative is machine accurate)."""
-    from ._quadrature import _NODES, _WEIGHTS_K
     t_hi = support_cutoff(spec)
     edges = np.linspace(0.0, t_hi, 4097)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -87,10 +86,9 @@ def density_cdf(spec, t):
     The panel never exceeds one table cell, so a single 15-point rule is
     already machine accurate; fully vectorized.
     """
-    from ._quadrature import _NODES, _WEIGHTS_K
     scalar = np.isscalar(t) or np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise DomainError("need t >= 0")
     edges, cdf = _cdf_table(spec)
     t_cl = np.minimum(t, edges[-1])

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._quadrature import quad, vectorized
 from .errors import DomainError, InversionDisagreementError
-from .specfun import _BETA_ASYM, _zeta, nielsen_beta_complex
+from .specfun import _BETA_ASYM, _positive, _zeta, nielsen_beta_complex
 
 # ---------------------------------------------------------------------------
 # periodic step functions
@@ -100,8 +100,7 @@ def laplace_quad(f, x, abs_tol=1e-13, rel_tol=1e-12, t_max=None):
 
 def laplace_periodic(phi, x, period=None, abs_tol=1e-13):
     """L(phi)(x) for T-periodic phi via one period and the geometric factor."""
-    if not x > 0:
-        raise DomainError("need x > 0")
+    _positive(x)
     if isinstance(phi, PeriodicStep):
         T = phi.period
         one = phi.one_period_transform(x)
@@ -121,8 +120,7 @@ def step_F(phi, x):
         F(x) = (1/x) (a_n + sum_k (a_k - a_{k+1})
                               (1 - e^(-l_k x)) / (1 - e^(-l_n x)))
     """
-    if not x > 0:
-        raise DomainError("need x > 0")
+    _positive(x)
     a = phi.levels
     if a[0] != a[-1]:
         raise DomainError("step_F requires a_n = a_1")
@@ -161,8 +159,7 @@ def _check_shift(phi, alpha, beta, x):
         raise DomainError("alpha must be positive")
     if not 0 <= beta <= phi.breakpoints[0]:
         raise DomainError("beta must lie in [0, l_1]")
-    if not x > 0:
-        raise DomainError("need x > 0")
+    _positive(x)
 
 
 def _continuous_parts(dphi, T, alpha, beta, x, breaks, kernel):
@@ -215,8 +212,7 @@ def _check_cont(T, alpha, beta, x):
         raise DomainError("alpha and T must be positive")
     if not 0 <= beta <= T:
         raise DomainError("beta must lie in [0, T]")
-    if not x > 0:
-        raise DomainError("need x > 0")
+    _positive(x)
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +272,13 @@ def laplace_invert_diag(F, t):
 
 @dataclass(frozen=True, eq=False)
 class SampledDensity:
-    """A density tabulated on the uniform grid t_j = j dt, j = 1..n.
+    """The density m_c tabulated on the uniform grid t_j = j dt, j = 1..n.
 
     ``method_spread`` is max |Euler - FFT| / max |Euler| over the sparse
     Euler points, ``spread_t`` the t where |Euler - FFT| peaks, and
     ``fft_points`` the length of the inverse FFT."""
 
+    c: float
     t: np.ndarray
     values: np.ndarray
     raw_min: float
@@ -402,7 +399,7 @@ def semigroup_density(c, dt=1e-3, t_max=12.0):
     if raw_min < -1e-8:
         raise InversionDisagreementError(
             f"inverted density significantly negative: {raw_min:.3e}")
-    return SampledDensity(t=ts, values=np.maximum(values, 0.0),
+    return SampledDensity(c=c, t=ts, values=np.maximum(values, 0.0),
                           raw_min=raw_min, method_spread=spread,
                           spread_t=float(ts[idx][np.argmax(err)]),
                           fft_points=M)
@@ -491,8 +488,9 @@ def _navot_end(f, c, a, dt):
                            win[-1] @ np.transpose(stencils[1:])])
 
 
-def convolve_densities(dc, dd, c, d):
-    """(m_c * m_d) on the common grid of ``dc`` and ``dd``.
+def convolve_densities(dc, dd):
+    """(m_c * m_d) on the common grid of ``dc`` and ``dd``, with c and d
+    the orders they record.
 
     Past t = 132 dt: the trapezoid on the grid, without the singular end
     values, by one real FFT, less Navot's end terms for s^(c-1) at s = 0
@@ -500,7 +498,7 @@ def convolve_densities(dc, dd, c, d):
     if not (np.array_equal(dc.t, dd.t) and len(dc.t) >= 3):
         raise DomainError("convolve_densities needs both densities on one "
                           "grid of at least 3 points")
-    dt, n = dc.dt, len(dc.t)
+    c, d, dt, n = dc.c, dd.c, dc.dt, len(dc.t)
     J = min(n, _J_DIRECT)
     ac, ad = _phi_taylor(c), _phi_taylor(d)
     tc, td = (np.concatenate([[a[0]], dens.values[:J + 2]
@@ -523,7 +521,7 @@ def semigroup_check(c, d, dt=1e-3, t_max=12.0):
     dc = semigroup_density(c, dt, t_max)
     dd = dc if d == c else semigroup_density(d, dt, t_max)
     dcd = semigroup_density(c + d, dt, t_max)
-    conv = convolve_densities(dc, dd, c, d)
+    conv = convolve_densities(dc, dd)
     return float(np.max(np.abs(conv - dcd.values)))
 
 
@@ -539,8 +537,7 @@ def hamburger_check(n, x):
     """
     if not (isinstance(n, int) and 0 <= n <= 6):
         raise DomainError("n must be an integer in [0, 6]")
-    if not x > 0:
-        raise DomainError("need x > 0")
+    _positive(x)
     k = np.arange(1, n + 1, dtype=float)
     lhs = 1.0 / (x * np.prod(1.0 + x * x / (k * math.pi) ** 2))
     rhs = 2.0 ** n / math.comb(2 * n, n) * laplace_quad(

@@ -111,7 +111,7 @@ def cm_check(f, grid=None, eval_noise=None):
     return _cm_report(_values(f, _grid_points(grid)), grid, eps)
 
 
-def lcm_check(f, grid=None, df=None, eval_noise=None):
+def lcm_check(f, grid=None, df=None):
     """Logarithmic complete monotonicity: f > 0 and -f'/f completely
     monotonic.  With no analytic derivative, a central difference with step
     x * 1e-6 is used and the rounding slack widened accordingly."""
@@ -131,25 +131,24 @@ def lcm_check(f, grid=None, df=None, eval_noise=None):
                            witnesses=witnesses)
     if df is not None:
         g = -_values(df, pts) / fx
-        noise = eval_noise if eval_noise is not None else _EPS
+        noise = _EPS
     else:
         g = -(fp - fm) / (2.0 * d) / fx
-        noise = eval_noise if eval_noise is not None else 1e-9
+        noise = 1e-9
     return _cm_report(g, grid, noise)
 
 
 DEFAULT_HORN_ALPHAS = (0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 2.0)
 
 
-def horn_check(f, alphas=DEFAULT_HORN_ALPHAS, grid=None, eval_noise=None):
+def horn_check(f, alphas=DEFAULT_HORN_ALPHAS, grid=None):
     """f^alpha completely monotonic for each alpha; aggregate verdict."""
     grid = grid or CheckGrid.default()
-    eps = eval_noise if eval_noise is not None else _EPS
     vals = _values(f, _grid_points(grid))
     witnesses = []
     worst = math.inf
     for alpha in alphas:
-        rep = _cm_report(vals ** alpha, grid, eps)
+        rep = _cm_report(vals ** alpha, grid, _EPS)
         worst = min(worst, rep.worst_margin)
         witnesses.extend(rep.witnesses)
     return CheckReport(passed=not witnesses, worst_margin=worst,

@@ -5,16 +5,21 @@ Everything is plain float64.  Real arguments must be positive and finite.
 Nielsen beta and the polygammas also take complex arguments with Re z > 0,
 and log-gamma and digamma take them on the whole cut plane, which the
 Pick-function checks need; the ``*_complex`` names coerce to complex.  All
-functions accept scalars or ndarrays and are pure.  Nielsen beta, beta' and
-the polygammas and log-gamma are one loop-free recurrence shift, ``_shift``.
+functions accept scalars or ndarrays, are pure and run one numpy pass with
+no Python loop over points or series terms.  Nielsen beta, beta', the
+polygammas and log-gamma are one recurrence shift, ``_shift``; si/ci is a
+fixed 18-term series up to x = 4 and the fixed exp-sinh rule beyond, Prym's
+P a fixed 20-term sum and beta_(a,lambda) one Chebyshev-accelerated sum.
+Each sum runs in index order, so an array entry equals the scalar call.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from ._quadrature import quad
-from ._series import alternating_sum, pochhammer_ratio_terms
+from ._quadrature import EXP_SINH_NODES, EXP_SINH_WEIGHTS
+from ._series import alternating_sum, ordered_sum, running_product
 from .errors import ConvergenceError, DomainError
 
 EULER_GAMMA = 0.5772156649015328606065
@@ -60,7 +65,7 @@ def _positive(x):
     """``x`` as a float ndarray, after checking that every entry is
     positive and finite."""
     arr = np.asarray(x, dtype=float)
-    if not np.all((arr > 0) & np.isfinite(arr)):
+    if not ((arr > 0) & np.isfinite(arr)).all():
         raise DomainError(f"x must be positive and finite, got {x}")
     return arr
 
@@ -72,8 +77,8 @@ def _shift(x, term, asym, step=1.0, until=_SHIFT, far=math.inf,
     is checked by ``_prepare`` and a scalar gives a Python scalar.
 
     The steps of a block of points are one (points x n_max) broadcast,
-    summed in order by ``cumsum``, so a point's sum does not depend on the
-    block it lands in.  numpy's product of two different complex arrays can
+    summed in order by ``ordered_sum``, so a point's sum does not depend on
+    the block it lands in.  numpy's product of two different complex arrays can
     round by position in the array, so the beta terms are 1/(w*w + w), not
     1/(w*(w+1)): each point then has the same bits alone or in any batch.
     """
@@ -91,7 +96,7 @@ def _shift(x, term, asym, step=1.0, until=_SHIFT, far=math.inf,
     for lo in range(0, idx.size, rows):
         i = idx[lo:lo + rows]
         terms = np.where(k < step * n[i, None], term(z[i, None] + k), 0.0)
-        out[i] += np.cumsum(terms, axis=1)[:, -1]
+        out[i] += ordered_sum(terms)
     return out.item() if scalar else out.reshape(shape)
 
 
@@ -119,10 +124,12 @@ def _psi2_asym(w):
     return -u2 - u * u2 - _even_series(_PSI2_C, u2) * u2
 
 
+@lru_cache(maxsize=256)
 def _zeta(s):
     """Riemann zeta at a float s != 1: Euler-Maclaurin from N = 10 with the
     eight Bernoulli terms of _PSI1_C, after the functional equation
-    zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s) for s < -1."""
+    zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s) for s < -1.
+    Cached: the Barnes kernel asks for the same zeta(2m) on every panel."""
     if s < -1.0:
         return (2.0 ** s * math.pi ** (s - 1.0) * math.sin(0.5 * math.pi * s)
                 * math.gamma(1.0 - s) * _zeta(1.0 - s))
@@ -206,66 +213,76 @@ def nielsen_beta_deriv(x):
                   _beta_deriv_asym, 2.0, _BETA_FAR, _BETA_FAR)
 
 
+# Power series of Si and Cin up to x = 4, k = 1..18: row 0 of the running
+# product of x^2 _SI_CIN_STEP is (-1)^k x^(2k) / (2k+1)!, and
+# Si(x) = x (1 + sum of it over 2k+1); row 1 is (-1)^k x^(2k) / (2k)!, and
+# -Cin(x) = sum of it over 2k.  The first terms left out are below 4e-21.
+_K = np.arange(1.0, 19.0)
+_SI_CIN_STEP = -1.0 / np.array([2.0 * _K * (2.0 * _K + 1.0),
+                                (2.0 * _K - 1.0) * 2.0 * _K])
+_SI_CIN_DIV = np.array([2.0 * _K + 1.0, 2.0 * _K])
+# ln 2 = _LN2_HI + _LN2_LO; e _LN2_HI is exact for every float exponent e
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+# (-1)^n / n!, n < 20: Prym's series past n = 19 is below 1.1e-18 of P(x)
+_PRYM_C = running_product(lambda n: -1.0 / n, 20)
+
+
+def _si_ci_series(x):
+    """(si(x), ci(x)) for a 1-D array of x <= 4 by the fixed power series
+    of Si and Cin(x) = int_0^x (1 - cos t)/t dt, with ci = gamma + log x -
+    Cin.  gamma + log x would round twice, up to 3.5e-15 off near x = 1e-8;
+    with log x = e ln 2 + log m, m in [1/2, 1), and e _LN2_HI exact, only
+    the last sum rounds at the size of ci."""
+    x2 = (x * x)[:, None, None]
+    sums = ordered_sum(np.multiply.accumulate(x2 * _SI_CIN_STEP, axis=2)
+                       / _SI_CIN_DIV)
+    m, e = np.frexp(x)
+    return (x * (1.0 + sums[:, 0]) - 0.5 * math.pi,
+            e * _LN2_HI + ((EULER_GAMMA + sums[:, 1])
+                           + (np.log(m) + e * _LN2_LO)))
+
+
+def _si_ci_aux(x):
+    """(si(x), ci(x)) for a 1-D array of x from the auxiliary integrals
+    (f, g) = int_0^inf e^(-xu) (1, u)/(1 + u^2) du: the exp-sinh rule in
+    w = x u, in blocks of at most _BLOCK (point, node) terms."""
+    f, g = np.empty_like(x), np.empty_like(x)
+    rows = _BLOCK // len(EXP_SINH_NODES)
+    for lo in range(0, x.size, rows):
+        xb = x[lo:lo + rows]
+        u = EXP_SINH_NODES / xb[:, None]
+        h = EXP_SINH_WEIGHTS / (1.0 + u * u)
+        f[lo:lo + rows] = ordered_sum(h) / xb
+        g[lo:lo + rows] = ordered_sum(h * u) / xb
+    cos, sin = np.cos(x), np.sin(x)
+    return -f * cos - g * sin, f * sin - g * cos
+
+
 def sin_cos_integrals(x):
     """(si(x), ci(x)) with si(x) = Si(x) - pi/2 and ci the cosine integral.
 
-    Power series up to x = 4; beyond that the auxiliary functions
-    f = L[1/(1+u^2)](x) and g = L[u/(1+u^2)](x) are integrated directly,
-    giving si = -f cos - g sin and ci = f sin - g cos.
+    The fixed 18-term power series up to x = 4; beyond, the auxiliary
+    functions f = L[1/(1+u^2)](x) and g = L[u/(1+u^2)](x) by the fixed
+    exp-sinh rule, giving si = -f cos - g sin and ci = f sin - g cos.
+    Scalars give floats; each array entry equals the scalar call.
     """
-    if not np.isscalar(x) and np.ndim(x) > 0:
-        pairs = [sin_cos_integrals(v) for v in x]
-        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
-    if not (x > 0 and math.isfinite(x)):
-        raise DomainError(f"x must be positive and finite, got {x}")
-    if x <= 4.0:
-        x2 = x * x
-        b = x          # x^(2k+1) / (2k+1)!
-        si_sum = x
-        k = 1
-        while True:
-            b *= x2 / ((2 * k) * (2 * k + 1))
-            term = b / (2 * k + 1)
-            si_sum += -term if k % 2 else term
-            if term < 1e-18:
-                break
-            k += 1
-        c = 1.0        # x^(2k) / (2k)!
-        cin = 0.0
-        k = 1
-        while True:
-            c *= x2 / ((2 * k - 1) * (2 * k))
-            term = c / (2 * k)
-            cin += term if k % 2 else -term
-            if term < 1e-18:
-                break
-            k += 1
-        return si_sum - math.pi / 2, EULER_GAMMA + math.log(x) - cin
-    t_hi = 45.0 / x
-    fa = quad(lambda u: np.exp(-x * u) / (1 + u * u), 0.0, t_hi,
-              abs_tol=1e-15, rel_tol=1e-14)
-    ga = quad(lambda u: u * np.exp(-x * u) / (1 + u * u), 0.0, t_hi,
-              abs_tol=1e-15, rel_tol=1e-14)
-    return (-fa * math.cos(x) - ga * math.sin(x),
-            fa * math.sin(x) - ga * math.cos(x))
+    arr = _positive(x)
+    z = arr.ravel()
+    si, ci = np.empty_like(z), np.empty_like(z)
+    for part, rule in ((z <= 4.0, _si_ci_series), (z > 4.0, _si_ci_aux)):
+        if part.any():
+            si[part], ci[part] = rule(z[part])
+    if np.ndim(x) == 0:
+        return float(si[0]), float(ci[0])
+    return si.reshape(arr.shape), ci.reshape(arr.shape)
 
 
 def prym_P(x):
-    """Prym's function P(x) = sum (-1)^n / (n!(x+n)), factorial truncation."""
+    """Prym's function P(x) = sum (-1)^n / (n!(x+n)), the fixed 20 terms."""
     arr = _positive(x)
-    total = np.zeros_like(arr)
-    active = np.ones(arr.shape, dtype=bool)
-    inv_fact = 1.0
-    for n in range(0, 400):
-        if n:
-            inv_fact /= n
-        term = inv_fact / (arr + n)
-        total = np.where(active, total - term if n % 2 else total + term,
-                         total)
-        active &= ~(term < 1e-18 * np.abs(total))
-        if not active.any():
-            break
-    return float(total) if np.ndim(x) == 0 else total
+    value = ordered_sum(_PRYM_C / (arr[..., None] + np.arange(20.0)))
+    return float(value) if np.ndim(x) == 0 else value
 
 
 def beta_a_lambda(x, a, lam):
@@ -275,9 +292,9 @@ def beta_a_lambda(x, a, lam):
         raise DomainError(f"a must be in (0, 1], got {a}")
     if not lam > 0:
         raise DomainError(f"lam must be positive, got {lam}")
-    poch = pochhammer_ratio_terms(a, 30)
-    value = alternating_sum(lambda k: poch[k] * (arr + k) ** (-lam),
-                            n_terms=30)
+    poch = running_product(lambda k: (a + k - 1.0) / k, 30)
+    value = alternating_sum(
+        lambda k: poch[k] * (arr[..., None] + k) ** (-lam), n_terms=30)
     return float(value) if np.ndim(x) == 0 else value
 
 

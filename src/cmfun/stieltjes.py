@@ -16,10 +16,11 @@ from typing import Callable
 
 import numpy as np
 
-from ._quadrature import quad
-from ._series import MIDPOINT_STENCIL, midpoint_correction, midpoint_tail
+from ._quadrature import EXP_SINH_NODES, EXP_SINH_WEIGHTS, quad
+from ._series import (MIDPOINT_STENCIL, midpoint_correction, midpoint_tail,
+                      running_product)
 from .errors import CapTooSmallError, ConvergenceError, DomainError
-from .specfun import _LGAMMA_C, _even_series
+from .specfun import _LGAMMA_C, _even_series, _positive
 
 _MAX_DEGREE = 8
 
@@ -321,13 +322,6 @@ def _constant_tail(start, value):
                                                     np.array([[value]])))
 
 
-# Exp-sinh rule for int_0^inf f(w) e^(-w) dw (Takahasi & Mori 1974):
-# w = exp(pi/2 sinh tau), trapezoid in tau with step 1/64 on
-# [-435/64, 108/64], i.e. 544 nodes w from 5e-306 to 60.
-_EXP_SINH_TAU = np.arange(-435, 109) / 64.0
-_EXP_SINH_NODES = np.exp(0.5 * np.pi * np.sinh(_EXP_SINH_TAU))
-_EXP_SINH_WEIGHTS = (0.5 * np.pi / 64.0) * np.cosh(_EXP_SINH_TAU) * \
-    _EXP_SINH_NODES * np.exp(-_EXP_SINH_NODES)
 _M_FAR = 2.0 ** 500  # largest m handed to a coefficient by _small_t_sums
 
 
@@ -378,14 +372,14 @@ class _CoefTail:
         """
         a = self.start - 0.5
         tc = t[:, None]
-        near = np.minimum(_EXP_SINH_NODES, tc * _M_FAR)
+        near = np.minimum(EXP_SINH_NODES, tc * _M_FAR)
         ends = self.coef(np.array([0.5 * _M_FAR, _M_FAR]))
         power = np.log2(ends[1] / ends[0])
         m = a + MIDPOINT_STENCIL
         with np.errstate(over="ignore"):
             values = self.coef(a + near / tc) * \
-                (_EXP_SINH_NODES / near) ** power
-            integral = np.exp(-a * t) / t * (values @ _EXP_SINH_WEIGHTS)
+                (EXP_SINH_NODES / near) ** power
+            integral = np.exp(-a * t) / t * (values @ EXP_SINH_WEIGHTS)
             return integral + midpoint_correction(
                 self.coef(m) * np.exp(-tc * m))
 
@@ -450,18 +444,13 @@ class RepresentingMeasure:
         return stieltjes_eval(self, x)
 
 
-def _check_x(x):
-    """Raise DomainError unless every x is positive and finite."""
-    x = np.asarray(x, dtype=float)
-    if not np.all((x > 0) & (x < math.inf)):
-        raise DomainError(f"x must be positive and finite, got {x}")
-
-
 def stieltjes_eval(m, x):
-    """f(x) = int dmu(t)/(x+t)^order + c for a RepresentingMeasure."""
-    _check_x(x)
-    if not np.isscalar(x) and np.ndim(x) > 0:
-        return np.array([stieltjes_eval(m, v) for v in x])
+    """f(x) = int dmu(t)/(x+t)^order + c for a RepresentingMeasure at one
+    x; an array raises DomainError (``_quadrature.vectorized`` maps the
+    measure over one)."""
+    if np.ndim(x):
+        raise DomainError("stieltjes_eval takes a scalar x")
+    _positive(x)
     total = m.constant
     if m.atoms:
         locs = np.array([t for t, _ in m.atoms])
@@ -504,7 +493,7 @@ def stieltjes_via_kernel(m, x):
     t^(order-1) kappa(t) p v^(p-1) stays bounded in v.  A node whose t
     underflows below the smallest normal float contributes 0.
     """
-    _check_x(x)
+    _positive(x)
     kappa = CmKernel(m)
     order = m.order
     p = max(2.0, 1.0 / (order - 1.0)) if order > 1.0 else 2.0
@@ -533,23 +522,6 @@ def stieltjes_via_kernel(m, x):
 # constructors for the catalog measures
 # ---------------------------------------------------------------------------
 
-def _gap_rows(points):
-    """Alternate weight-1/0 rows over consecutive points, starting at 0."""
-    points = list(points)
-    rows = []
-    bps = []
-    if points[0] > 0:
-        bps.append(0.0)
-        rows.append([0.0])
-    level = 1.0
-    for p in points:
-        bps.append(float(p))
-        rows.append([level])
-        level = 1.0 - level
-    rows.pop()
-    return np.array(bps), np.array(rows)
-
-
 def measure_alternating(a, lam, cap=2048):
     """Representing measure of sum (-1)^n (x + a_n)^(-lam): weight lam on
     the gaps (a_2n, a_2n+1).
@@ -577,20 +549,19 @@ def measure_alternating(a, lam, cap=2048):
         pts = np.asarray(a, dtype=float)
         if np.any(np.diff(pts) < 0):
             raise DomainError("location sequence must be nondecreasing")
-    # collapse zero-length gaps
-    keep = np.ones(len(pts), dtype=bool)
-    i = 0 if len(pts) % 2 == 0 else 1
-    while i + 1 < len(pts):
-        if pts[i + 1] - pts[i] == 0.0:
-            keep[i] = keep[i + 1] = False
-        i += 2
-    pts = pts[keep]
+    # collapse zero-length gaps (pts[i], pts[i+1]), i = len(pts) % 2 + 2j
+    first = len(pts) % 2
+    empty = first + 2 * np.flatnonzero(np.diff(pts)[first::2] == 0.0)
+    pts = np.delete(pts, np.concatenate([empty, empty + 1]))
     if len(pts) % 2 == 1:
         tail = _constant_tail(pts[-1], lam)
     density = None
     if len(pts) >= 2:
-        bps, rows = _gap_rows(pts)
-        density = PiecewisePolynomial(bps, rows * lam)
+        # weight lam and 0 in turn between consecutive points, 0 below them
+        levels = lam * (1.0 - np.arange(len(pts) - 1) % 2)
+        if pts[0] > 0:
+            pts, levels = np.append(0.0, pts), np.append(0.0, levels)
+        density = PiecewisePolynomial(pts, levels[:, None])
     return RepresentingMeasure(order=lam + 1.0, density=density, tail=tail)
 
 
@@ -684,10 +655,7 @@ def measure_gamma_reciprocal_ratio(s, cap=2048):
         raise DomainError("s must be in (0, 1)")
     if cap < 100:
         raise CapTooSmallError("cap must be at least 100")
-    coefs = np.empty(cap)
-    coefs[0] = 1.0
-    for k in range(1, cap):
-        coefs[k] = coefs[k - 1] * (k - s) / k
+    coefs = running_product(lambda k: (k - s) / k, cap)
     bps = np.arange(0.0, cap + 1.0)
     density = PiecewisePolynomial(bps, coefs[:, None])
     return RepresentingMeasure(

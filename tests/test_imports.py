@@ -1,5 +1,6 @@
 """Import hygiene: every name a module of cmfun imports is used in that
-module, and the CLI runs on numpy alone."""
+module, every import sits at module level, and the CLI runs on numpy
+alone."""
 
 import ast
 import os
@@ -33,6 +34,30 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def function_imports(source):
+    """(line, function name) of each import statement inside a function."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [(node.lineno, fn.name) for node in ast.walk(fn)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))]
+    return sorted(set(found))
+
+
+def test_detects_an_import_in_a_function():
+    source = ("import math\n"
+              "def f():\n"
+              "    def g():\n"
+              "        from os import path\n"
+              "    return math.pi\n")
+    assert function_imports(source) == [(4, "f"), (4, "g")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_at_module_level(path):
+    assert function_imports(path.read_text()) == []
 
 
 def test_cli_runtime_is_numpy_only():

@@ -299,8 +299,9 @@ class TestSemigroup:
     def test_convolution_commutes(self):
         dc = lp.semigroup_density(0.5, dt=1e-2, t_max=4.0)
         dd = lp.semigroup_density(1.0, dt=1e-2, t_max=4.0)
-        cd = lp.convolve_densities(dc, dd, 0.5, 1.0)
-        dcr = lp.convolve_densities(dd, dc, 1.0, 0.5)
+        assert (dc.c, dd.c) == (0.5, 1.0)   # the orders the convolution uses
+        cd = lp.convolve_densities(dc, dd)
+        dcr = lp.convolve_densities(dd, dc)
         assert np.max(np.abs(cd - dcr)) <= 1e-12
 
     def test_unit_pair_reproduces_order_two(self):
@@ -353,7 +354,7 @@ class TestSemigroup:
         # j <= 132 is the batched head, j >= 133 the FFT trapezoid with
         # Navot's end terms, j = n its one-sided stencil
         conv = lp.convolve_densities(lp.semigroup_density(c),
-                                     lp.semigroup_density(d), c, d)
+                                     lp.semigroup_density(d))
         for j in (1, 2, 10, 132, 133, 1000, len(conv)):
             ref = talbot_m(c + d, 1e-3 * j)
             assert abs(conv[j - 1] - ref) <= 1e-8 * ref, j
@@ -364,21 +365,21 @@ class TestSemigroup:
         for c in cs:
             for d in cs:
                 cd = dens.get(c + d) or lp.semigroup_density(c + d)
-                conv = lp.convolve_densities(dens[c], dens[d], c, d)
+                conv = lp.convolve_densities(dens[c], dens[d])
                 sup = np.max(np.abs(conv - cd.values))
                 assert sup <= lp.SEMIGROUP_TOL / 10, (c, d)
 
     def test_convolution_runs_no_quad_or_direct_sum(self, monkeypatch):
         dc = lp.semigroup_density(0.3, 1e-2, 4.0)
         dd = lp.semigroup_density(0.8, 1e-2, 4.0)
-        expected = lp.convolve_densities(dc, dd, 0.3, 0.8)
+        expected = lp.convolve_densities(dc, dd)
 
         def refuse(*args, **kwargs):
             raise AssertionError("called")
 
         monkeypatch.setattr(lp, "quad", refuse)
         monkeypatch.setattr(np, "convolve", refuse)
-        assert np.array_equal(lp.convolve_densities(dc, dd, 0.3, 0.8),
+        assert np.array_equal(lp.convolve_densities(dc, dd),
                               expected)
 
     @pytest.mark.parametrize("n", [3, 132, 1001])
@@ -398,10 +399,10 @@ class TestSemigroup:
         for other in (lp.semigroup_density(0.5, 2e-2, 4.0),
                       lp.semigroup_density(0.5, 1e-2, 3.0)):
             with pytest.raises(DomainError):
-                lp.convolve_densities(dc, other, 0.5, 0.5)
+                lp.convolve_densities(dc, other)
         short = lp.semigroup_density(0.5, 0.5, 1.0)
         with pytest.raises(DomainError):
-            lp.convolve_densities(short, short, 0.5, 0.5)
+            lp.convolve_densities(short, short)
 
     def test_csv_format(self):
         dens = lp.semigroup_density(1.0, dt=0.5, t_max=2.0)

@@ -137,6 +137,18 @@ class TestSinCosIntegrals:
         with pytest.raises(DomainError):
             sf.sin_cos_integrals(0.0)
 
+    def test_against_mpmath_on_a_log_grid(self):
+        # both methods: the series up to x = 4 and the exp-sinh rule beyond;
+        # the error is taken against the unrounded reference
+        xs = np.concatenate([np.geomspace(1e-8, 1e6, 240),
+                             [3.999999, 4.0, 4.000001]])
+        si, ci = sf.sin_cos_integrals(xs)
+        with mpmath.workdps(40):
+            for x, s_val, c_val in zip(xs, si, ci):
+                m = mpmath.mpf(x)
+                assert abs(s_val - (mpmath.si(m) - mpmath.pi / 2)) <= 2e-15, x
+                assert abs(c_val - mpmath.ci(m)) <= 2e-15, x
+
 
 class TestPrym:
     def test_value_at_one(self):
@@ -150,6 +162,13 @@ class TestPrym:
         # P(x) = int_0^1 t^(x-1) e^(-t) dt, the lower incomplete gamma
         for x in (0.4, 1.0, 1.7, 6.0):
             assert abs(sf.prym_P(x) - float(mpmath.gammainc(x, 0, 1))) <= 1e-13
+
+    def test_against_mpmath_on_a_log_grid(self):
+        xs = np.geomspace(1e-3, 1e6, 120)
+        with mpmath.workdps(40):
+            for x, p in zip(xs, sf.prym_P(xs)):
+                ref = mpmath.gammainc(mpmath.mpf(x), 0, 1)
+                assert abs(p / ref - 1) <= 1e-15, x
 
     def test_gamma_decomposition(self):
         # Q(x) = int_1^inf t^(x-1) e^(-t) dt completes P to Gamma(x)
@@ -310,7 +329,9 @@ def test_shift_step_cap():
     sf.prym_P,
     sf.nielsen_beta,
     lambda x: sf.gamma_ratio_log(x, 0.5, 1.3),
-], ids=["prym", "beta", "gamma-ratio-log"])
+    lambda x: sf.sin_cos_integrals(x)[0],
+    lambda x: sf.sin_cos_integrals(x)[1],
+], ids=["prym", "beta", "gamma-ratio-log", "si", "ci"])
 def test_array_input_matches_scalar_calls(fn):
     # each entry equals the scalar call
     xs = np.array([[0.03, 0.7, 5.0], [40.0, 3e3, 9e4]])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from cmfun import monotonicity as mono
 from cmfun import specfun as sf
 from cmfun import stieltjes as st
 from cmfun._quadrature import quad
@@ -228,6 +229,15 @@ def test_routes_reject_bad_x(route, x):
     m = st.measure_genus1_log_ratio((1.0,), 0.5, 1.3)
     with pytest.raises(DomainError):
         route(m, x)
+
+
+def test_eval_refuses_an_array_and_checks_map_the_measure():
+    m = st.measure_alternating(lambda n: float(n), 1.0)
+    with pytest.raises(DomainError):
+        st.stieltjes_eval(m, np.array([1.0, 2.0]))
+    # cm_check calls the measure once per grid point instead
+    rep = mono.cm_check(m, mono.CheckGrid.default(n_points=6, n_max=4))
+    assert rep.passed and not rep.witnesses
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf])
