@@ -31,6 +31,7 @@ _NODES = np.concatenate([-_XK[:-1], _XK[::-1]])          # 15 ascending nodes
 _WEIGHTS_K = np.concatenate([_WK[:-1], _WK[::-1]])
 _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
+_LIMIT = 2000  # panels before quad gives up
 
 # Exp-sinh rule for int_0^inf f(w) e^(-w) dw (Takahasi & Mori 1974):
 # w = exp(pi/2 sinh tau), trapezoid in tau with step 1/64 on
@@ -74,7 +75,7 @@ def _panel(f, a, b):
     return ik, e
 
 
-def quad(f, a, b, abs_tol=1e-12, rel_tol=1e-12, limit=2000, points=None):
+def quad(f, a, b, abs_tol=1e-12, rel_tol=1e-12, points=None):
     """Integrate ``f`` over [a, b] adaptively.
 
     ``f`` must accept an ndarray of abscissae.  ``points`` seeds extra panel
@@ -95,7 +96,7 @@ def quad(f, a, b, abs_tol=1e-12, rel_tol=1e-12, limit=2000, points=None):
         heapq.heappush(heap, (-err, lo, hi, ik))
     count = len(heap)
     while err_sum > max(abs_tol, rel_tol * abs(total)) and heap:
-        if count > limit:
+        if count > _LIMIT:
             raise ConvergenceError(
                 f"quadrature did not converge on [{a}, {b}]: "
                 f"error {err_sum:.3e} after {count} panels")
@@ -112,7 +113,7 @@ def quad(f, a, b, abs_tol=1e-12, rel_tol=1e-12, limit=2000, points=None):
     return total
 
 
-def quad_to_inf(f, a, abs_tol=1e-12, rel_tol=1e-12, limit=2000):
+def quad_to_inf(f, a, abs_tol=1e-12, rel_tol=1e-12):
     """Integrate ``f`` over [a, inf) via the substitution t = a / v, v in (0,1].
 
     Requires a > 0 and f decaying at least like t^(-2).
@@ -124,4 +125,4 @@ def quad_to_inf(f, a, abs_tol=1e-12, rel_tol=1e-12, limit=2000):
         t = a / v
         return f(t) * a / (v * v)
 
-    return quad(g, 0.0, 1.0, abs_tol=abs_tol, rel_tol=rel_tol, limit=limit)
+    return quad(g, 0.0, 1.0, abs_tol=abs_tol, rel_tol=rel_tol)

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._quadrature import quad_to_inf
+from ._series import midpoint_tail
 from .errors import DomainError
 from .laplace import laplace_quad
 from .specfun import _zeta, log_gamma
@@ -125,17 +125,15 @@ def _t2_p_kernel(t, n):
         + ((2.0 * n - 1.0) * t / (2.0 * math.pi ** 2)) * s1[n])
 
 
-def p_kernel_series(t, n=1, k_cap=10_000):
-    """Brute-force k-series for p_n, summed to ``k_cap`` with a midpoint
-    integral completing the k^(-2n) tail; the independent cross-check for
-    p_kernel."""
+def p_kernel_series(t, n=1):
+    """The k-series of p_n, its first 1000 terms summed directly and the
+    rest by the midpoint Euler-Maclaurin completion; the independent
+    cross-check for p_kernel."""
     if n < 1 or int(n) != n:
         raise DomainError("n must be a positive integer")
-    if k_cap < 100:
-        raise DomainError("k_cap must be >= 100")
     t = float(t)
-    if t <= 0:
-        raise DomainError("p_kernel_series needs t > 0")
+    if not 0 < t < math.inf:
+        raise DomainError("p_kernel_series needs finite t > 0")
 
     def term(k):
         k = np.asarray(k, dtype=float)
@@ -145,10 +143,7 @@ def p_kernel_series(t, n=1, k_cap=10_000):
                                        + 8.0 * math.pi * k * t / den ** 2
                                        + (2.0 * n - 1.0) / w * 2.0 * t / den)
 
-    k = np.arange(1.0, k_cap + 1.0)
-    head = float(np.sum(term(k)))
-    tail = quad_to_inf(term, k_cap + 0.5, abs_tol=1e-18, rel_tol=1e-12)
-    return (head + tail) / (t * t)
+    return midpoint_tail(term, 1, 1000) / (t * t)
 
 
 def r_2_2n(w, n=1):

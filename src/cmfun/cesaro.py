@@ -282,8 +282,8 @@ class ThreeWayResult:
         return max(vals) - min(vals)
 
 
-def direct_series(seq, lam, x, cap=8192):
-    """sum a_n/(x+n)^lam: accelerated when the signs alternate, brute force
+def direct_series(seq, lam, x):
+    """sum a_n/(x+n)^lam: accelerated when the signs alternate, 8192 terms
     plus a midpoint tail when the coefficients are positive and smooth."""
     coef = _as_coef(seq)
     probe = coef(np.arange(64))
@@ -294,12 +294,12 @@ def direct_series(seq, lam, x, cap=8192):
             return np.abs(coef(n)) * (x + n) ** (-lam)
         return float(signs[0] * alternating_sum(term, n_terms=36))
     if np.all(probe > 0):
-        return midpoint_tail(lambda n: coef(n) * (x + n) ** (-lam), 0, cap)
+        return midpoint_tail(lambda n: coef(n) * (x + n) ** (-lam), 0, 8192)
     raise DomainError("direct series needs alternating or positive smooth "
                       "coefficients")
 
 
-def series_eval_three_ways(seq, k, lam, x, cap=4096, n_probe=2_000_000,
+def series_eval_three_ways(seq, k, lam, x, n_probe=2_000_000,
                            skip_hypotheses=False):
     """(direct, stieltjes, laplace) evaluations of sum a_n/(x+n)^lam.
 
@@ -314,7 +314,7 @@ def series_eval_three_ways(seq, k, lam, x, cap=4096, n_probe=2_000_000,
     if not skip_hypotheses:
         require_hypotheses(preset or coef, k, lam, n_probe=n_probe)
     direct = direct_series(coef, lam, x)
-    measure = measure_cesaro(coef, k, lam, cap=cap)
+    measure = measure_cesaro(coef, k, lam)
     stieltjes = stieltjes_eval(measure, x)
     t_hi = transform_cutoff(x)
     kappa_src = preset if preset is not None else coef

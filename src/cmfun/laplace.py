@@ -77,7 +77,7 @@ def transform_cutoff(x):
     return (36.0 + math.log1p(1.0 / xr)) / xr
 
 
-def laplace_quad(f, x, abs_tol=1e-13, rel_tol=1e-12, t_max=None):
+def laplace_quad(f, x, abs_tol=1e-13, rel_tol=1e-12):
     """int_0^inf e^(-xt) f(t) dt by adaptive quadrature on [0, t_max(x)].
 
     ``x`` may be complex with Re x > 0.  ``f`` is assumed locally integrable
@@ -86,8 +86,7 @@ def laplace_quad(f, x, abs_tol=1e-13, rel_tol=1e-12, t_max=None):
     xr = x.real if isinstance(x, complex) else x
     if not xr > 0:
         raise DomainError("need Re x > 0")
-    if t_max is None:
-        t_max = transform_cutoff(x)
+    t_max = transform_cutoff(x)
     fv = vectorized(f)
 
     def integrand(t):
@@ -98,19 +97,20 @@ def laplace_quad(f, x, abs_tol=1e-13, rel_tol=1e-12, t_max=None):
                 points=seeds)
 
 
-def laplace_periodic(phi, x, period=None, abs_tol=1e-13):
-    """L(phi)(x) for T-periodic phi via one period and the geometric factor."""
+def laplace_periodic(phi, x, period=None):
+    """L(phi)(x) for T-periodic phi via one period and the geometric factor;
+    a callable phi needs its period, positive and finite."""
     _positive(x)
     if isinstance(phi, PeriodicStep):
         T = phi.period
         one = phi.one_period_transform(x)
     else:
-        if period is None:
-            raise DomainError("callable phi needs an explicit period")
+        if period is None or not 0 < period < math.inf:
+            raise DomainError("callable phi needs a positive finite period")
         T = float(period)
         fv = vectorized(phi)
         one = quad(lambda t: np.exp(-x * t) * fv(t), 0.0, T,
-                   abs_tol=abs_tol, rel_tol=1e-12)
+                   abs_tol=1e-13, rel_tol=1e-12)
     return one / -math.expm1(-x * T)
 
 
@@ -226,6 +226,7 @@ def _euler_rule(A, N, M):
 
 _EULER = _euler_rule(23.0, 32, 18)        # the value
 _EULER_CHECK = _euler_rule(18.4, 40, 20)  # the cross-check, on another line
+_INVERT_TOL = 1e-6  # laplace_invert's gate on the spread of the two lines
 
 
 def euler_inversion_grid(F, ts, rule=_EULER):
@@ -243,12 +244,12 @@ def euler_inversion_grid(F, ts, rule=_EULER):
     return np.exp(A / 2.0) / ts * avg
 
 
-def laplace_invert(F, t, rel_tol=1e-6):
+def laplace_invert(F, t):
     """Invert F at t > 0; returns the Euler value after checking that Euler
-    summation on a second Bromwich line agrees to rel_tol (1e-6 is 20 times
+    summation on a second Bromwich line agrees to 1e-6 relative (20 times
     the worst spread measured for beta^c, c in [0.2, 2], t in [1e-3, 12])."""
     value, spread = laplace_invert_diag(F, t)
-    if not spread <= rel_tol:
+    if not spread <= _INVERT_TOL:
         raise InversionDisagreementError(
             f"inversion methods disagree at t={t}: spread {spread:.3e}")
     return value

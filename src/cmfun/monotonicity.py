@@ -37,8 +37,9 @@ class CheckGrid:
     def __post_init__(self):
         pts = np.asarray(self.x_points, dtype=float)
         object.__setattr__(self, "x_points", pts)
-        if np.any(pts <= 0) or np.any(np.diff(pts) <= 0):
-            raise DomainError("x_points must be positive and increasing")
+        if not (np.all((pts > 0) & (pts < math.inf))
+                and np.all(np.diff(pts) > 0)):
+            raise DomainError("x_points must be finite, positive, increasing")
         if self.n_max < 1:
             raise DomainError("n_max must be >= 1")
         if not self.h_factor > 0:
@@ -97,18 +98,17 @@ def _values(f, pts):
     return np.asarray(vectorized(f)(pts), dtype=float)
 
 
-def cm_check(f, grid=None, eval_noise=None):
+def cm_check(f, grid=None):
     """Check (-1)^n-alternating finite differences of f for nonnegativity.
 
     For each grid point x and n <= n_max the quantity
         sum_j (-1)^j C(n, j) f(x + j h)
     is nonnegative when f is completely monotonic; it must stay above
-    -slack with slack = 16 * 2^n * eps * max_j |f(x + j h)|.  ``eval_noise``
-    widens eps for functions that are themselves computed by quadrature.
+    -slack with slack = 16 * 2^n * eps * max_j |f(x + j h)|, eps the
+    float64 machine epsilon.
     """
     grid = grid or CheckGrid.default()
-    eps = eval_noise if eval_noise is not None else _EPS
-    return _cm_report(_values(f, _grid_points(grid)), grid, eps)
+    return _cm_report(_values(f, _grid_points(grid)), grid, _EPS)
 
 
 def lcm_check(f, grid=None, df=None):
@@ -205,15 +205,26 @@ def find_lcm_counterexample(r):
     w = rho e^(i pi / r) with rho = 0.8 cos(pi/r) lies inside, so w^r = -c
     with c = rho^r and z_c = w/(1-w) gives g_c(z_c) = 0.  A function with a
     right-half-plane zero cannot be logarithmically completely monotonic.
+
+    The residual is |g_c(z_c)| relative to the sum of the two terms'
+    moduli, taken from their logarithms so that it stays meaningful where
+    the terms underflow.  r must be finite and leave c a positive normal
+    float (r below about 3170).
     """
-    if not r > 2:
-        raise DomainError("r must exceed 2")
+    if not 2 < r < math.inf:
+        raise DomainError(f"r must be finite and exceed 2, got {r}")
     rho = 0.8 * math.cos(math.pi / r)
-    w = rho * cmath.exp(1j * math.pi / r)
     c = rho ** r
+    if c < np.finfo(float).tiny:
+        raise DomainError(f"c = rho^r = {c:.3g} underflows at r = {r}")
+    w = rho * cmath.exp(1j * math.pi / r)
     z_c = w / (1.0 - w)
-    g = (c / (1 + c)) * z_c ** (-r) + (1 / (1 + c)) * (z_c + 1.0) ** (-r)
-    return Counterexample(c=c, z_c=z_c, residual=abs(g))
+    logs = (math.log(c / (1.0 + c)) - r * cmath.log(z_c),
+            -math.log1p(c) - r * cmath.log(z_c + 1.0))
+    top = max(v.real for v in logs)
+    terms = [cmath.exp(v - top) for v in logs]
+    return Counterexample(c=c, z_c=z_c,
+                          residual=abs(sum(terms)) / sum(map(abs, terms)))
 
 
 def lemma_pos_check(c, t_max=50.0, n_points=2000, floor=-1e-12):

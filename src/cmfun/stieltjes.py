@@ -16,10 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from ._quadrature import EXP_SINH_NODES, EXP_SINH_WEIGHTS, quad
+from ._quadrature import EXP_SINH_NODES, EXP_SINH_WEIGHTS, quad, vectorized
 from ._series import (MIDPOINT_STENCIL, midpoint_correction, midpoint_tail,
                       running_product)
-from .errors import CapTooSmallError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 from .specfun import _LGAMMA_C, _even_series, _positive
 
 _MAX_DEGREE = 8
@@ -225,8 +225,8 @@ def _gamma_ratio_shift(z, s):
     quadratures of the coefficient never converge.  The difference of the
     Stirling series is taken term by term instead (four terms, truncation
     below 1e-19 for z >= 50), with the power (z - s)^(-s) kept apart.  The
-    callers' tails start at a cap >= 100 and the midpoint stencil reaches
-    start - 0.75, so z >= 100.25.
+    caller's tail starts at _CELL_CAP = 2048 and the midpoint stencil
+    reaches start - 0.75, so z >= 2048.25.
     """
     def series(y):
         """sum_n B_2n / (2n (2n - 1)) y^(1 - 2n), n = 1..4."""
@@ -322,7 +322,7 @@ def _constant_tail(start, value):
                                                     np.array([[value]])))
 
 
-_M_FAR = 2.0 ** 500  # largest m handed to a coefficient by _small_t_sums
+_M_FAR = 2.0 ** 500  # largest m handed to a coefficient by _CoefTail.laplace
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,24 +341,8 @@ class _CoefTail:
                              self.brute)
 
     def laplace(self, t):
-        """sum_m coef(m) e^(-m t) times the unit's transform.  For t >= 1e-3
-        the sum is direct, to m = start + 45/t, over one table of coef;
-        all smaller t share one exp-sinh rule (``_small_t_sums``)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        direct = t >= 1e-3
-        n_terms = np.ceil(45.0 / t[direct]).astype(int) + 1
-        m = np.arange(self.start, self.start + n_terms.max(initial=0),
-                      dtype=float)
-        coef = self.coef(m)
-        sums = np.empty(len(t))
-        sums[direct] = [float(np.sum(coef[:n] * np.exp(-m[:n] * ti)))
-                        for ti, n in zip(t[direct], n_terms)]
-        if not direct.all():
-            sums[~direct] = self._small_t_sums(t[~direct])
-        return sums * self._unit_laplace(t)
-
-    def _small_t_sums(self, t):
-        """sum_{m >= start} coef(m) e^(-m t) for a vector of small t > 0.
+        """sum_{m >= start} coef(m) e^(-m t) times the unit's transform, for
+        a vector of t > 0.
 
         The midpoint completion with no direct terms: with a = start - 1/2
         and m = a + w/t, int_a^inf coef(m) e^(-m t) dm is
@@ -370,6 +354,7 @@ class _CoefTail:
         m^(-s)-like coefficients follow it to 1e-140).  A sum beyond the
         float range reads inf.
         """
+        t = np.atleast_1d(np.asarray(t, dtype=float))
         a = self.start - 0.5
         tc = t[:, None]
         near = np.minimum(EXP_SINH_NODES, tc * _M_FAR)
@@ -380,8 +365,9 @@ class _CoefTail:
             values = self.coef(a + near / tc) * \
                 (EXP_SINH_NODES / near) ** power
             integral = np.exp(-a * t) / t * (values @ EXP_SINH_WEIGHTS)
-            return integral + midpoint_correction(
+            sums = integral + midpoint_correction(
                 self.coef(m) * np.exp(-tc * m))
+        return sums * self._unit_laplace(t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -522,28 +508,36 @@ def stieltjes_via_kernel(m, x):
 # constructors for the catalog measures
 # ---------------------------------------------------------------------------
 
-def measure_alternating(a, lam, cap=2048):
+_GAP_CAP = 2048      # gaps of an alternating measure before its tail
+_ATOM_CAP = 512      # atoms before the atom tail
+_CELL_CAP = 2048     # cells of the gamma-reciprocal density before its tail
+_CESARO_CAP = 4096   # Cesaro coefficients read before the tail model
+
+
+def measure_alternating(a, lam):
     """Representing measure of sum (-1)^n (x + a_n)^(-lam): weight lam on
     the gaps (a_2n, a_2n+1).
 
     ``a`` is a finite nondecreasing sequence (even length: plain gaps; odd
     length: a trailing interval [a_last, inf)) or a callable n -> a_n for the
-    infinite case, truncated at ``cap`` gaps.  Affine location sequences get
-    an exact analytic tail; the measure has order lam + 1.
+    infinite case, truncated at 2048 gaps; the callable gets the float
+    array n = 0..4097 once, or one n at a time if it only takes scalars.
+    Affine location sequences get an exact analytic tail; the measure has
+    order lam + 1.
     """
     if not 0 < lam <= 1:
         raise DomainError("lam must be in (0, 1]")
     tail = None
     if callable(a):
-        n_pts = 2 * cap
-        pts = np.array([float(a(n)) for n in range(n_pts + 2)])
+        n_pts = 2 * _GAP_CAP
+        pts = np.asarray(vectorized(a)(np.arange(n_pts + 2.0)), dtype=float)
         if np.any(np.diff(pts) < 0):
             raise DomainError("location sequence must be nondecreasing")
         d2 = np.diff(pts, 2)
         if np.max(np.abs(d2)) < 1e-12 * (1 + np.max(np.abs(pts))):
             tail = GapTail(offset=float(pts[0]),
                            step=float(pts[1] - pts[0]),
-                           weight=lam, start=cap)
+                           weight=lam, start=_GAP_CAP)
         pts = pts[:n_pts]
     else:
         pts = np.asarray(a, dtype=float)
@@ -565,12 +559,12 @@ def measure_alternating(a, lam, cap=2048):
     return RepresentingMeasure(order=lam + 1.0, density=density, tail=tail)
 
 
-def measure_integer_atoms(cap=512, mass=1.0):
+def measure_integer_atoms(mass=1.0):
     """mu = sum_n mass * eps_n; with kappa(t) = mass/(1 - e^(-t))."""
-    atoms = tuple((float(n), mass) for n in range(cap))
+    atoms = tuple((float(n), mass) for n in range(_ATOM_CAP))
     return RepresentingMeasure(
         order=2.0, atoms=atoms,
-        tail=AtomTail(start=cap, coef=lambda k: np.full_like(
+        tail=AtomTail(start=_ATOM_CAP, coef=lambda k: np.full_like(
             np.asarray(k, dtype=float), mass)))
 
 
@@ -612,18 +606,16 @@ def _trapezoid_train(shifts, a, b, lo, hi):
     return PiecewisePolynomial(bps, rows)
 
 
-def measure_gamma_ratio(a, b, cap=60):
+def measure_gamma_ratio(a, b):
     """Order-2 measure with density g(t) = sum_k trap_{a,b}(t - k) for the
-    log Gamma-ratio of two shifts; eventually 1-periodic, handled exactly."""
+    log Gamma-ratio of two shifts; eventually 1-periodic, handled exactly.
+    The density is tabulated up to T = max(60, ceil(a + b) + 20)."""
     if a < 0 or b < 0:
         raise DomainError("a and b must be nonnegative")
     if a == 0.0 or b == 0.0:
         return RepresentingMeasure(order=2.0, density=PiecewisePolynomial(
             np.array([0.0, 1.0]), np.array([[0.0]])))
-    min_cap = int(math.ceil(a + b)) + 20
-    if cap < min_cap:
-        raise CapTooSmallError(f"cap must be at least {min_cap}")
-    T = int(cap)
+    T = max(60, math.ceil(a + b) + 20)
     density = _trapezoid_train(np.arange(T), a, b, 0.0, float(T))
     # beyond T the density is 1-periodic: rho(s) = sum_i trap(s + i)
     profile = _trapezoid_train(-np.arange(math.ceil(a + b) + 1), a, b,
@@ -648,19 +640,17 @@ def measure_genus1_log_ratio(zeros, a, b):
         zeros, a, b, 0.0, zeros[-1] + (a + b)))
 
 
-def measure_gamma_reciprocal_ratio(s, cap=2048):
+def measure_gamma_reciprocal_ratio(s):
     """Order-2 measure with density (1-s)_k / k! on (k, k+1); times
     1/Gamma(s+1) it represents Gamma(x)/Gamma(x+s+1)."""
     if not 0 < s < 1:
         raise DomainError("s must be in (0, 1)")
-    if cap < 100:
-        raise CapTooSmallError("cap must be at least 100")
-    coefs = running_product(lambda k: (k - s) / k, cap)
-    bps = np.arange(0.0, cap + 1.0)
+    coefs = running_product(lambda k: (k - s) / k, _CELL_CAP)
+    bps = np.arange(0.0, _CELL_CAP + 1.0)
     density = PiecewisePolynomial(bps, coefs[:, None])
     return RepresentingMeasure(
         order=2.0, density=density,
-        tail=SmoothCoefTail(start=cap,
+        tail=SmoothCoefTail(start=_CELL_CAP,
                             coef=lambda k: _pochhammer_coef(k, s)))
 
 
@@ -685,19 +675,19 @@ def _cesaro_rows(a_vals, k, lam):
     return scale * rows
 
 
-def measure_cesaro(a, k, lam, cap=4096):
+def measure_cesaro(a, k, lam):
     """Order lam+k+1 measure of sum a_n/(x+n)^lam under the iterated-sum
     hypotheses (which the caller is responsible for checking).
 
-    For k = 0 the cell coefficients beyond the cap are completed by an exact
-    tail when they are eventually constant, 2-periodic, or affine; otherwise
-    the measure is truncated at the cap.
+    For k = 0 the cell coefficients beyond the cap of 4096 are completed by
+    an exact tail when they are eventually constant, 2-periodic, or affine;
+    otherwise the measure is truncated at the cap.
     """
     if k < 0 or int(k) != k:
         raise DomainError("k must be a nonnegative integer")
     if not lam > 0:
         raise DomainError("lam must be positive")
-    window = 64
+    cap, window = _CESARO_CAP, 64
     if callable(a):
         vals = np.asarray(a(np.arange(cap + window)), dtype=float)
     else:

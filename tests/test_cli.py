@@ -4,6 +4,7 @@ import math
 import pytest
 
 from cmfun import cli
+from cmfun.suites import SUITES
 
 
 def run(capsys, *argv):
@@ -94,9 +95,11 @@ class TestCheck:
         assert code == 2
 
     def test_reports_byte_identical(self, capsys):
-        _, out1, _ = run(capsys, "check", "hamburger")
-        _, out2, _ = run(capsys, "check", "hamburger")
-        assert out1 == out2
+        # every suite, serial and on a thread pool
+        for suite in SUITES:
+            _, out1, _ = run(capsys, "check", suite)
+            _, out2, _ = run(capsys, "check", suite, "--jobs", "4")
+            assert out1 == out2, suite
 
     def test_jobs_flag(self, capsys):
         code, out, _ = run(capsys, "check", "hamburger", "--jobs", "4")

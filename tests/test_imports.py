@@ -60,6 +60,60 @@ def test_imports_at_module_level(path):
     assert function_imports(path.read_text()) == []
 
 
+def private_definitions(source):
+    """(line, name) of each private name bound at module level."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def references(source):
+    """Every name the source reads, as a name, an attribute or an import."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def unreferenced_privates(sources):
+    """(module, line, name) of the module-level private names that none of
+    ``sources`` (module name -> source) reads."""
+    used = set().union(*map(references, sources.values()))
+    return sorted((module, line, name) for module, source in sources.items()
+                  for line, name in private_definitions(source)
+                  if name not in used)
+
+
+def test_detects_an_unreferenced_private_name():
+    sources = {"a.py": ("_USED = 1\n_DEAD, _X = 2, 3\n"
+                        "def _helper():\n    return _USED\n"
+                        "class _Gone:\n    pass\n"),
+               "b.py": "from .a import _helper\n_X\n"}
+    assert unreferenced_privates(sources) == [("a.py", 2, "_DEAD"),
+                                              ("a.py", 5, "_Gone")]
+
+
+def test_private_names_are_referenced():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unreferenced_privates(sources) == []
+
+
 def test_cli_runtime_is_numpy_only():
     # a fresh interpreter, since the test session itself imports both
     code = ("import sys, cmfun.cli; "

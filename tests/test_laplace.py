@@ -68,8 +68,7 @@ class TestLaplacePeriodic:
                               np.array([1.0, 0.2, 1.0]))
         for x in (0.8, 2.0):
             closed = lp.laplace_periodic(lambda t: phi(t), x, period=phi.period)
-            brute = lp.laplace_quad(lambda t: phi(t), x,
-                                    t_max=40 * phi.period, abs_tol=1e-13)
+            brute = lp.laplace_quad(lambda t: phi(t), x, abs_tol=1e-13)
             assert abs(closed - brute) <= 1e-10
 
 

@@ -10,7 +10,7 @@ from cmfun import monotonicity as mono
 from cmfun import specfun as sf
 from cmfun import stieltjes as st
 from cmfun._quadrature import quad
-from cmfun.errors import CapTooSmallError, DomainError
+from cmfun.errors import DomainError
 
 LOG2 = math.log(2.0)
 
@@ -200,6 +200,20 @@ class TestMeasureAlternating:
         direct += 0.5 * (x + 200000.0) ** (-lam)
         assert abs(st.stieltjes_eval(m, x) - direct) < 1e-7
 
+    def test_locations_in_one_call(self):
+        calls = []
+
+        def loc(n):
+            calls.append(n)
+            return n + 0.37
+
+        m = st.measure_alternating(loc, 0.5)
+        assert len(calls) == 1
+        # the same bits as one Python call per integer index
+        assert np.array_equal(m.density.breakpoints[1:],
+                              [n + 0.37 for n in range(4096)])
+        assert m.tail.offset == 0.37 and m.tail.start == 2048
+
     def test_not_nondecreasing_raises(self):
         with pytest.raises(DomainError):
             st.measure_alternating([0.0, 2.0, 1.0], 1.0)
@@ -324,9 +338,13 @@ class TestGammaRatioMeasure:
         ts = np.linspace(1e-6, 10.0, 1000)
         assert np.min(m.density(ts)) >= 0.0
 
-    def test_cap_too_small(self):
-        with pytest.raises(CapTooSmallError):
-            st.measure_gamma_ratio(0.5, 1.3, cap=10)
+    def test_large_shifts_extend_the_table(self):
+        # the density is tabulated to ceil(a + b) + 20 = 66 before the
+        # periodic tail takes over
+        m = st.measure_gamma_ratio(30.0, 15.5)
+        for x in (0.5, 1.0, 2.0, 5.0, 10.0):
+            ref = sf.gamma_ratio_log(x, 30.0, 15.5)
+            assert abs(st.stieltjes_eval(m, x) - ref) <= 1e-13 * ref
 
 
 class TestGenus1Measure:
@@ -470,7 +488,7 @@ class TestEquivalenceOfRepresentations:
             t_mid = T + 1.0
             tail = quad(lambda t: (c_mid + slope * (t - t_mid))
                         * (x + t) ** (-order - 1.0), T, 1e7,
-                        rel_tol=1e-10, limit=4000)
+                        rel_tol=1e-10)
             assert abs(order * (head + tail) - st.stieltjes_eval(m, x)) <= 1e-6
 
     def test_negative_density_rejected(self):

@@ -10,6 +10,7 @@ from cmfun import barnes as bn
 from cmfun import cesaro as cs
 from cmfun import densities as dn
 from cmfun import laplace as lp
+from cmfun import monotonicity as mono
 from cmfun.errors import DomainError
 
 STEP = lp.PeriodicStep(np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 1.0]))
@@ -28,6 +29,17 @@ CASES = {
     "sigma-discrete-inf": lambda: lp.sigma_discrete(STEP, 1.0, 0.5, math.inf),
     "laplace-periodic-inf": lambda: lp.laplace_periodic(STEP, math.inf),
     "step-f-inf": lambda: lp.step_F(STEP, math.inf),
+    "laplace-periodic-negative-period": lambda: lp.laplace_periodic(
+        lambda t: 1.0, 1.0, period=-2.0),
+    "laplace-periodic-inf-period": lambda: lp.laplace_periodic(
+        lambda t: 1.0, 1.0, period=math.inf),
+    "check-grid-nan": lambda: mono.CheckGrid(np.array([0.5, math.nan])),
+    "check-grid-inf": lambda: mono.CheckGrid(np.array([0.5, math.inf])),
+    "p-kernel-series-nan": lambda: bn.p_kernel_series(math.nan),
+    "p-kernel-series-inf": lambda: bn.p_kernel_series(math.inf),
+    "counterexample-inf-r": lambda: mono.find_lcm_counterexample(math.inf),
+    "counterexample-underflowing-c": lambda: mono.find_lcm_counterexample(
+        4000.0),
 }
 
 
