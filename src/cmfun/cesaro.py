@@ -182,7 +182,7 @@ def require_hypotheses(seq, k, lam, n_probe):
 
 @dataclass(frozen=True)
 class SequencePreset:
-    """Coefficients a_n with the closed form of sum a_n u^n at u = e^(-t).
+    """Coefficients a_n with ``gen(t)``, the closed form of sum a_n e^(-nt).
 
     ``ratio`` maps n >= 1 to a_n / a_(n-1) when a_0 = 1 and the coefficients
     are that running product; the hypotheses probe then carries the product
@@ -214,14 +214,15 @@ def preset_sequence(key, a=0.5):
     """Presets: 'alternating', 'binomial-a' (parameter a), 'prym', 'ones'."""
     if key == "ones":
         return SequencePreset("ones", _ones_coef,
-                              lambda u: 1.0 / (1.0 - u), default_lam=2.0)
+                              lambda t: -1.0 / np.expm1(-t), default_lam=2.0)
     if key == "binomial-a" and not 0 < a <= 1:
         raise DomainError("binomial parameter must be in (0, 1]")
     product_forms = {  # generating function and ratio a_n / a_(n-1)
-        "alternating": (lambda u: 1.0 / (1.0 + u), lambda n: -np.ones_like(n)),
-        "binomial-a": (lambda u: (1.0 + u) ** (-a),
+        "alternating": (lambda t: 1.0 / (1.0 + np.exp(-t)),
+                        lambda n: -np.ones_like(n)),
+        "binomial-a": (lambda t: (1.0 + np.exp(-t)) ** (-a),
                        lambda n: -((a + (n - 1.0)) / n)),
-        "prym": (lambda u: np.exp(-u), lambda n: -1.0 / n),
+        "prym": (lambda t: np.exp(-np.exp(-t)), lambda n: -1.0 / n),
     }
     if key not in product_forms:
         raise DomainError(f"unknown sequence preset {key!r}")
@@ -258,7 +259,7 @@ def kappa_eval(seq, k, t):
         raise DomainError(f"kappa is evaluated for finite t > 0, got {t}")
     preset = _as_preset(seq)
     if preset is not None:
-        core = preset.gen(np.exp(-t))
+        core = preset.gen(t)
     else:
         n_terms = int(min(50.0 / max(np.min(t), 1e-6), 2_000_000))
         if n_terms >= 2_000_000:

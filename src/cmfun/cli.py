@@ -2,7 +2,7 @@
 tabulate/invert transforms and sample densities.
 
 Exit codes: 0 success / all checks pass, 1 verification failure (also an
-inversion whose cross-check fails), 2 usage or domain error.
+inversion whose cross-check fails), 2 usage or domain error, 3 no convergence.
 """
 
 import argparse
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import barnes, densities, laplace, specfun, suites
-from .errors import DomainError, InversionDisagreementError
+from .errors import ConvergenceError, DomainError, InversionDisagreementError
 
 
 @dataclass
@@ -246,12 +246,12 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args, RunConfig.load(args.config))
-    except InversionDisagreementError as exc:
+    except (ConvergenceError, ValueError, KeyError, OSError) as exc:
+        # DomainError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError) as exc:  # DomainError included
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, InversionDisagreementError):
+            return 1
+        return 3 if isinstance(exc, ConvergenceError) else 2
 
 
 if __name__ == "__main__":

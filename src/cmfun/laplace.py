@@ -99,9 +99,11 @@ def laplace_quad(f, x, abs_tol=1e-13, rel_tol=1e-12):
 
 def laplace_periodic(phi, x, period=None):
     """L(phi)(x) for T-periodic phi via one period and the geometric factor;
-    a callable phi needs its period, positive and finite."""
+    a callable phi needs a positive finite period, a step none or its own."""
     _positive(x)
     if isinstance(phi, PeriodicStep):
+        if period is not None and period != phi.period:
+            raise DomainError(f"the step's period is {phi.period}, not {period}")
         T = phi.period
         one = phi.one_period_transform(x)
     else:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._quadrature import EXP_SINH_NODES, EXP_SINH_WEIGHTS, quad, vectorized
+from ._quadrature import EXP_SINH_NODES, EXP_SINH_WEIGHTS, vectorized
 from ._series import (MIDPOINT_STENCIL, midpoint_correction, midpoint_tail,
                       running_product)
 from .errors import ConvergenceError, DomainError
@@ -46,7 +46,9 @@ def _exp_neg_product(a, t):
 
     a_hi, a_lo = split(a)
     t_hi, t_lo = split(t)
-    return np.exp(-(a_hi * t_hi)) * np.exp(-(a_hi * t_lo + a_lo * t))
+    # the cap binds only where a t > 1e10 and the first factor is 0
+    cross = np.minimum(-(a_hi * t_lo + a_lo * t), 700.0)
+    return np.exp(-(a_hi * t_hi)) * np.exp(cross)
 
 
 def _exp_moments(t, length, max_j):
@@ -250,6 +252,10 @@ class GapTail:
     start: int
     brute = 512  # gaps summed directly before the midpoint completion
 
+    @property
+    def mean(self):
+        return 0.5 * self.weight
+
     def _interval_sum(self, x, order, n):
         a_left = self.offset + 2.0 * self.step * n
         return -(self.weight / (order - 1.0)) * \
@@ -269,7 +275,6 @@ class GapTail:
                              self.start, self.brute, integral)
 
     def laplace(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
         h = self.step
         a0 = self.offset + 2.0 * h * self.start
         # expm1(-h t) / expm1(-2 h t) = 1 / (1 + e^(-h t)), finite as t -> 0
@@ -309,7 +314,6 @@ class PeriodicTail:
             integral)
 
     def laplace(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
         cell = self.profile.laplace(t)
         return -cell * _exp_neg_product(self.start, t) / \
             np.expm1(-self.period * t)
@@ -354,7 +358,6 @@ class _CoefTail:
         m^(-s)-like coefficients follow it to 1e-140).  A sum beyond the
         float range reads inf.
         """
-        t = np.atleast_1d(np.asarray(t, dtype=float))
         a = self.start - 0.5
         tc = t[:, None]
         near = np.minimum(EXP_SINH_NODES, tc * _M_FAR)
@@ -472,36 +475,30 @@ class CmKernel:
 
 
 def stieltjes_via_kernel(m, x):
-    """Recompute f(x) through (1/Gamma(order)) int e^(-xt) t^(order-1) kappa.
+    """f(x) = c + (1/Gamma(order)) int e^(-xt) t^(order-1) kappa(t) dt by
+    one pass of the exp-sinh rule in u = x t.
 
-    The head [0, t0] is integrated in t = v^p with p = max(2, 1/(order-1)).
-    The catalog kernels are O(1/t) at 0, so the head integrand
-    t^(order-1) kappa(t) p v^(p-1) stays bounded in v.  A node whose t
-    underflows below the smallest normal float contributes 0.
+    The far field C/t of kappa (C = lim t kappa(t), the tail's mean density)
+    is taken out as C e^(-t)/t, which leaves nothing at large t to cancel,
+    and added back as C Gamma(order-1) (1+x)^(1-order).  Nodes with
+    t < 1e-150 contribute 0; a non-finite kept value raises ConvergenceError.
     """
     _positive(x)
-    kappa = CmKernel(m)
     order = m.order
-    p = max(2.0, 1.0 / (order - 1.0)) if order > 1.0 else 2.0
-    t_max = (40.0 + math.log1p(1.0 / x)) / x
-    t0 = min(1.0, 0.5 * t_max)
-
-    def integrand(t):
-        return np.exp(-x * t) * t ** (order - 1.0) * kappa(t)
-
-    def head_integrand(v):
-        t = v ** p
-        out = np.zeros_like(v)
-        ok = t >= np.finfo(float).tiny
-        out[ok] = integrand(t[ok]) * p * v[ok] ** (p - 1.0)
-        return out
-
-    # sqrt first: at p = 2 the bound is exactly sqrt(t0)
-    head = quad(head_integrand, 0.0, math.sqrt(t0) ** (2.0 / p), abs_tol=1e-14,
-                rel_tol=1e-11)
-    tail = quad(integrand, t0, t_max, abs_tol=1e-14, rel_tol=1e-11,
-                points=[min(4.0, 0.5 * (t0 + t_max))])
-    return m.constant + (head + tail) / math.gamma(order)
+    far = getattr(m.tail, "mean", 0.0)  # coefficient tails take none out
+    if far and order <= 1.0:
+        raise ConvergenceError("a tail with a mean density needs order > 1")
+    keep = EXP_SINH_NODES / x >= 1e-150
+    t = EXP_SINH_NODES[keep] / x
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = EXP_SINH_WEIGHTS[keep] * t ** (order - 1.0) * \
+            (CmKernel(m)(t) - far * np.exp(-t) / t)
+    if not np.all(np.isfinite(values)):
+        raise ConvergenceError(f"kernel route integrand not finite at x={x}")
+    total = float(np.sum(values)) / x / math.gamma(order)
+    if far:
+        total += far * (1.0 + x) ** (1.0 - order) / (order - 1.0)
+    return m.constant + total
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,23 @@ class TestKappa:
             assert cs.kappa_eval("alternating", 0, t) == pytest.approx(
                 1.0 / (t * (1.0 + math.exp(-t))), abs=1e-14)
 
+    def test_ones_closed_form_to_tiny_t(self):
+        # 1/(1 - e^(-t)) lost eps/t relative and was inf below t = 1e-16
+        ts = np.geomspace(1e-15, 30.0, 200)
+        ref = np.array([float(1 / -mpmath.expm1(-mpmath.mpf(t)))
+                        for t in ts])
+        np.testing.assert_allclose(cs.kappa_eval("ones", 0, ts) * ts, ref,
+                                   rtol=4e-16, atol=0)
+
+    def test_other_presets_keep_their_bits(self):
+        ts = np.geomspace(1e-15, 30.0, 200)
+        u = np.exp(-ts)
+        old = {"alternating": 1.0 / (1.0 + u),
+               "binomial-a": (1.0 + u) ** -0.5, "prym": np.exp(-u)}
+        for key, core in old.items():
+            np.testing.assert_array_equal(cs.kappa_eval(key, 0, ts),
+                                          core / ts)
+
     def test_generic_series_matches_preset(self):
         coef = cs.preset_sequence("binomial-a", 0.5).coef
         for t in (0.3, 1.0):

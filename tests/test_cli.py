@@ -60,6 +60,12 @@ class TestEval:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    def test_no_convergence_exits_3(self, capsys):
+        code, out, err = run(capsys, "eval", "r22", "1e-300")
+        assert code == 3 and out == ""
+        assert err.startswith("error: quadrature did not converge")
+        assert err.count("\n") == 1
+
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         code, out, err = run(capsys, "eval", "beta", "1",
                              "--out", str(tmp_path / "missing" / "x.csv"))

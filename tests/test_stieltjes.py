@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from cmfun import cesaro as cs
 from cmfun import monotonicity as mono
 from cmfun import specfun as sf
 from cmfun import stieltjes as st
@@ -293,17 +294,72 @@ class TestKernelKappa:
         assert kappa(1e-160) == pytest.approx(2.5e158, rel=1e-12)
 
     def test_kernel_route_small_lam(self):
-        # the head substitution t = v^(1/lam) keeps the integrand bounded;
-        # v = sqrt(t) left a v^(2 lam - 1) singularity (inf at lam = 0.02)
-        for lam in (0.01, 0.02, 0.05, 0.1, 0.3):
+        # the integrand t^(lam-1) kappa(t) e^(-xt) ~ t^(lam-2) / 2 at t = 0
+        # until the far field is taken out of kappa
+        for lam in (0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.3):
             m = st.measure_alternating(lambda n: n + 1, lam)
             for x in (0.05, 1.0, 50.0):
                 assert st.stieltjes_via_kernel(m, x) == pytest.approx(
                     st.stieltjes_eval(m, x), rel=1e-12)
-        # below lam ~ 0.009 the head below t = 2.2e-308 is lost, but the
-        # value stays finite
-        m = st.measure_alternating(lambda n: n + 1, 0.005)
-        assert math.isfinite(st.stieltjes_via_kernel(m, 1.0))
+
+    def test_kernel_zero_where_e_to_minus_at_underflows(self):
+        # the cross factor of e^(-a t) overflowed there, and 0 * inf was nan
+        kappa = st.CmKernel(st.measure_alternating(lambda n: n + 1.0, 0.3))
+        assert kappa(33838982.67989663) == 0.0
+        assert np.all(kappa(np.geomspace(1e6, 1e12, 2000)) == 0.0)
+
+    def test_exp_neg_product_keeps_its_bits(self):
+        # the uncapped two-factor product, wherever it is positive
+        def split(v):
+            c = 134217729.0 * v
+            hi = c - (c - v)
+            return hi, v - hi
+
+        a, t = (v.ravel() for v in np.meshgrid(np.geomspace(1e-3, 1e3, 41),
+                                                np.geomspace(1e-3, 1e12, 80)))
+        (a_hi, a_lo), (t_hi, t_lo) = split(a), split(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            old = np.exp(-(a_hi * t_hi)) * np.exp(-(a_hi * t_lo + a_lo * t))
+        new = st._exp_neg_product(a, t)
+        kept = old > 0
+        assert np.any(np.isnan(old)) and np.sum(kept) > 1000
+        np.testing.assert_array_equal(new[kept], old[kept])
+        assert np.all(new[~kept] == 0.0)
+
+
+def kernel_route_catalog():
+    for lam in (0.001, 0.05, 1.0):
+        for off in (0.0, 1.5):
+            yield f"alternating-{lam}-{off}", lambda lam=lam, off=off: \
+                st.measure_alternating(lambda n: n + off, lam)
+    yield "sqrt-locations", lambda: st.measure_alternating(np.sqrt, 0.5)
+    for s in (0.01, 0.5, 0.99):
+        yield f"gamma-reciprocal-{s}", \
+            lambda s=s: st.measure_gamma_reciprocal_ratio(s)
+    yield "integer-atoms", st.measure_integer_atoms
+    for a, b in ((0.5, 1.3), (1.0, 1.0), (0.5, 2.0)):
+        yield f"gamma-ratio-{a}-{b}", lambda a=a, b=b: \
+            st.measure_gamma_ratio(a, b)
+    yield "genus1", lambda: st.measure_genus1_log_ratio((1.0, 2.0, 3.0),
+                                                        0.5, 0.5)
+    for key in ("prym", "alternating", "ones"):
+        yield f"cesaro-{key}", lambda key=key: st.measure_cesaro(
+            cs.preset_sequence(key).coef, 0, cs.preset_sequence(key).default_lam)
+
+
+# relative tolerance of the kernel route against stieltjes_eval, by x
+KERNEL_ROUTE_TOL = {1e-6: 1e-9, 1e-5: 1e-11, 1e-3: 1e-12, 0.05: 1e-12,
+                    1.0: 1e-12, 50.0: 1e-12, 1e3: 1e-11}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("build", [b for _, b in kernel_route_catalog()],
+                         ids=[name for name, _ in kernel_route_catalog()])
+def test_kernel_route_grid(build):
+    m = build()
+    for x, tol in KERNEL_ROUTE_TOL.items():
+        assert st.stieltjes_via_kernel(m, x) == pytest.approx(
+            st.stieltjes_eval(m, x), rel=tol), x
 
 
 class TestGammaRatioMeasure:
@@ -442,7 +498,8 @@ class TestEquivalenceOfRepresentations:
             for x in xs:
                 direct = st.stieltjes_eval(m, x)
                 via_kernel = st.stieltjes_via_kernel(m, x)
-                assert abs(direct - via_kernel) <= 1e-7, (m.order, x)
+                assert via_kernel == pytest.approx(direct, rel=1e-12), \
+                    (m.order, x)
 
     def test_densities_nonnegative_sampled(self):
         for m in self.catalog():

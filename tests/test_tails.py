@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 from scipy.special import polygamma
 
-from cmfun import barnes, cesaro
+from cmfun import _quadrature, barnes, cesaro
 from cmfun import stieltjes as st
 
 mpmath.mp.dps = 30
@@ -177,14 +177,16 @@ def test_kernels_at_tiny_t(t):
 
 
 def test_small_t_kernel_runs_no_quad_and_one_coef_batch(monkeypatch):
+    # stieltjes imports no quadrature; a tail could reach quad only through
+    # _series.quad_to_inf, which looks it up in _quadrature
     quad_calls = []
-    real_quad = st.quad
+    real_quad = _quadrature.quad
 
     def quad(*args, **kwargs):
         quad_calls.append(args)
         return real_quad(*args, **kwargs)
 
-    monkeypatch.setattr(st, "quad", quad)
+    monkeypatch.setattr(_quadrature, "quad", quad)
     m = st.measure_gamma_reciprocal_ratio(0.3)
     coef_calls = []
 

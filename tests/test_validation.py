@@ -33,6 +33,10 @@ CASES = {
         lambda t: 1.0, 1.0, period=-2.0),
     "laplace-periodic-inf-period": lambda: lp.laplace_periodic(
         lambda t: 1.0, 1.0, period=math.inf),
+    "laplace-periodic-step-negative-period": lambda: lp.laplace_periodic(
+        STEP, 1.0, period=-2.0),
+    "laplace-periodic-step-other-period": lambda: lp.laplace_periodic(
+        STEP, 1.0, period=7.0),
     "check-grid-nan": lambda: mono.CheckGrid(np.array([0.5, math.nan])),
     "check-grid-inf": lambda: mono.CheckGrid(np.array([0.5, math.inf])),
     "p-kernel-series-nan": lambda: bn.p_kernel_series(math.nan),
