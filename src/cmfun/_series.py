@@ -70,11 +70,15 @@ def midpoint_tail(g, start, brute, integral=None):
 
     with g' and g''' from ``midpoint_correction``.  ``integral`` is
     int_a^inf g when the caller has it in closed form; otherwise it is
-    integrated numerically.  ``g`` maps an ndarray of m to an ndarray.
+    integrated numerically, to 1e-12 relative or 1e-14 of the head's
+    magnitude (a fixed absolute floor would swallow a tail whose terms are
+    all below it, as they are at large x).  ``g`` maps an ndarray of m to
+    an ndarray.
     """
     a = start + brute - 0.5
     head = float(np.sum(g(np.arange(start, start + brute, dtype=float))))
     if integral is None:
-        integral = quad_to_inf(g, a, abs_tol=1e-16, rel_tol=1e-12)
+        integral = quad_to_inf(g, a, abs_tol=1e-14 * abs(head),
+                               rel_tol=1e-12)
     return float(head + integral
                  + midpoint_correction(g(a + MIDPOINT_STENCIL)))

@@ -1,7 +1,7 @@
 """Iterated partial sums, the polynomial identity relating them to the
-generating function, numerical checks of the representation hypotheses, and
-three-way evaluation of sums a_n / (x+n)^lam (direct series, Stieltjes
-measure, Laplace kernel)."""
+generating function, checks of the representation hypotheses (exact for the
+presets, probed otherwise), and three-way evaluation of sums
+a_n / (x+n)^lam (direct series, Stieltjes measure, Laplace kernel)."""
 
 import math
 from dataclasses import dataclass
@@ -50,9 +50,10 @@ def lemma_s_check(a, k, N, x):
 
 @dataclass(frozen=True)
 class HypothesesReport:
-    """Verdicts for the three representation hypotheses; each one is
-    'pass', 'fail' or 'inconclusive' (they are limit statements, probed on
-    a finite prefix)."""
+    """Verdicts for the three representation hypotheses, each 'pass',
+    'fail' or 'inconclusive'.  ``n_probe`` is the length of the probed
+    prefix; 0 means the verdicts are exact (the built-in presets) and
+    never 'inconclusive', which only the finite-prefix probe returns."""
 
     nonneg: str
     decay: str
@@ -78,24 +79,6 @@ class HypothesesReport:
 _CHUNK = 1 << 20
 
 
-def _coef_chunks(seq, stop):
-    """a_0 .. a_(stop-1) in consecutive chunks of at most _CHUNK terms; a
-    product-form preset carries its running product across chunks."""
-    preset = _as_preset(seq)
-    coef = _as_coef(seq)
-    prev = None
-    for lo in range(0, stop, _CHUNK):
-        hi = min(lo + _CHUNK, stop)
-        if lo and preset is not None and preset.ratio is not None:
-            a = preset.ratio(np.arange(lo, hi, dtype=float))
-            a[0] *= prev
-            np.cumprod(a, out=a)
-        else:
-            a = np.asarray(coef(np.arange(lo, hi)), dtype=float)
-        prev = a[-1]
-        yield a
-
-
 def _prefix_stats(seq, k, lam, n_probe):
     """Streamed statistics of s = s^(k) on n <= n_probe: (min s, max |s|,
     the windowed maxima of |s|/n^lam ending at n_probe // 10 and n_probe,
@@ -105,14 +88,15 @@ def _prefix_stats(seq, k, lam, n_probe):
     prefix sums are bit-identical to whole-array cumsums; the two sums are
     sums of per-chunk sums.
     """
+    coef = _as_coef(seq)
     carry = np.zeros(int(k) + 1)
     windows = [(n_probe // 10, max(1, int(0.9 * (n_probe // 10)))),
                (n_probe, max(1, int(0.9 * n_probe)))]
     peak = [0.0, 0.0]
     s_min, s_max, total, recent = math.inf, 0.0, 0.0, 0.0
-    lo = 0
-    for s in _coef_chunks(seq, n_probe + 1):
-        hi = lo + len(s)
+    for lo in range(0, n_probe + 1, _CHUNK):
+        hi = min(lo + _CHUNK, n_probe + 1)
+        s = np.asarray(coef(np.arange(lo, hi)), dtype=float)
         for level in range(len(carry)):
             s[0] += carry[level]
             np.cumsum(s, out=s)
@@ -129,23 +113,43 @@ def _prefix_stats(seq, k, lam, n_probe):
         terms = s[first - lo:] / n ** (1.0 + lam)
         total += float(np.sum(terms))
         recent += float(np.sum(terms[max(n_probe // 10 + 1 - first, 0):]))
-        lo = hi
     return (s_min, s_max, peak[0] / windows[0][0] ** lam,
             peak[1] / windows[1][0] ** lam, total, recent)
 
 
 def hypotheses_check(seq, k, lam, n_probe=20_000_000):
-    """Probe (i) s^(k) >= 0, (ii) s^(k)_n / n^lam -> 0, (iii)
-    sum s^(k)_n / n^(1+lam) < inf on the prefix n <= n_probe.
+    """Verdicts on (i) s^(k) >= 0, (ii) s^(k)_n / n^lam -> 0, (iii)
+    sum s^(k)_n / n^(1+lam) < inf, for an integer k >= 0 and a finite
+    lam > 0.
 
-    (ii) requires the windowed maximum of s/n^lam to drop by a factor 2 over
-    the last decade; (iii) requires the partial sums to grow by less than
-    1e-6 relative over the last decade (for the bounded-sum catalog this
-    needs a prefix of order 10^7).  The prefix streams in chunks of 2^20
-    terms, so memory does not grow with ``n_probe``.
+    The built-in presets are decided exactly, in O(1).  The product forms
+    (alternating, binomial-a with 0 < a <= 1, prym) have a_0 = 1 and
+    a_n / a_(n-1) in [-1, 0) for n >= 1, so by Leibniz 0 <= s^(0)_n <= 1;
+    by Abel and Cesaro summation the means of s^(0) tend to G(1) = gen(0)
+    (1/2, 2^(-a), 1/e), which is positive.  Every s^(k) is then >= 0 and
+    grows like n^k, so (ii) and (iii) hold exactly when lam > k.  For
+    ones, s^(k)_n = C(n+k+1, k+1) ~ n^(k+1), so they hold exactly when
+    lam > k+1.  The preset's ``growth`` is that excess exponent (0 or 1);
+    the report has n_probe = 0.
+
+    Any other sequence is probed on the prefix n <= n_probe.  (ii)
+    requires the windowed maximum of s/n^lam to drop by a factor 2 over the
+    last decade; (iii) requires the partial sums to grow by less than 1e-6
+    relative over the last decade (for the bounded-sum catalog this needs a
+    prefix of order 10^7).  The prefix streams in chunks of 2^20 terms, so
+    memory does not grow with ``n_probe``.
     """
+    if not float(k).is_integer() or k < 0:
+        raise DomainError(f"k must be an integer >= 0, got {k}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise DomainError(f"lam must be finite and > 0, got {lam}")
     if n_probe < 1000:
         raise DomainError("n_probe must be >= 1000")
+    preset = _as_preset(seq)
+    if preset is not None and preset.growth is not None:
+        exact = "pass" if lam > k + preset.growth else "fail"
+        return HypothesesReport(nonneg="pass", decay=exact, summable=exact,
+                                n_probe=0)
     s_min, s_max, r_old, r_new, total, recent = _prefix_stats(
         seq, k, lam, n_probe)
     scale = max(1.0, s_max)
@@ -184,16 +188,17 @@ def require_hypotheses(seq, k, lam, n_probe):
 class SequencePreset:
     """Coefficients a_n with ``gen(t)``, the closed form of sum a_n e^(-nt).
 
-    ``ratio`` maps n >= 1 to a_n / a_(n-1) when a_0 = 1 and the coefficients
-    are that running product; the hypotheses probe then carries the product
-    from chunk to chunk.
+    ``growth`` is e when s^(k)_n >= 0 grows like n^(k+e) for every k, as
+    shown for the built-in presets in ``hypotheses_check``, which then
+    decides the hypotheses exactly; None (a user-built preset) leaves them
+    to the streamed probe.
     """
 
     name: str
     coef: Callable
     gen: Callable
     default_lam: float = 1.0
-    ratio: Callable = None
+    growth: int = None
 
 
 def _product_coef(ratio):
@@ -214,7 +219,8 @@ def preset_sequence(key, a=0.5):
     """Presets: 'alternating', 'binomial-a' (parameter a), 'prym', 'ones'."""
     if key == "ones":
         return SequencePreset("ones", _ones_coef,
-                              lambda t: -1.0 / np.expm1(-t), default_lam=2.0)
+                              lambda t: -1.0 / np.expm1(-t), default_lam=2.0,
+                              growth=1)
     if key == "binomial-a" and not 0 < a <= 1:
         raise DomainError("binomial parameter must be in (0, 1]")
     product_forms = {  # generating function and ratio a_n / a_(n-1)
@@ -227,7 +233,7 @@ def preset_sequence(key, a=0.5):
     if key not in product_forms:
         raise DomainError(f"unknown sequence preset {key!r}")
     gen, ratio = product_forms[key]
-    return SequencePreset(key, _product_coef(ratio), gen, ratio=ratio)
+    return SequencePreset(key, _product_coef(ratio), gen, growth=0)
 
 
 PRESET_KEYS = ("alternating", "binomial-a", "prym", "ones")
@@ -279,8 +285,9 @@ class ThreeWayResult:
 
     @property
     def spread(self):
+        """(max - min) / max |value| of the three evaluations."""
         vals = (self.direct, self.stieltjes, self.laplace)
-        return max(vals) - min(vals)
+        return (max(vals) - min(vals)) / max(map(abs, vals))
 
 
 def direct_series(seq, lam, x):
@@ -323,6 +330,6 @@ def series_eval_three_ways(seq, k, lam, x, n_probe=2_000_000,
     def integrand(t):
         return np.exp(-x * t) * t ** (lam + k) * kappa_eval(kappa_src, k, t)
 
-    laplace = quad(integrand, 0.0, t_hi, abs_tol=1e-15,
-                   rel_tol=1e-12) / math.gamma(lam)
+    laplace = float(quad(integrand, 0.0, t_hi, abs_tol=1e-15,
+                         rel_tol=1e-12)) / math.gamma(lam)
     return ThreeWayResult(direct=direct, stieltjes=stieltjes, laplace=laplace)

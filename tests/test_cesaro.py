@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from cmfun import cesaro as cs
 from cmfun import specfun as sf
@@ -119,28 +121,100 @@ PRESETS = [("alternating", "alternating", 1.0),
 
 
 class TestHypothesesStreaming:
+    # the presets' coefficients as plain callables, which take the probe
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize("name,seq,lam", PRESETS,
                              ids=[p[0] for p in PRESETS])
     def test_matches_unchunked(self, monkeypatch, name, seq, lam, k):
         monkeypatch.setattr(cs, "_CHUNK", 1000)
+        coef = cs._as_coef(seq)
         n_probe = 12_345
-        verdicts, stats = unchunked_hypotheses(seq, k, lam, n_probe)
-        rep = cs.hypotheses_check(seq, k, lam, n_probe=n_probe)
+        verdicts, stats = unchunked_hypotheses(coef, k, lam, n_probe)
+        rep = cs.hypotheses_check(coef, k, lam, n_probe=n_probe)
         assert (rep.nonneg, rep.decay, rep.summable) == verdicts
-        got = cs._prefix_stats(seq, k, lam, n_probe)
+        assert rep.n_probe == n_probe
+        got = cs._prefix_stats(coef, k, lam, n_probe)
         assert got[:4] == stats[:4]
         assert got[4:] == pytest.approx(stats[4:], rel=1e-12, abs=1e-300)
 
     def test_default_chunk_binomial(self):
-        seq = cs.preset_sequence("binomial-a", 0.5)
+        coef = cs.preset_sequence("binomial-a", 0.5).coef
         n_probe = (1 << 20) + 4321
-        verdicts, stats = unchunked_hypotheses(seq, 1, 1.5, n_probe)
-        got = cs._prefix_stats(seq, 1, 1.5, n_probe)
+        verdicts, stats = unchunked_hypotheses(coef, 1, 1.5, n_probe)
+        got = cs._prefix_stats(coef, 1, 1.5, n_probe)
         assert got[:4] == stats[:4]
         assert got[4:] == pytest.approx(stats[4:], rel=1e-12)
-        rep = cs.hypotheses_check(seq, 1, 1.5, n_probe=n_probe)
+        rep = cs.hypotheses_check(coef, 1, 1.5, n_probe=n_probe)
         assert (rep.nonneg, rep.decay, rep.summable) == verdicts
+
+
+def exact_cases():
+    """(preset, growth e, k, lam) over k = 0..2 and lam in k+e + (-1/2, 0,
+    1/2, 1), lam > 0."""
+    presets = [("alternating", cs.preset_sequence("alternating"), 0),
+               ("prym", cs.preset_sequence("prym"), 0),
+               ("ones", cs.preset_sequence("ones"), 1)]
+    presets += [(f"binomial-{a}", cs.preset_sequence("binomial-a", a), 0)
+                for a in (0.25, 0.5, 1.0)]
+    for name, preset, e in presets:
+        for k in range(3):
+            for lam in (k + e - 0.5, k + e, k + e + 0.5, k + e + 1.0):
+                if lam > 0:
+                    yield name, preset, e, k, lam
+
+
+class TestExactHypotheses:
+    def test_agrees_with_probe(self):
+        # the probe on the same coefficients as a plain callable never
+        # contradicts the exact verdict; it may only be inconclusive
+        cases = list(exact_cases())
+        assert len(cases) == 62
+        conclusive = 0
+        for name, preset, e, k, lam in cases:
+            exact = cs.hypotheses_check(preset, k, lam)
+            assert exact.n_probe == 0
+            expected = "pass" if lam > k + e else "fail"
+            assert (exact.nonneg, exact.decay, exact.summable) == (
+                "pass", expected, expected), (name, k, lam)
+            probe = cs.hypotheses_check(preset.coef, k, lam, n_probe=100_000)
+            for got, want in zip(
+                    (probe.nonneg, probe.decay, probe.summable),
+                    (exact.nonneg, exact.decay, exact.summable)):
+                assert got in (want, "inconclusive"), (name, k, lam)
+                conclusive += got == want
+        assert conclusive >= 150
+
+    @pytest.mark.parametrize("seq", ["alternating", "binomial-a", "prym",
+                                     "ones"] + [cs.preset_sequence(
+                                         "binomial-a", a) for a in
+                                         (0.001, 0.5, 1.0)])
+    def test_presets_never_probe(self, monkeypatch, seq):
+        def forbidden(*args):
+            raise AssertionError("a preset reached the streamed probe")
+
+        monkeypatch.setattr(cs, "_prefix_stats", forbidden)
+        for k in range(4):
+            for lam in (0.5, 1.0, 2.5, 7.0):
+                rep = cs.hypotheses_check(seq, k, lam)
+                assert rep.overall in ("pass", "fail") and rep.n_probe == 0
+        cs.series_eval_three_ways(seq, 0, 2.0, 1.0)
+
+    def test_user_preset_is_probed(self):
+        alt = cs.preset_sequence("alternating")
+        user = cs.SequencePreset("mine", alt.coef, alt.gen)
+        assert cs.hypotheses_check(user, 0, 1.0, n_probe=10_000).n_probe \
+            == 10_000
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=hs.floats(min_value=1e-300, max_value=1.0))
+    def test_binomial_leibniz_bounds(self, a):
+        # below about 1e-305 the coefficients go subnormal by n = 2000
+        coef = cs.preset_sequence("binomial-a", a).coef(np.arange(2001))
+        assert coef[0] == 1.0
+        ratio = coef[1:] / coef[:-1]
+        assert np.all((ratio >= -1.0) & (ratio < 0.0))
+        s0 = np.cumsum(coef)
+        assert np.all((s0 >= 0.0) & (s0 <= 1.0))
 
 
 def test_cesaro_suite_probes_once_per_item(monkeypatch):

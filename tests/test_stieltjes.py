@@ -454,6 +454,19 @@ class TestGammaReciprocalMeasure:
         with pytest.raises(DomainError):
             st.measure_gamma_reciprocal_ratio(1.2)
 
+    @pytest.mark.parametrize("build", [
+        lambda: st.measure_gamma_reciprocal_ratio(0.1),
+        lambda: st.measure_gamma_reciprocal_ratio(0.5),
+        lambda: st.measure_gamma_reciprocal_ratio(0.9),
+        st.measure_integer_atoms], ids=["s-0.1", "s-0.5", "s-0.9", "atoms"])
+    def test_coefficient_tail_at_large_x(self, build):
+        # the tail's terms fall below any fixed absolute floor of its
+        # integral; the kernel route (no tail sum) is the oracle
+        m = build()
+        for x in (1e4, 1e6, 1e8, 1e10, 1e12):
+            assert st.stieltjes_eval(m, x) == pytest.approx(
+                st.stieltjes_via_kernel(m, x), rel=1e-14, abs=0.0), x
+
 
 class TestCesaroMeasure:
     def test_alternating_recovers_beta_measure(self):

@@ -22,6 +22,14 @@ CASES = {
     "kappa-nan-t": lambda: cs.kappa_eval("ones", 0, math.nan),
     "kappa-nan-in-array": lambda: cs.kappa_eval("prym", 0,
                                                 np.array([1.0, math.nan])),
+    "hypotheses-negative-k": lambda: cs.hypotheses_check("ones", -1, 2.0),
+    "hypotheses-fractional-k": lambda: cs.hypotheses_check("ones", 1.5, 4.0),
+    "hypotheses-nan-k": lambda: cs.hypotheses_check("prym", math.nan, 1.0),
+    "hypotheses-nan-lam": lambda: cs.hypotheses_check("prym", 0, math.nan),
+    "hypotheses-inf-lam": lambda: cs.hypotheses_check("prym", 0, math.inf),
+    "hypotheses-zero-lam": lambda: cs.hypotheses_check("prym", 0, 0.0),
+    "hypotheses-callable-fractional-k": lambda: cs.hypotheses_check(
+        lambda n: np.ones(len(n)), 0.5, 3.0, n_probe=1000),
     "q-kernel-nan": lambda: bn.q_kernel(math.nan),
     "q-kernel-inf": lambda: bn.q_kernel(math.inf),
     "density-eval-nan": lambda: dn.density_eval(NU, math.nan),
