@@ -4,8 +4,9 @@ constructions, the beta-power convolution semigroup, Barnes remainder
 kernels, iterated-sum representations, infinitely divisible densities, and
 grid-based complete-monotonicity / Pick-function checkers."""
 
-from .errors import (CapTooSmallError, ConvergenceError, DomainError,
-                     HypothesisViolationError, InversionDisagreementError)
+from .errors import (CapTooSmallError, CmfunError, ConvergenceError,
+                     DomainError, HypothesisViolationError,
+                     InversionDisagreementError)
 from .specfun import (beta_a_lambda, digamma, gamma_ratio_log, log_gamma,
                       nielsen_beta, nielsen_beta_complex, prym_P,
                       sin_cos_integrals, trigamma)

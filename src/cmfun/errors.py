@@ -1,11 +1,15 @@
 """Exception types shared across the package."""
 
 
-class DomainError(ValueError):
+class CmfunError(Exception):
+    """Base of every cmfun error; each keeps its own builtin base too."""
+
+
+class DomainError(CmfunError, ValueError):
     """Argument outside the domain of a function (x <= 0, Re z <= 0, ...)."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(CmfunError, RuntimeError):
     """A quadrature or series evaluation did not reach the requested accuracy."""
 
 
@@ -17,5 +21,5 @@ class InversionDisagreementError(ConvergenceError):
     """The two Laplace-inversion methods disagree beyond tolerance."""
 
 
-class HypothesisViolationError(ValueError):
+class HypothesisViolationError(CmfunError, ValueError):
     """Numerically checked hypotheses of a construction do not hold."""

@@ -23,6 +23,10 @@ from .errors import ConvergenceError, DomainError
 from .specfun import _LGAMMA_C, _even_series, _positive
 
 _MAX_DEGREE = 8
+_BLOCK = 256  # cells or atoms per block of _exp_weighted_sum
+_CHEB_ANGLES = (np.arange(16) + 0.5) * np.pi / 16
+_CHEB_U = 0.5 + 0.5 * np.cos(_CHEB_ANGLES)  # first-kind points on (0, 1)
+_CHEB_W = (-1.0) ** np.arange(16) * np.sin(_CHEB_ANGLES)  # their weights
 
 
 def _pow_diff(a, h, p):
@@ -51,6 +55,32 @@ def _exp_neg_product(a, t):
     return np.exp(-(a_hi * t_hi)) * np.exp(cross)
 
 
+def _exp_weighted_sum(lefts, t, inner):
+    """sum_i e^(-lefts_i t) inner(block, t)_i for ascending lefts >= 0, the
+    lefts taken _BLOCK at a time.  A block enters only for the t with
+    t min(block) <= 746; beyond that e^(-a t) underflows to exactly 0."""
+    out = np.zeros_like(t)
+    for lo in range(0, len(lefts), _BLOCK):
+        sel = t * lefts[lo] <= 746.0
+        if not np.any(sel):
+            break  # later blocks start further right
+        block = slice(lo, lo + _BLOCK)
+        out[sel] += np.sum(_exp_neg_product(lefts[block, None], t[sel]) *
+                           inner(block, t[sel]), axis=0)
+    return out
+
+
+def _chebyshev_interpolate(values, u):
+    """Barycentric interpolant (Berrut & Trefethen, SIAM Rev. 46, 2004)
+    through ``values`` at _CHEB_U, at u in [0, 1]; a node takes its value."""
+    diff = u[:, None] - _CHEB_U
+    q = _CHEB_W / np.where(diff == 0.0, 1.0, diff)
+    out = (q @ values) / np.sum(q, axis=1)
+    rows, cols = np.nonzero(diff == 0.0)
+    out[rows] = values[cols]
+    return out
+
+
 def _exp_moments(t, length, max_j):
     """m_j(t) = int_0^L e^(-t s) s^j ds for j = 0..max_j and t > 0; ``t``
     and ``length`` broadcast (rows of lengths against a vector of t)."""
@@ -61,8 +91,10 @@ def _exp_moments(t, length, max_j):
     if max_j == 0:
         return out
     decay = np.exp(-tl)
-    for j in range(1, max_j + 1):
-        out.append((j * out[j - 1] - length ** j * decay) / t)
+    # below t L ~ 1e-150 this overflows; the series below replaces it there
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, max_j + 1):
+            out.append((j * out[j - 1] - length ** j * decay) / t)
     # the upward recurrence cancels for t L below about j, losing a factor
     # ~ j / (t L) a step (1e-8 at j = 8, t L = 1/2).  For t L < max_j + 1,
     # m_j = L^(j+1) e^(-tL) S_j(tL) instead, with S_J = sum_k x^k /
@@ -164,32 +196,40 @@ class PiecewisePolynomial:
         return total if total.ndim else float(total)
 
     def laplace(self, t):
-        """int e^(-t s) p(s) ds over the support, vectorized in t > 0."""
+        """int e^(-t s) p(s) ds over the support, vectorized in t > 0.
+
+        The nonzero cells enter through ``_exp_weighted_sum``.  If more than
+        16 t lie below 1/b, b the last breakpoint, those take the degree-15
+        Chebyshev interpolant in t b of 16 exact values: e^(-t s), t s <= 1,
+        has coefficients below 1e-19 by that degree, so the error is
+        rounding (Lebesgue constant 2.8) relative to the transform of |p|."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         # cells whose polynomial is zero contribute nothing
         live = np.any(self.coeffs != 0.0, axis=1)
         co = self.coeffs[live]
-        lefts = self.breakpoints[:-1][live, None]
         lengths = np.diff(self.breakpoints)[live, None]
-        max_j = self.coeffs.shape[1] - 1
-        moments = _exp_moments(t[None, :], lengths, max_j)
-        inner = np.zeros((len(co), len(t)))
-        for j in range(max_j + 1):
-            cj = co[:, j:j + 1]
-            if np.any(cj):
-                inner += cj * moments[j]
-        return np.sum(_exp_neg_product(lefts, t[None, :]) * inner, axis=0)
+
+        def inner(block, ts):
+            moments = _exp_moments(ts, lengths[block], self.degree)
+            return sum(co[block, j:j + 1] * mj for j, mj in enumerate(moments))
+
+        def exact(ts):
+            return _exp_weighted_sum(self.breakpoints[:-1][live], ts, inner)
+
+        b = self.breakpoints[-1]
+        band = t * b < 1.0
+        if np.count_nonzero(band) <= len(_CHEB_U):
+            return exact(t)
+        out = np.empty_like(t)
+        out[~band] = exact(t[~band])
+        out[band] = _chebyshev_interpolate(exact(_CHEB_U / b), t[band] * b)
+        return out
 
     def mass(self):
         """int p over the support: sum_j c_j L^(j+1) / (j+1) per cell."""
         lengths = np.diff(self.breakpoints)[:, None]
         powers = np.arange(1.0, self.coeffs.shape[1] + 1.0)
         return float(np.sum(self.coeffs * lengths ** powers / powers))
-
-    def shifted_mean_removed(self, mean):
-        co = self.coeffs.copy()
-        co[:, 0] -= mean
-        return PiecewisePolynomial(self.breakpoints, co)
 
 
 def _check_nonneg(pp, name):
@@ -256,11 +296,6 @@ class GapTail:
     def mean(self):
         return 0.5 * self.weight
 
-    def _interval_sum(self, x, order, n):
-        a_left = self.offset + 2.0 * self.step * n
-        return -(self.weight / (order - 1.0)) * \
-            _pow_diff(x + a_left, self.step, 1.0 - order)
-
     def stieltjes(self, x, order):
         if order <= 1.0:
             raise ConvergenceError("gap tail needs order > 1")
@@ -271,8 +306,9 @@ class GapTail:
         else:
             integral = (w / (order - 1.0)) * \
                 float(_pow_diff(A, h, 2.0 - order)) / (2.0 * h * (2.0 - order))
-        return midpoint_tail(lambda n: self._interval_sum(x, order, n),
-                             self.start, self.brute, integral)
+        return midpoint_tail(lambda n: -(w / (order - 1.0)) * _pow_diff(
+            x + self.offset + 2.0 * h * n, h, 1.0 - order), self.start,
+            self.brute, integral)
 
     def laplace(self, t):
         h = self.step
@@ -306,7 +342,9 @@ class PeriodicTail:
             raise ConvergenceError("periodic tail needs order > 1")
         X0 = x + self.start
         p = self.period
-        resid = self.profile.shifted_mean_removed(self.mean)
+        co = self.profile.coeffs.copy()
+        co[:, 0] -= self.mean
+        resid = PiecewisePolynomial(self.profile.breakpoints, co)
         Xa = X0 + p * (self.brute - 0.5)
         integral = resid.integrate_power(Xa, order - 1.0) / (p * (order - 1.0))
         return self.mean * X0 ** (1.0 - order) / (order - 1.0) + midpoint_tail(
@@ -333,11 +371,20 @@ _M_FAR = 2.0 ** 500  # largest m handed to a coefficient by _CoefTail.laplace
 class _CoefTail:
     """Mass coef(m) on a unit at each integer m >= start, with ``coef`` a
     smooth function mapping an ndarray of real m to an ndarray; subclasses
-    fix the unit."""
+    fix the unit.  The sign check is sampled: coef on the points the sums
+    read (brute range, midpoint stencils, _M_FAR/2 and _M_FAR) must be
+    finite and >= 0, else DomainError."""
 
     start: int
     coef: Callable
     brute = 512  # units summed directly before the midpoint completion
+
+    def __post_init__(self):
+        a, b = self.start - 0.5, self.start + self.brute - 0.5
+        v = self.coef(np.concatenate([np.arange(self.start, b), [
+            0.5 * _M_FAR, _M_FAR], a + MIDPOINT_STENCIL, b + MIDPOINT_STENCIL]))
+        if not np.all((0.0 <= v) & (v < math.inf)):
+            raise DomainError("tail coefficients must be finite and >= 0")
 
     def _sum(self, unit):
         """sum_{m >= start} coef(m) unit(m)."""
@@ -356,8 +403,12 @@ class _CoefTail:
         smallest t, coef is continued as the power of m that it has
         between _M_FAR/2 and _M_FAR (the catalog's constant, affine and
         m^(-s)-like coefficients follow it to 1e-140).  A sum beyond the
-        float range reads inf.
+        float range reads inf.  The t where e^(-(start - 3/4) t), the
+        smallest stencil point's factor, is 0 read 0, as all their terms do.
         """
+        out = np.zeros_like(t)
+        rows = np.exp(-t * (self.start - 0.75)) > 0.0
+        t = t[rows]
         a = self.start - 0.5
         tc = t[:, None]
         near = np.minimum(EXP_SINH_NODES, tc * _M_FAR)
@@ -370,7 +421,8 @@ class _CoefTail:
             integral = np.exp(-a * t) / t * (values @ EXP_SINH_WEIGHTS)
             sums = integral + midpoint_correction(
                 self.coef(m) * np.exp(-tc * m))
-        return sums * self._unit_laplace(t)
+        out[rows] = sums * self._unit_laplace(t)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,8 +494,7 @@ def stieltjes_eval(m, x):
     _positive(x)
     total = m.constant
     if m.atoms:
-        locs = np.array([t for t, _ in m.atoms])
-        masses = np.array([w for _, w in m.atoms])
+        locs, masses = np.array(m.atoms).T
         total += float(np.sum(masses * (x + locs) ** (-m.order)))
     if m.density is not None:
         total += m.density.integrate_power(x, m.order)
@@ -465,8 +516,9 @@ class CmKernel:
             raise DomainError("kappa is evaluated for finite t > 0")
         m = self.measure
         total = np.zeros_like(t)
-        for loc, mass in m.atoms:
-            total += mass * np.exp(-loc * t)
+        if m.atoms:
+            locs, masses = np.array(m.atoms).T
+            total += _exp_weighted_sum(locs, t, lambda b, _: masses[b, None])
         if m.density is not None:
             total += m.density.laplace(t)
         if m.tail is not None:
@@ -610,8 +662,7 @@ def measure_gamma_ratio(a, b):
     if a < 0 or b < 0:
         raise DomainError("a and b must be nonnegative")
     if a == 0.0 or b == 0.0:
-        return RepresentingMeasure(order=2.0, density=PiecewisePolynomial(
-            np.array([0.0, 1.0]), np.array([[0.0]])))
+        return RepresentingMeasure(order=2.0, density=convolve_box(a, b))
     T = max(60, math.ceil(a + b) + 20)
     density = _trapezoid_train(np.arange(T), a, b, 0.0, float(T))
     # beyond T the density is 1-periodic: rho(s) = sum_i trap(s + i)
@@ -630,9 +681,8 @@ def measure_genus1_log_ratio(zeros, a, b):
         raise DomainError("zeros must be strictly positive")
     if a < 0 or b < 0:
         raise DomainError("a and b must be nonnegative")
-    if a == 0.0 or b == 0.0 or not zeros:
-        return RepresentingMeasure(order=2.0, density=PiecewisePolynomial(
-            np.array([0.0, 1.0]), np.array([[0.0]])))
+    if a == 0.0 or b == 0.0 or not zeros:  # the zero density
+        return RepresentingMeasure(order=2.0, density=convolve_box(0.0, 0.0))
     return RepresentingMeasure(order=2.0, density=_trapezoid_train(
         zeros, a, b, 0.0, zeros[-1] + (a + b)))
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -77,6 +78,58 @@ class TestPiecewisePolynomial:
                     for a, b, row in zip(bps[:-1], bps[1:], coeffs)
                     for j, c in enumerate(row))
             assert abs(g - float(ref)) <= 1e-14 * sc + 1e-300
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=hs.data())
+    def test_laplace_many_cells_matches_mpmath(self, data):
+        # 300-600 cells, so the 256-cell blocks split them, and t from the
+        # whole range together with more than 16 t below 1/b, so the
+        # Chebyshev band is interpolated.  Cells of one length k/64 keep
+        # every breakpoint exact, and make the oracle a polynomial in
+        # r = e^(-t L): sum_i c_ij e^(-t a_i) = e^(-t a_0) sum_i c_ij r^i
+        n = data.draw(hs.integers(300, 600))
+        deg = data.draw(hs.integers(0, 3))
+        length = data.draw(hs.integers(4, 192)) / 64.0
+        left = data.draw(hs.integers(0, 3200)) / 64.0
+        rng = np.random.default_rng(data.draw(hs.integers(0, 2 ** 32 - 1)))
+        coeffs = rng.uniform(-2.0, 2.0, (n, deg + 1))
+        coeffs[sorted(data.draw(hs.sets(hs.integers(0, n - 1),
+                                        max_size=40)))] = 0.0
+        bps = left + length * np.arange(n + 1.0)
+        log_t = data.draw(hs.lists(hs.floats(-300.0, 4.0), min_size=1,
+                                   max_size=6))
+        band = data.draw(hs.lists(hs.floats(1e-300, 1.0, exclude_max=True),
+                                  min_size=17, max_size=20))
+        ts = np.concatenate([10.0 ** np.array(log_t),
+                             np.array(band) / bps[-1]])
+        pp = st.PiecewisePolynomial(bps, coeffs)
+        scale = st.PiecewisePolynomial(bps, np.abs(coeffs)).laplace(ts)
+        got = pp.laplace(ts)
+        with mpmath.workdps(30):
+            columns = [[mpmath.mpf(c) for c in coeffs[::-1, j]]
+                       for j in range(deg + 1)]
+            for t, g, sc in zip(ts, got, scale):
+                tm, lm = mpmath.mpf(t), mpmath.mpf(length)
+                r = mpmath.exp(-tm * lm)
+                # int_0^L e^(-t u) u^j du, the same for every cell
+                ref = mpmath.exp(-tm * mpmath.mpf(left)) * mpmath.fsum(
+                    mpmath.gammainc(j + 1, 0, tm * lm) / tm ** (j + 1) *
+                    mpmath.polyval(col, r) for j, col in enumerate(columns))
+                assert abs(g - float(ref)) <= 1e-14 * sc + 1e-300, t
+
+    def test_laplace_skips_cells_where_exp_underflows(self, monkeypatch):
+        calls = []
+        real = st._exp_moments
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(st, "_exp_moments", counted)
+        pp = st.PiecewisePolynomial(np.array([1000.0, 1001.0]),
+                                    np.array([[1.0, 2.0]]))
+        assert pp.laplace(1.0)[0] == 0.0
+        assert calls == []
 
 
 class TestConvolveBox:
@@ -360,6 +413,25 @@ def test_kernel_route_grid(build):
     for x, tol in KERNEL_ROUTE_TOL.items():
         assert st.stieltjes_via_kernel(m, x) == pytest.approx(
             st.stieltjes_eval(m, x), rel=tol), x
+
+
+@pytest.mark.parametrize("build", [
+    lambda: st.measure_cesaro(cs.preset_sequence("prym").coef, 0,
+                              cs.preset_sequence("prym").default_lam),
+    lambda: st.measure_gamma_reciprocal_ratio(0.5)],
+    ids=["cesaro-prym", "gamma-reciprocal-0.5"])
+def test_kernel_route_memory_peak(build):
+    # the density enters 256 cells at a time, never as one (cells x nodes)
+    # array (78 MB on the 4096-cell prym measure)
+    m = build()
+    for x in (0.05, 1.0, 50.0):
+        tracemalloc.start()
+        try:
+            st.stieltjes_via_kernel(m, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2 ** 20, (x, peak)
 
 
 class TestGammaRatioMeasure:

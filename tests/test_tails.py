@@ -147,6 +147,27 @@ def test_kernel_affine_cells_closed_form(lam):
         assert_rel(kappa(t), lam / (t * -math.expm1(-t)), 1e-13)
 
 
+def closed_form_kernels():
+    # mpmath's expm1: 1 - exp(-t) at 30 digits is itself 1e-12 off at 1e-20
+    for s in (0.01, 0.5, 0.9, 0.99):
+        yield f"gamma-reciprocal-{s}", \
+            lambda s=s: st.measure_gamma_reciprocal_ratio(s), \
+            lambda t, s=s: (-mpmath.expm1(-t)) ** s / t
+    yield "integer-atoms", st.measure_integer_atoms, \
+        lambda t: 1 / -mpmath.expm1(-t)
+
+
+@pytest.mark.parametrize("build,closed",
+                         [c[1:] for c in closed_form_kernels()],
+                         ids=[c[0] for c in closed_form_kernels()])
+def test_kernel_vector_within_2e_14_of_closed_form(build, closed):
+    # one call on 300 t, so the density's small-t band is interpolated
+    ts = np.geomspace(1e-20, 10.0, 300)
+    values = st.CmKernel(build())(ts)
+    ref = np.array([float(closed(mpmath.mpf(t))) for t in ts])
+    assert np.max(np.abs(values / ref - 1.0)) <= 2e-14
+
+
 @settings(max_examples=60, deadline=None)
 @given(s=hs.floats(0.005, 0.995), log_t=hs.floats(-20.0, 1.0))
 def test_kernel_gamma_reciprocal_property(s, log_t):

@@ -9,8 +9,10 @@ import pytest
 from cmfun import barnes as bn
 from cmfun import cesaro as cs
 from cmfun import densities as dn
+from cmfun import errors
 from cmfun import laplace as lp
 from cmfun import monotonicity as mono
+from cmfun import stieltjes as st
 from cmfun.errors import DomainError
 
 STEP = lp.PeriodicStep(np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 1.0]))
@@ -52,6 +54,11 @@ CASES = {
     "counterexample-inf-r": lambda: mono.find_lcm_counterexample(math.inf),
     "counterexample-underflowing-c": lambda: mono.find_lcm_counterexample(
         4000.0),
+    # stieltjes_eval read -0.0909 and -0.0952 at x = 1
+    "smooth-coef-tail-negative": lambda: st.RepresentingMeasure(
+        order=2, tail=st.SmoothCoefTail(10, lambda m: -1 + 0 * m)),
+    "atom-tail-negative": lambda: st.RepresentingMeasure(
+        order=2, tail=st.AtomTail(10, lambda m: -1 + 0 * m)),
 }
 
 
@@ -59,3 +66,18 @@ CASES = {
 def test_out_of_domain_argument_raises(call):
     with pytest.raises(DomainError):
         call()
+
+
+def test_every_error_shares_one_base_and_keeps_its_own():
+    # catching CmfunError catches them all; the ValueError and RuntimeError
+    # bases (and so the CLI's exit codes) stay as they were
+    bases = {errors.DomainError: ValueError,
+             errors.HypothesisViolationError: ValueError,
+             errors.ConvergenceError: RuntimeError,
+             errors.CapTooSmallError: RuntimeError,
+             errors.InversionDisagreementError: RuntimeError}
+    for error, base in bases.items():
+        assert issubclass(error, errors.CmfunError)
+        assert issubclass(error, base)
+    with pytest.raises(errors.CmfunError):
+        st.measure_gamma_reciprocal_ratio(1.5)
