@@ -1,11 +1,13 @@
 """Series helpers: acceleration of alternating sums, ordered sums, running
-products and the midpoint Euler-Maclaurin completion of truncated sums."""
+products, iterated partial sums and the midpoint Euler-Maclaurin
+completion of truncated sums."""
 
 import math
 
 import numpy as np
 
 from ._quadrature import quad_to_inf
+from .errors import DomainError
 
 
 def alternating_sum(term, n_terms=28):
@@ -43,6 +45,19 @@ def running_product(ratio, n):
     out[1:] = ratio(out[1:])
     out[0] = 1.0
     return np.multiply.accumulate(out, out=out)
+
+
+def iterate_sums(a, k):
+    """The (k+1, N) table whose row j is s^(j): s^(0) = cumsum(a),
+    s^(j) = cumsum(s^(j-1)) up to depth k."""
+    a = np.asarray(a, dtype=float)
+    if k < 0 or int(k) != k:
+        raise DomainError("k must be a nonnegative integer")
+    table = np.empty((k + 1, len(a)))
+    table[0] = np.cumsum(a)
+    for j in range(1, k + 1):
+        table[j] = np.cumsum(table[j - 1])
+    return table
 
 
 # offsets of the 4-point central stencil of step 1/8 around a midpoint a

@@ -9,24 +9,11 @@ from typing import Callable
 
 import numpy as np
 
-from ._quadrature import quad
-from ._series import alternating_sum, midpoint_tail, running_product
+from ._series import (alternating_sum, iterate_sums, midpoint_tail,
+                      running_product)
 from .errors import CapTooSmallError, DomainError, HypothesisViolationError
-from .laplace import transform_cutoff
+from .laplace import laplace_quad
 from .stieltjes import measure_cesaro, stieltjes_eval
-
-
-def iterate_sums(a, k):
-    """The (k+1, N) table whose row j is s^(j): s^(0) = cumsum(a),
-    s^(j) = cumsum(s^(j-1)) up to depth k."""
-    a = np.asarray(a, dtype=float)
-    if k < 0 or int(k) != k:
-        raise DomainError("k must be a nonnegative integer")
-    table = np.empty((k + 1, len(a)))
-    table[0] = np.cumsum(a)
-    for j in range(1, k + 1):
-        table[j] = np.cumsum(table[j - 1])
-    return table
 
 
 def lemma_s_check(a, k, N, x):
@@ -75,8 +62,8 @@ class HypothesesReport:
                 "n_probe": self.n_probe}
 
 
-# terms per chunk of the streamed hypotheses probe
-_CHUNK = 1 << 20
+_CHUNK = 1 << 20  # terms per chunk of the streamed hypotheses probe
+_KAPPA_BLOCK = 1 << 16  # terms per block of the generic kappa series
 
 
 def _prefix_stats(seq, k, lam, n_probe):
@@ -170,16 +157,6 @@ def hypotheses_check(seq, k, lam, n_probe=20_000_000):
                             n_probe=int(n_probe))
 
 
-def require_hypotheses(seq, k, lam, n_probe):
-    """Probe the representation hypotheses once; raise
-    HypothesisViolationError when one of them fails."""
-    report = hypotheses_check(seq, k, lam, n_probe=n_probe)
-    if report.overall == "fail":
-        raise HypothesisViolationError(
-            f"representation hypotheses fail: {report.to_dict()}")
-    return report
-
-
 # ---------------------------------------------------------------------------
 # named coefficient presets with closed generating functions
 # ---------------------------------------------------------------------------
@@ -253,13 +230,15 @@ def _as_coef(seq):
         return seq.coef
     if callable(seq):
         return seq
-    arr = np.asarray(seq, dtype=float)
-    return lambda n: arr[np.asarray(n, dtype=int)]
+    # a finite array is the whole sequence: zero past its end
+    arr = np.append(np.asarray(seq, dtype=float), 0.0)
+    return lambda n: arr[np.minimum(np.asarray(n, dtype=int), len(arr) - 1)]
 
 
 def kappa_eval(seq, k, t):
     """kappa(t) = t^(-(k+1)) sum a_n e^(-nt); closed generating function for
-    presets, truncated series otherwise; t must be positive and finite."""
+    presets, truncated series otherwise, summed in blocks of 2^16 terms;
+    t must be positive and finite."""
     t = np.asarray(t, dtype=float)
     if not np.all((t > 0) & np.isfinite(t)):
         raise DomainError(f"kappa is evaluated for finite t > 0, got {t}")
@@ -270,9 +249,14 @@ def kappa_eval(seq, k, t):
         n_terms = int(min(50.0 / max(np.min(t), 1e-6), 2_000_000))
         if n_terms >= 2_000_000:
             raise CapTooSmallError("generic kappa series needs too many terms")
-        ns = np.arange(n_terms + 1, dtype=float)
-        core = np.sum(_as_coef(seq)(ns)[:, None]
-                      * np.exp(-np.outer(ns, np.atleast_1d(t))), axis=0)
+        coef, ts = _as_coef(seq), np.atleast_1d(t).ravel()
+        core = np.zeros_like(ts)
+        for lo in range(0, n_terms + 1, _KAPPA_BLOCK):
+            # row 0 carries the running sum, so the rows add up in order
+            ns = np.arange(lo, min(lo + _KAPPA_BLOCK, n_terms + 1), 1.0)
+            block = np.vstack([core, np.exp(np.multiply.outer(-ns, ts))])
+            block[1:] *= coef(ns)[:, None]
+            core = np.sum(block, axis=0)
         core = core if t.ndim else float(core[0])
     return core / t ** (k + 1.0)
 
@@ -307,29 +291,22 @@ def direct_series(seq, lam, x):
                       "coefficients")
 
 
-def series_eval_three_ways(seq, k, lam, x, n_probe=2_000_000,
-                           skip_hypotheses=False):
-    """(direct, stieltjes, laplace) evaluations of sum a_n/(x+n)^lam.
-
-    The hypotheses are probed first (``require_hypotheses``) and a failure
-    raises; pass ``skip_hypotheses=True`` when the caller has probed them
-    already, or to override explicitly.
-    """
+def series_eval_three_ways(seq, k, lam, x):
+    """(direct, stieltjes, laplace) evaluations of sum a_n/(x+n)^lam, the
+    last by ``laplace_quad`` of t^(lam+k) kappa(t) / Gamma(lam).  First
+    ``hypotheses_check`` (exact and O(1) for the presets, else probed on
+    its default prefix); a failure raises HypothesisViolationError."""
     if not x > 0:
         raise DomainError("x must be positive")
-    preset = _as_preset(seq)
-    coef = preset.coef if preset is not None else _as_coef(seq)
-    if not skip_hypotheses:
-        require_hypotheses(preset or coef, k, lam, n_probe=n_probe)
-    direct = direct_series(coef, lam, x)
-    measure = measure_cesaro(coef, k, lam)
-    stieltjes = stieltjes_eval(measure, x)
-    t_hi = transform_cutoff(x)
-    kappa_src = preset if preset is not None else coef
-
-    def integrand(t):
-        return np.exp(-x * t) * t ** (lam + k) * kappa_eval(kappa_src, k, t)
-
-    laplace = float(quad(integrand, 0.0, t_hi, abs_tol=1e-15,
-                         rel_tol=1e-12)) / math.gamma(lam)
+    seq = _as_preset(seq) or seq
+    report = hypotheses_check(seq, k, lam)
+    if report.overall == "fail":
+        raise HypothesisViolationError(
+            f"representation hypotheses fail: {report.to_dict()}")
+    direct = direct_series(seq, lam, x)
+    stieltjes = stieltjes_eval(measure_cesaro(
+        seq.coef if isinstance(seq, SequencePreset) else seq, k, lam), x)
+    laplace = float(laplace_quad(
+        lambda t: t ** (lam + k) * kappa_eval(seq, k, t), x,
+        abs_tol=1e-15)) / math.gamma(lam)
     return ThreeWayResult(direct=direct, stieltjes=stieltjes, laplace=laplace)

@@ -17,9 +17,9 @@ from typing import Callable
 import numpy as np
 
 from ._quadrature import EXP_SINH_NODES, EXP_SINH_WEIGHTS, vectorized
-from ._series import (MIDPOINT_STENCIL, midpoint_correction, midpoint_tail,
-                      running_product)
-from .errors import ConvergenceError, DomainError
+from ._series import (MIDPOINT_STENCIL, iterate_sums, midpoint_correction,
+                      midpoint_tail, running_product)
+from .errors import CapTooSmallError, ConvergenceError, DomainError
 from .specfun import _LGAMMA_C, _even_series, _positive
 
 _MAX_DEGREE = 8
@@ -560,7 +560,7 @@ def stieltjes_via_kernel(m, x):
 _GAP_CAP = 2048      # gaps of an alternating measure before its tail
 _ATOM_CAP = 512      # atoms before the atom tail
 _CELL_CAP = 2048     # cells of the gamma-reciprocal density before its tail
-_CESARO_CAP = 4096   # Cesaro coefficients read before the tail model
+_CESARO_CAP = 4096   # Cesaro sums s^(k) before the tail rule
 
 
 def measure_alternating(a, lam):
@@ -701,75 +701,65 @@ def measure_gamma_reciprocal_ratio(s):
                             coef=lambda k: _pochhammer_coef(k, s)))
 
 
-def _cesaro_rows(a_vals, k, lam):
-    """Coefficient rows of ((lam)_{k+1}/k!) sum_j a_j (t-j)^k on (m, m+1)."""
-    n = len(a_vals)
-    scale = math.gamma(lam + k + 1.0) / math.gamma(lam) / math.gamma(k + 1.0)
-    if k == 0:
-        return scale * np.cumsum(a_vals)[:, None]
-    # moments M_p[m] = sum_{j<=m} a_j (m-j)^p, updated by binomial shifts
-    rows = np.zeros((n, k + 1))
-    mom = np.zeros(k + 1)
-    for m in range(n):
-        if m > 0:
-            new = np.zeros(k + 1)
-            for p in range(k + 1):
-                new[p] = sum(math.comb(p, q) * mom[q] for q in range(p + 1))
-            mom = new
-        mom[0] += a_vals[m]
-        for i in range(k + 1):
-            rows[m, i] = math.comb(k, i) * mom[k - i]
-    return scale * rows
+def _spline_rows(s, k):
+    """Rows on the unit cells of sum_m s_m k! N_k(t - m), N_k the cardinal
+    B-spline of degree k on the knots 0..k+1 and s_m = 0 for m < 0: cell m
+    holds sum_(i<=k) s_(m-i) k! N_k(i + u), 0 <= u < 1, whose power-basis
+    coefficients are sum_(l<=i) (-1)^l C(k+1, l) C(k, p) (i - l)^(k-p)."""
+    table = np.array([[math.comb(k, p) * sum(
+        (-1) ** l * math.comb(k + 1, l) * (i - l) ** (k - p)
+        for l in range(i + 1)) for p in range(k + 1)] for i in range(k + 1)],
+        dtype=float)
+    rows = s[:, None] * table[0]
+    for i in range(1, k + 1):
+        rows[i:] += s[:-i, None] * table[i]
+    return rows
 
 
 def measure_cesaro(a, k, lam):
     """Order lam+k+1 measure of sum a_n/(x+n)^lam under the iterated-sum
     hypotheses (which the caller is responsible for checking).
 
-    For k = 0 the cell coefficients beyond the cap of 4096 are completed by
-    an exact tail when they are eventually constant, 2-periodic, or affine;
-    otherwise the measure is truncated at the cap.
+    Its density ((lam)_(k+1)/k!) sum_j a_j (t-j)_+^k is (lam)_(k+1) sum_m
+    s^(k)_m N_k(t-m), N_k the cardinal B-spline of degree k, so it is >= 0
+    exactly when s^(k) is.  ``a`` is a callable n -> a_n or a finite array,
+    the whole sequence (zero past its end).  The cells end at n + k,
+    n = max(4096, len(a)).  If the 64 sums s^(k)_n.. are flat to 1e-12
+    (1 + max |s|) after 8 pairwise averagings, the tail takes s^(k) as
+    2-periodic from n on (mean the averaged value, alternation half of
+    s_n - s_(n+1)).  Else a k = 0 density affine there gets a
+    ``SmoothCoefTail``; anything else raises CapTooSmallError, so the
+    measure is never truncated.
     """
     if k < 0 or int(k) != k:
         raise DomainError("k must be a nonnegative integer")
     if not lam > 0:
         raise DomainError("lam must be positive")
-    cap, window = _CESARO_CAP, 64
-    if callable(a):
-        vals = np.asarray(a(np.arange(cap + window)), dtype=float)
+    k, window = int(k), 64
+    n = _CESARO_CAP if callable(a) else max(_CESARO_CAP, len(a))
+    vals = np.asarray(a(np.arange(n + window)) if callable(a) else
+                      np.concatenate([a, np.zeros(n + window - len(a))]),
+                      dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise DomainError("Cesaro coefficients must be finite")
+    s = iterate_sums(vals, k)[k]
+    scale = math.gamma(lam + k + 1.0) / math.gamma(lam) / math.gamma(k + 1.0)
+    r = s_win = s[n:]
+    for _ in range(8):
+        r = 0.5 * (r[1:] + r[:-1])
+    size = 1.0 + np.max(np.abs(s_win))
+    if np.ptp(r) <= 1e-12 * size:
+        half = 0.5 * (s_win[0] - s_win[1])
+        rows = _spline_rows(r[0] + half * (-1.0) ** np.arange(k + 2), k)
+        tail = PeriodicTail(start=float(n + k), period=2.0, profile=(
+            PiecewisePolynomial(np.array([0.0, 1.0, 2.0]), scale * rows[k:])))
+    elif k == 0 and np.max(np.abs(np.diff(s_win, 2))) < 1e-11 * size:
+        w = scale * s_win
+        slope = float(np.mean(np.diff(w)))
+        a0 = float(w[-1] - slope * (n + window - 1))
+        tail = SmoothCoefTail(n, lambda m: a0 + slope * np.asarray(m, float))
     else:
-        vals = np.asarray(a, dtype=float)[:cap + window]
-    rows = _cesaro_rows(vals, int(k), lam)
-    order = lam + k + 1.0
-    if k == 0:
-        s_all = rows[:, 0]
-        s_win = s_all[cap:cap + window] if len(s_all) > cap else s_all[-window:]
-        n_fin = min(cap, len(s_all) - (window if len(s_all) > cap else 0))
-        n_fin = max(n_fin, 1)
-        scale = 1.0 + np.max(np.abs(s_win))
-        if np.max(np.abs(np.diff(s_win))) < 1e-13 * scale:
-            tail = _constant_tail(n_fin, float(s_win[-1]))
-        elif np.max(np.abs(s_win[2:] - s_win[:-2])) < 1e-13 * scale:
-            even, odd = float(s_win[-2]), float(s_win[-1])
-            if (n_fin + window) % 2 == 1:
-                even, odd = odd, even
-            profile = PiecewisePolynomial(np.array([0.0, 1.0, 2.0]),
-                                          np.array([[even], [odd]]))
-            tail = PeriodicTail(start=float(n_fin), period=2.0, profile=profile)
-        elif np.max(np.abs(np.diff(s_win, 2))) < 1e-11 * scale:
-            slope = float(np.mean(np.diff(s_win)))
-            a0 = float(s_win[-1] - slope * (n_fin + window - 1))
-            tail = SmoothCoefTail(
-                n_fin, lambda m: a0 + slope * np.asarray(m, dtype=float))
-        else:
-            # averaged limit; residual alternates and decays for the catalog
-            r = s_win.copy()
-            for _ in range(8):
-                r = 0.5 * (r[1:] + r[:-1])
-            tail = _constant_tail(n_fin, float(r[-1]))
-        density = PiecewisePolynomial(np.arange(0.0, n_fin + 1.0), rows[:n_fin])
-        return RepresentingMeasure(order=order, density=density, tail=tail)
-    n_fin = len(rows)
-    bps = np.arange(0.0, n_fin + 1.0)
-    return RepresentingMeasure(order=order,
-                               density=PiecewisePolynomial(bps, rows))
+        raise CapTooSmallError(f"s^({k}) has no exact tail by n={n + window}")
+    density = PiecewisePolynomial(np.arange(n + k + 1.0),
+                                  scale * _spline_rows(s[:n + k], k))
+    return RepresentingMeasure(order=lam + k + 1.0, density=density, tail=tail)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -217,27 +218,64 @@ class TestExactHypotheses:
         assert np.all((s0 >= 0.0) & (s0 <= 1.0))
 
 
-def test_cesaro_suite_probes_once_per_item(monkeypatch):
+def test_cesaro_suite_gates_every_three_way_call(monkeypatch):
+    # each three-way evaluation (4 x per item) passes the hypotheses gate,
+    # which is exact and O(1) for the suite's presets
     from cmfun import suites
-    calls = []
+    reports = []
     probe = cs.hypotheses_check
 
-    def counting(*args, **kwargs):
-        calls.append(args[:3])
-        return probe(*args, **kwargs)
+    def recording(*args, **kwargs):
+        reports.append(probe(*args, **kwargs))
+        return reports[-1]
 
-    monkeypatch.setattr(cs, "hypotheses_check", counting)
+    monkeypatch.setattr(cs, "hypotheses_check", recording)
     three_way = 0
     for thunk in suites._suite_cesaro():
-        before = len(calls)
+        before = len(reports)
         item = thunk()
-        expected = 1 if item["name"].startswith("three-way:") else 0
-        three_way += expected
-        assert item["passed"] and len(calls) - before == expected, item
+        expected = 4 if item["name"].startswith("three-way:") else 0
+        three_way += expected // 4
+        assert item["passed"] and len(reports) - before == expected, item
     assert three_way == 4
+    assert all(r.n_probe == 0 and r.overall == "pass" for r in reports)
+
+
+class TestFiniteArrays:
+    # a finite array is the whole sequence, zero past its end
+    def test_probe_reads_zero_past_the_end(self):
+        a = [1.0, -0.5, 0.25]
+        padded = np.concatenate([a, np.zeros(20_000)])
+        verdicts, stats = unchunked_hypotheses(padded, 0, 1.0, 12_345)
+        assert cs._prefix_stats(a, 0, 1.0, 12_345) == stats
+        rep = cs.hypotheses_check(a, 0, 1.0, n_probe=12_345)
+        assert (rep.nonneg, rep.decay, rep.summable) == verdicts
+
+    def test_three_ways_raise_a_cmfun_error(self):
+        # the direct series takes alternating or positive coefficients only
+        with pytest.raises(DomainError):
+            cs.series_eval_three_ways([1.0, -0.5, 0.25], 0, 1.0, 1.0)
+
+    def test_kappa_is_the_finite_sum(self):
+        a = [1.0, -0.5, 0.25]
+        for t in (0.5, 2.0):
+            exact = math.fsum(an * math.exp(-n * t) for n, an in enumerate(a))
+            assert cs.kappa_eval(a, 0, t) == pytest.approx(exact / t,
+                                                           rel=1e-15)
 
 
 class TestKappa:
+    def test_generic_series_memory_is_bounded(self):
+        # 1.67e6 terms at 15 t: one (terms x t) array would take 400 MB
+        ts = np.geomspace(3e-5, 2.0, 15)
+        tracemalloc.start()
+        try:
+            cs.kappa_eval(lambda n: 1.0 / (1.0 + n) ** 2, 0, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2 ** 20, peak
+
     def test_prym_closed_form(self):
         ts = np.linspace(0.05, 4.0, 20)
         vals = cs.kappa_eval("prym", 0, ts)
@@ -275,40 +313,31 @@ class TestKappa:
 
 class TestThreeWays:
     def test_prym_value(self):
-        res = cs.series_eval_three_ways("prym", 0, 1.0, 1.0,
-                                        n_probe=2_000_000)
+        res = cs.series_eval_three_ways("prym", 0, 1.0, 1.0)
         target = 1.0 - math.exp(-1.0)
         for v in (res.direct, res.stieltjes, res.laplace):
             assert abs(v - target) <= 1e-8
 
     def test_nielsen_value(self):
-        res = cs.series_eval_three_ways("alternating", 0, 1.0, 1.0,
-                                        n_probe=2_000_000)
+        res = cs.series_eval_three_ways("alternating", 0, 1.0, 1.0)
         assert abs(res.direct - math.log(2.0)) <= 1e-12
         assert res.spread <= 1e-7
 
     def test_binomial_agreement(self):
         seq = cs.preset_sequence("binomial-a", 0.5)
-        res = cs.series_eval_three_ways(seq, 0, 1.5, 2.0, n_probe=2_000_000)
+        res = cs.series_eval_three_ways(seq, 0, 1.5, 2.0)
         assert res.spread <= 1e-7
         assert abs(res.direct - sf.beta_a_lambda(2.0, 0.5, 1.5)) <= 1e-10
 
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 10.0])
     def test_catalog_spread(self, x):
         for seq, lam in (("prym", 1.0), ("alternating", 1.0), ("ones", 2.0)):
-            res = cs.series_eval_three_ways(seq, 0, lam, x,
-                                            n_probe=1_000_000)
+            res = cs.series_eval_three_ways(seq, 0, lam, x)
             assert res.spread <= 1e-7, (seq, x)
 
     def test_hypothesis_gate(self):
         with pytest.raises(HypothesisViolationError):
-            cs.series_eval_three_ways("ones", 0, 1.0, 1.0, n_probe=100_000)
-        # explicit override evaluates anyway (spread is then meaningless
-        # for the divergent direct route, so just check it runs)
-        res = cs.series_eval_three_ways("ones", 0, 2.0, 1.0,
-                                        n_probe=100_000,
-                                        skip_hypotheses=True)
-        assert abs(res.direct - sf.trigamma(1.0)) <= 1e-9
+            cs.series_eval_three_ways("ones", 0, 1.0, 1.0)
 
 
 def test_preset_keys():

@@ -1,6 +1,7 @@
 """Import hygiene: every name a module of cmfun imports is used in that
-module, every import sits at module level, and the CLI runs on numpy
-alone."""
+module, every import sits at module level, no module-level definition is
+left unread (public ones may be exported instead), and the CLI runs on
+numpy alone."""
 
 import ast
 import os
@@ -112,6 +113,38 @@ def test_detects_an_unreferenced_private_name():
 def test_private_names_are_referenced():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert unreferenced_privates(sources) == []
+
+
+def public_definitions(source):
+    """(line, name) of each public function or class at module level."""
+    return [(node.lineno, node.name) for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def orphaned_publics(sources):
+    """(module, line, name) of the public module-level functions and classes
+    that no module of ``sources`` reads or imports (``__init__.py``
+    imports what the package exports)."""
+    used = set().union(*map(references, sources.values()))
+    return sorted((module, line, name) for module, source in sources.items()
+                  for line, name in public_definitions(source)
+                  if name not in used)
+
+
+def test_detects_an_orphaned_public_name():
+    sources = {"a.py": ("def kept():\n    return helper()\n"
+                        "def helper():\n    pass\n"
+                        "class Gone:\n    pass\n"
+                        "def exported():\n    pass\n"),
+               "__init__.py": "from .a import exported\n"}
+    assert orphaned_publics(sources) == [("a.py", 1, "kept"),
+                                         ("a.py", 5, "Gone")]
+
+
+def test_public_names_are_exported_or_read():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert orphaned_publics(sources) == []
 
 
 def test_cli_runtime_is_numpy_only():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -12,7 +13,7 @@ from cmfun import monotonicity as mono
 from cmfun import specfun as sf
 from cmfun import stieltjes as st
 from cmfun._quadrature import quad
-from cmfun.errors import DomainError
+from cmfun.errors import CapTooSmallError, DomainError
 
 LOG2 = math.log(2.0)
 
@@ -561,11 +562,85 @@ class TestCesaroMeasure:
         assert m.order == pytest.approx(2.5)
 
     def test_k_one_rows(self):
-        # a = (1, 0, 0, ...), k = 1: density is lam (lam+1) t on every cell
-        m = st.measure_cesaro(lambda n: (np.asarray(n) == 0).astype(float),
+        # a = (1, -1), k = 1: s^(1) = 1, 1, ..., density lam (lam+1) min(t, 1)
+        m = st.measure_cesaro([1.0, -1.0], 1, 1.5)
+        ts = np.array([0.0, 0.4, 0.99, 1.0, 1.7, 3.2, 4096.5])
+        assert m.density(ts) == pytest.approx(3.75 * np.minimum(ts, 1.0),
+                                              rel=1e-15, abs=0.0)
+        assert m.tail.start == 4097.0
+        assert m.tail.profile(np.array([0.3, 1.6])) == pytest.approx(
+            [3.75, 3.75], rel=1e-15, abs=0.0)
+        # a = delta_0: s^(1) = n + 1 grows, so there is no exact tail
+        with pytest.raises(CapTooSmallError):
+            st.measure_cesaro(lambda n: (np.asarray(n) == 0).astype(float),
                               1, 1.0)
-        ts = np.array([0.4, 1.7, 3.2])
-        assert np.max(np.abs(m.density(ts) - 2.0 * ts)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(hs.lists(hs.integers(0, 3), min_size=1, max_size=8),
+           hs.integers(0, 3), hs.sampled_from([0.5, 1.0, 1.5, 2.0]),
+           hs.lists(hs.floats(0.0, 24.0), min_size=1, max_size=8),
+           hs.floats(0.0, 4.0))
+    def test_rows_match_exact_density(self, c, k, lam, ts, tail_u):
+        # a = (1 - E)^(k+1) c, with c held at c[-1] past its end, has
+        # s^(k) = c >= 0, which settles, so the measure has a period-2
+        # tail; the density is checked against exact rationals on its cells
+        # and on the tail's first two periods
+        ext = c + [c[-1]] * (k + 1)
+        a = [sum((-1) ** i * math.comb(k + 1, i) * ext[n - i]
+                 for i in range(min(n, k + 1) + 1))
+             for n in range(len(c) + k)]
+        m = st.measure_cesaro(np.array(a, dtype=float), k, lam)
+        poch = math.prod(Fraction(lam) + i for i in range(k + 1))
+        scale = float(poch) * (1 + max(c))
+        for t in ts + [m.tail.start + tail_u]:
+            exact = poch / math.factorial(k) * sum(
+                aj * (Fraction(t) - j) ** k
+                for j, aj in enumerate(a) if j <= t)
+            got = (m.density(t) if t < m.tail.start else
+                   m.tail.profile((t - m.tail.start) % 2.0))
+            assert abs(got - float(exact)) <= 1e-14 * scale, (t, got, exact)
+
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.9])
+    def test_binomial_against_nsum(self, a):
+        # the tail keeps the alternating residual of s^(0)
+        m = st.measure_cesaro(cs.preset_sequence("binomial-a", a).coef, 0, 1.0)
+        for x in (0.5, 10.0, 100.0, 1000.0):
+            ref = mpmath.nsum(lambda n: mpmath.binomial(-a, n) / (x + n),
+                              [0, mpmath.inf])
+            assert st.stieltjes_eval(m, x) == pytest.approx(
+                float(ref), rel=1e-9, abs=0.0), x
+
+    def test_settled_k_one_sequence_both_routes(self):
+        # a = (1, -2, 2, -2, ...): s^(0) = 1, -1, 1, ..., s^(1) = 1, 0, 1, ...
+        def coef(n):
+            n = np.asarray(n)
+            return np.where(n == 0, 1.0, 2.0 * (-1.0) ** n)
+        for lam in (1.0, 1.5):
+            m = st.measure_cesaro(coef, 1, lam)
+            for x in (0.5, 10.0, 100.0):
+                ref = float(mpmath.nsum(lambda n: (1 if n == 0 else
+                                                   2 * (-1) ** int(n))
+                                        / (x + n) ** lam, [0, mpmath.inf]))
+                for value in (st.stieltjes_eval(m, x),
+                              st.stieltjes_via_kernel(m, x)):
+                    assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_refuses_growing_sums(self):
+        for key in cs.PRESET_KEYS:
+            with pytest.raises(CapTooSmallError):
+                st.measure_cesaro(cs.preset_sequence(key).coef, 1, 1.5)
+        with pytest.raises(CapTooSmallError):
+            st.measure_cesaro(lambda n: np.asarray(n, dtype=float), 0, 3.0)
+
+    @pytest.mark.parametrize("a", [[1.0, 0.5], [1.0, -0.5, 0.25], [1.0] * 5,
+                                   list(range(1, 12))])
+    def test_short_arrays_are_finite_sums(self, a):
+        for lam in (1.0, 1.5):
+            m = st.measure_cesaro(a, 0, lam)
+            for x in (0.5, 1.0, 7.0):
+                exact = math.fsum(an / (x + n) ** lam for n, an in enumerate(a))
+                assert st.stieltjes_eval(m, x) == pytest.approx(
+                    exact, rel=1e-14, abs=0.0), (lam, x)
 
 
 class TestEquivalenceOfRepresentations:
