@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ._quadrature import quad_to_inf
+from ._quadrature import exp_sinh_to_inf
 from .errors import DomainError
 
 
@@ -85,15 +85,13 @@ def midpoint_tail(g, start, brute, integral=None):
 
     with g' and g''' from ``midpoint_correction``.  ``integral`` is
     int_a^inf g when the caller has it in closed form; otherwise it is
-    integrated numerically, to 1e-12 relative or 1e-14 of the head's
-    magnitude (a fixed absolute floor would swallow a tail whose terms are
-    all below it, as they are at large x).  ``g`` maps an ndarray of m to
-    an ndarray.
+    taken by the nested exp-sinh rule ``_quadrature.exp_sinh_to_inf``,
+    which raises ConvergenceError rather than return a non-finite or
+    unconverged value.  ``g`` maps an ndarray of m to an ndarray.
     """
     a = start + brute - 0.5
     head = float(np.sum(g(np.arange(start, start + brute, dtype=float))))
     if integral is None:
-        integral = quad_to_inf(g, a, abs_tol=1e-14 * abs(head),
-                               rel_tol=1e-12)
+        integral = exp_sinh_to_inf(g, a)
     return float(head + integral
                  + midpoint_correction(g(a + MIDPOINT_STENCIL)))

@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from ._series import (alternating_sum, iterate_sums, midpoint_tail,
-                      running_product)
+                      ordered_sum, running_product)
 from .errors import CapTooSmallError, DomainError, HypothesisViolationError
 from .laplace import laplace_quad
 from .stieltjes import measure_cesaro, stieltjes_eval
@@ -275,8 +275,12 @@ class ThreeWayResult:
 
 
 def direct_series(seq, lam, x):
-    """sum a_n/(x+n)^lam: accelerated when the signs alternate, 8192 terms
-    plus a midpoint tail when the coefficients are positive and smooth."""
+    """sum a_n/(x+n)^lam: the ordered sum of a finite array, accelerated
+    when the signs alternate, 8192 terms plus a midpoint tail when the
+    coefficients are positive and smooth."""
+    if _as_preset(seq) is None and not callable(seq):
+        a = np.asarray(seq, dtype=float)
+        return float(ordered_sum(a * (x + np.arange(len(a))) ** (-lam)))
     coef = _as_coef(seq)
     probe = coef(np.arange(64))
     signs = np.sign(probe[probe != 0.0])

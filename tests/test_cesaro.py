@@ -251,10 +251,15 @@ class TestFiniteArrays:
         rep = cs.hypotheses_check(a, 0, 1.0, n_probe=12_345)
         assert (rep.nonneg, rep.decay, rep.summable) == verdicts
 
-    def test_three_ways_raise_a_cmfun_error(self):
-        # the direct series takes alternating or positive coefficients only
-        with pytest.raises(DomainError):
-            cs.series_eval_three_ways([1.0, -0.5, 0.25], 0, 1.0, 1.0)
+    def test_three_ways_sum_the_finite_array(self):
+        # the direct leg is the exact ordered sum; the sign probe that saw
+        # the zeros past the end and raised DomainError is not consulted
+        a = [1.0, -0.5, 0.25]
+        exact = 1.0 - 0.25 + 0.25 / 3.0
+        assert cs.direct_series(a, 1.0, 1.0) == exact
+        res = cs.series_eval_three_ways(a, 0, 1.0, 1.0)
+        for value in (res.direct, res.stieltjes, res.laplace):
+            assert value == pytest.approx(exact, rel=1e-14)
 
     def test_kappa_is_the_finite_sum(self):
         a = [1.0, -0.5, 0.25]

@@ -14,6 +14,7 @@ from scipy.special import polygamma
 
 from cmfun import _quadrature, barnes, cesaro
 from cmfun import stieltjes as st
+from cmfun.errors import ConvergenceError
 
 mpmath.mp.dps = 30
 XS = (0.05, 0.3, 1.0, 3.7, 12.0, 50.0)
@@ -197,9 +198,10 @@ def test_kernels_at_tiny_t(t):
             assert_rel(value, ref, 1e-3)
 
 
-def test_small_t_kernel_runs_no_quad_and_one_coef_batch(monkeypatch):
-    # stieltjes imports no quadrature; a tail could reach quad only through
-    # _series.quad_to_inf, which looks it up in _quadrature
+def record_quad_calls(monkeypatch):
+    """The list that collects the args of every adaptive ``quad`` call.
+    stieltjes imports no quadrature, so a tail could reach quad only
+    through a helper that looks it up in _quadrature."""
     quad_calls = []
     real_quad = _quadrature.quad
 
@@ -208,6 +210,11 @@ def test_small_t_kernel_runs_no_quad_and_one_coef_batch(monkeypatch):
         return real_quad(*args, **kwargs)
 
     monkeypatch.setattr(_quadrature, "quad", quad)
+    return quad_calls
+
+
+def test_small_t_kernel_runs_no_quad_and_one_coef_batch(monkeypatch):
+    quad_calls = record_quad_calls(monkeypatch)
     m = st.measure_gamma_reciprocal_ratio(0.3)
     coef_calls = []
 
@@ -250,3 +257,73 @@ def test_coef_tails_share_fields_and_differ_in_unit():
     t = np.array([0.5, 2.0])
     assert np.allclose(cells.laplace(t), atoms.laplace(t) * -np.expm1(-t) / t,
                        rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: st.measure_gamma_reciprocal_ratio(0.3), st.measure_integer_atoms,
+], ids=["gamma-reciprocal", "integer-atoms"])
+def test_stieltjes_tail_runs_no_quad_and_four_coef_calls(monkeypatch, build):
+    # per x: the direct head, the nested exp-sinh rule's levels at steps
+    # 1/8 and 1/16, and the midpoint stencil
+    quad_calls = record_quad_calls(monkeypatch)
+    m = build()
+    coef_calls = []
+
+    def coef(k):
+        coef_calls.append(np.shape(k))
+        return m.tail.coef(k)
+
+    counted = dataclasses.replace(m, tail=dataclasses.replace(m.tail,
+                                                              coef=coef))
+    for x in XS:
+        coef_calls.clear()
+        assert math.isfinite(st.stieltjes_eval(counted, x))
+        assert len(coef_calls) <= 4, (x, coef_calls)
+    assert quad_calls == []
+
+
+# The coefficient tails completed by the nested exp-sinh rule, against
+# independent oracles to 1e-14 relative, out to x = 1e12.
+GRID_X = (1e-3, 0.05, 1.0, 37.0, 1e3, 1e6, 1e9, 1e12)
+
+
+@pytest.mark.parametrize("s", [0.01, 0.1, 0.3, 0.5, 0.9, 0.99])
+def test_gamma_reciprocal_tail_grid(s):
+    m = st.measure_gamma_reciprocal_ratio(s)
+    sm = mpmath.mpf(s)
+    for x in GRID_X:
+        xm = mpmath.mpf(x)
+        ref = mpmath.gamma(sm + 1) * mpmath.exp(
+            mpmath.loggamma(xm) - mpmath.loggamma(xm + sm + 1))
+        assert_rel(st.stieltjes_eval(m, x), float(ref), 1e-14)
+
+
+def test_atom_tail_grid():
+    m = st.measure_integer_atoms()
+    for x in GRID_X:
+        assert_rel(st.stieltjes_eval(m, x), float(mpmath.psi(1, x)), 1e-14)
+
+
+@pytest.mark.parametrize("lam", [1.2, 1.5, 2.0, 3.0])
+def test_ones_direct_and_stieltjes_grid(lam):
+    m = st.measure_cesaro(cesaro.preset_sequence("ones").coef, 0, lam)
+    for x in GRID_X:
+        ref = float(mpmath.zeta(lam, x))
+        assert_rel(cesaro.direct_series("ones", lam, x), ref, 1e-14)
+        assert_rel(st.stieltjes_eval(m, x), ref, 1e-14)
+
+
+def test_p_kernel_series_grid():
+    for t in (0.01, 0.1, 1.0, 5.0, 20.0, 60.0):
+        assert_rel(barnes.p_kernel_series(t), barnes.p_kernel(t), 1e-14)
+
+
+@pytest.mark.parametrize("x", [0.5, 3.0])
+def test_ones_too_slow_to_complete_raises(x):
+    # at lam = 1.05 the part beyond the rule's range is 5e-8 of the tail
+    # integral: both legs raise instead of returning it (or inf)
+    m = st.measure_cesaro(cesaro.preset_sequence("ones").coef, 0, 1.05)
+    with pytest.raises(ConvergenceError):
+        cesaro.direct_series("ones", 1.05, x)
+    with pytest.raises(ConvergenceError):
+        st.stieltjes_eval(m, x)
