@@ -2,6 +2,7 @@
 a fixed exp-sinh rule for int_0^inf f(w) e^(-w) dw and a nested exp-sinh
 rule for int_a^inf g."""
 
+import cmath
 import heapq
 import math
 
@@ -88,6 +89,11 @@ def _panel(f, a, b):
     half = 0.5 * (b - a)
     fx = f(mid + half * _NODES)
     ik = half * np.sum(_WEIGHTS_K * fx)
+    if not cmath.isfinite(ik):
+        # the Kronrod weights are all positive, so this catches any value
+        # of fx that is not finite before the Gauss weights' zeros meet it
+        raise ConvergenceError(
+            f"integrand is not finite on the panel [{a}, {b}]")
     ig = half * np.sum(_WEIGHTS_G * fx)
     e = abs(ik - ig)
     # the Kronrod estimate superconverges; the standard rescaling credits it

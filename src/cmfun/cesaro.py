@@ -237,8 +237,9 @@ def _as_coef(seq):
 
 def kappa_eval(seq, k, t):
     """kappa(t) = t^(-(k+1)) sum a_n e^(-nt); closed generating function for
-    presets, truncated series otherwise, summed in blocks of 2^16 terms;
-    t must be positive and finite."""
+    presets, truncated series otherwise, each block of 2^16 terms summed
+    pairwise and the block sums added in order; t must be positive and
+    finite."""
     t = np.asarray(t, dtype=float)
     if not np.all((t > 0) & np.isfinite(t)):
         raise DomainError(f"kappa is evaluated for finite t > 0, got {t}")
@@ -252,11 +253,12 @@ def kappa_eval(seq, k, t):
         coef, ts = _as_coef(seq), np.atleast_1d(t).ravel()
         core = np.zeros_like(ts)
         for lo in range(0, n_terms + 1, _KAPPA_BLOCK):
-            # row 0 carries the running sum, so the rows add up in order
+            # one row per t: numpy sums the contiguous last axis pairwise
             ns = np.arange(lo, min(lo + _KAPPA_BLOCK, n_terms + 1), 1.0)
-            block = np.vstack([core, np.exp(np.multiply.outer(-ns, ts))])
-            block[1:] *= coef(ns)[:, None]
-            core = np.sum(block, axis=0)
+            block = np.multiply.outer(ts, -ns)
+            np.exp(block, out=block)
+            block *= coef(ns)
+            core += np.sum(block, axis=-1)
         core = core if t.ndim else float(core[0])
     return core / t ** (k + 1.0)
 

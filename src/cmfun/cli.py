@@ -153,6 +153,7 @@ def cmd_invert(args, cfg):
         diag = {"methods": ["fft", "euler"],
                 "method_spread": dens.method_spread,
                 "spread_t": dens.spread_t, "fft_points": dens.fft_points,
+                "fft_band": dens.fft_band,
                 "raw_min": dens.raw_min, "c": args.c,
                 "dt": dt, "t_max": t_max}
         with open(args.diag, "w") as fh:

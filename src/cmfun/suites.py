@@ -11,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import barnes, cesaro, densities, laplace, monotonicity, specfun, stieltjes
+from .errors import CmfunError
 
 # ---------------------------------------------------------------------------
 # catalog functions
@@ -567,6 +568,16 @@ SUITES = {
 }
 
 
+def _run_item(key, index, thunk):
+    """The item's result; a CmfunError it raises fails it alone, named by
+    the suite and its position, and the rest of the report still runs."""
+    try:
+        return thunk()
+    except CmfunError as exc:
+        return {"name": f"{key}[{index}]", "passed": False,
+                "error": f"{type(exc).__name__}: {exc}"}
+
+
 def run_suite(key, jobs=1, **overrides):
     """Run a named suite; returns a JSON-ready report dict."""
     if key not in SUITES:
@@ -574,10 +585,11 @@ def run_suite(key, jobs=1, **overrides):
     thunks = SUITES[key](**overrides)
     if jobs and jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(t) for t in thunks]
+            futures = [pool.submit(_run_item, key, i, t)
+                       for i, t in enumerate(thunks)]
             items = [f.result() for f in futures]
     else:
-        items = [t() for t in thunks]
+        items = [_run_item(key, i, t) for i, t in enumerate(thunks)]
     return {"suite": key,
             "passed": all(it["passed"] for it in items),
             "items": items}

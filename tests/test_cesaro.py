@@ -281,6 +281,16 @@ class TestKappa:
             tracemalloc.stop()
         assert peak <= 32 * 2 ** 20, peak
 
+    def test_generic_series_to_rounding(self):
+        # sum e^(-nt)/(1+n)^2 = e^t Li_2(e^(-t)); summed row by row, the
+        # 1.67e6 terms at t = 3e-5 were 1.35e-12 off
+        ts = np.array([3e-5, 1e-3, 0.1])
+        vals = cs.kappa_eval(lambda n: 1.0 / (1.0 + n) ** 2, 0, ts)
+        with mpmath.workdps(30):
+            ref = [float(mpmath.exp(t) * mpmath.polylog(2, mpmath.exp(-t)) / t)
+                   for t in ts]
+        np.testing.assert_allclose(vals, ref, rtol=1e-14, atol=0)
+
     def test_prym_closed_form(self):
         ts = np.linspace(0.05, 4.0, 20)
         vals = cs.kappa_eval("prym", 0, ts)

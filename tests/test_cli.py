@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from cmfun import cli
+from cmfun import cli, laplace
+from cmfun.errors import ConvergenceError
 from cmfun.suites import SUITES
 
 
@@ -151,6 +152,21 @@ class TestCheck:
         assert any("max_error" in it for it in report["items"])
 
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_raising_item_fails_alone(self, capsys, monkeypatch, jobs):
+        def refuse(*args):
+            raise ConvergenceError("did not converge")
+
+        monkeypatch.setattr(laplace, "semigroup_check", refuse)
+        code, out, _ = run(capsys, "check", "semigroup", "--jobs", jobs)
+        report = json.loads(out)
+        assert code == 1 and not report["passed"]
+        assert [it["passed"] for it in report["items"]] == [True, False, True]
+        assert report["items"][1] == {
+            "name": "semigroup[1]", "passed": False,
+            "error": "ConvergenceError: did not converge"}
+
+
 class TestInvert:
     def test_beta_pow_c_csv(self, capsys, tmp_path):
         diag = tmp_path / "diag.json"
@@ -165,6 +181,7 @@ class TestInvert:
         d = json.loads(report)
         assert d["methods"] == ["fft", "euler"]
         assert d["method_spread"] <= 1e-7 and d["fft_points"] == 2 ** 15
+        assert d["fft_band"] == 2 ** 14
         assert d["spread_t"] in {0.25 * k for k in range(1, 9)}
         # the diagnostics are as reproducible as the reports
         run(capsys, "invert", "beta-pow-c", "--c", "1", "--dt", "0.25",
