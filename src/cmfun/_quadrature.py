@@ -1,6 +1,6 @@
 """Adaptive Gauss-Kronrod quadrature (G7/K15), real or complex integrands,
-a fixed exp-sinh rule for int_0^inf f(w) e^(-w) dw and a nested exp-sinh
-rule for int_a^inf g."""
+and two nested exp-sinh rules: for int_0^inf f(w) e^(-w) dw and for
+int_a^inf g."""
 
 import cmath
 import heapq
@@ -36,13 +36,34 @@ _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 _LIMIT = 2000  # panels before quad gives up
 
-# Exp-sinh rule for int_0^inf f(w) e^(-w) dw (Takahasi & Mori 1974):
-# w = exp(pi/2 sinh tau), trapezoid in tau with step 1/64 on
-# [-435/64, 108/64], i.e. 544 nodes w from 5e-306 to 60.
-_EXP_SINH_TAU = np.arange(-435, 109) / 64.0
-EXP_SINH_NODES = np.exp(0.5 * np.pi * np.sinh(_EXP_SINH_TAU))
-EXP_SINH_WEIGHTS = (0.5 * np.pi / 64.0) * np.cosh(_EXP_SINH_TAU) * \
-    EXP_SINH_NODES * np.exp(-EXP_SINH_NODES)
+# Nested exp-sinh rule for int_0^inf f(w) e^(-w) dw (Takahasi & Mori 1974):
+# w = exp(pi/2 sinh tau), trapezoid in tau on [-3480/512, 864/512], i.e.
+# w from 5e-306 to 60.  Level 0 has step 1/8 and each further level halves
+# the step and adds only the new nodes, down to step 1/512.  Level 0 holds
+# tau = 1/16 + i/8, so the first four levels (step 1/64) are exactly
+# tau = i/64, -435 <= i <= 108.  Each level is (step, w, e^(-w) dw/dtau)
+# at its new nodes, ascending in tau.
+def _exp_sinh_nodes(j):
+    """(w, e^(-w) dw/dtau) of the exp-sinh rule at tau = j/512."""
+    tau = j / 512.0
+    w = np.exp(0.5 * np.pi * np.sinh(tau))
+    return w, 0.5 * np.pi * np.cosh(tau) * w * np.exp(-w)
+
+
+_J = np.arange(-3480, 865) - 32  # tau - 1/16, in units of 1/512
+EXP_SINH_LEVELS = [(0.125, *_exp_sinh_nodes(32 + _J[_J % 64 == 0]))] + [
+    (k / 512.0, *_exp_sinh_nodes(32 + _J[_J % (2 * k) == k]))
+    for k in (32, 16, 8, 4, 2, 1)]
+
+
+def exp_sinh_rule(levels):
+    """(w, weights) of the trapezoid made of the first ``levels`` levels of
+    EXP_SINH_LEVELS, ascending in w: a fixed rule for int_0^inf f e^(-w)."""
+    step = EXP_SINH_LEVELS[levels - 1][0]
+    w = np.concatenate([lv[1] for lv in EXP_SINH_LEVELS[:levels]])
+    h = np.concatenate([lv[2] for lv in EXP_SINH_LEVELS[:levels]])
+    order = np.argsort(w)
+    return w[order], step * h[order]
 
 
 # Nested exp-sinh rule for int_a^inf g (Bailey, Jeyabalan & Li 2005):
@@ -88,12 +109,21 @@ def _panel(f, a, b):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     fx = f(mid + half * _NODES)
-    ik = half * np.sum(_WEIGHTS_K * fx)
+    if np.iscomplexobj(fx):
+        # a complex product would promote the weights to w + 0j, whose
+        # 0j meets an infinite real part as 0 * inf = nan (and warns);
+        # scaling the (real, imag) pairs gives the same products
+        pairs = np.asarray(fx, dtype=complex).view(float).reshape(-1, 2)
+        wfx = (_WEIGHTS_K[:, None] * pairs).view(complex)[:, 0]
+    else:
+        wfx = _WEIGHTS_K * fx
+    ik = np.sum(wfx)
     if not cmath.isfinite(ik):
         # the Kronrod weights are all positive, so this catches any value
         # of fx that is not finite before the Gauss weights' zeros meet it
         raise ConvergenceError(
             f"integrand is not finite on the panel [{a}, {b}]")
+    ik = half * ik
     ig = half * np.sum(_WEIGHTS_G * fx)
     e = abs(ik - ig)
     # the Kronrod estimate superconverges; the standard rescaling credits it

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._quadrature import EXP_SINH_NODES, EXP_SINH_WEIGHTS
+from ._quadrature import exp_sinh_rule
 from ._series import alternating_sum, ordered_sum, running_product
 from .errors import ConvergenceError, DomainError
 
@@ -30,6 +30,8 @@ _BETA_FAR = 40.0
 # at the 12 to 20 steps the functions below take
 _BLOCK = 2 ** 16
 _MAX_STEPS = 10_000
+# si/ci's fixed exp-sinh rule: step 1/64, 544 nodes w from 5e-306 to 60
+_SI_CI_NODES, _SI_CI_WEIGHTS = exp_sinh_rule(4)
 
 # B_{2k}/(2k), B_{2k}, (2k+1) B_{2k}, B_{2k}/((2k)(2k-1)) for k = 1..8
 _PSI_C = np.array([1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132,
@@ -248,11 +250,11 @@ def _si_ci_aux(x):
     (f, g) = int_0^inf e^(-xu) (1, u)/(1 + u^2) du: the exp-sinh rule in
     w = x u, in blocks of at most _BLOCK (point, node) terms."""
     f, g = np.empty_like(x), np.empty_like(x)
-    rows = _BLOCK // len(EXP_SINH_NODES)
+    rows = _BLOCK // len(_SI_CI_NODES)
     for lo in range(0, x.size, rows):
         xb = x[lo:lo + rows]
-        u = EXP_SINH_NODES / xb[:, None]
-        h = EXP_SINH_WEIGHTS / (1.0 + u * u)
+        u = _SI_CI_NODES / xb[:, None]
+        h = _SI_CI_WEIGHTS / (1.0 + u * u)
         f[lo:lo + rows] = ordered_sum(h) / xb
         g[lo:lo + rows] = ordered_sum(h * u) / xb
     cos, sin = np.cos(x), np.sin(x)
@@ -264,7 +266,7 @@ def sin_cos_integrals(x):
 
     The fixed 18-term power series up to x = 4; beyond, the auxiliary
     functions f = L[1/(1+u^2)](x) and g = L[u/(1+u^2)](x) by the fixed
-    exp-sinh rule, giving si = -f cos - g sin and ci = f sin - g cos.
+    step-1/64 exp-sinh rule, giving si = -f cos - g sin and ci = f sin - g cos.
     Scalars give floats; each array entry equals the scalar call.
     """
     arr = _positive(x)

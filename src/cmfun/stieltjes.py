@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._quadrature import EXP_SINH_NODES, EXP_SINH_WEIGHTS, vectorized
+from ._quadrature import EXP_SINH_LEVELS, vectorized
 from ._series import (MIDPOINT_STENCIL, iterate_sums, midpoint_correction,
                       midpoint_tail, running_product)
 from .errors import CapTooSmallError, ConvergenceError, DomainError
@@ -397,32 +397,74 @@ class _CoefTail:
 
         The midpoint completion with no direct terms: with a = start - 1/2
         and m = a + w/t, int_a^inf coef(m) e^(-m t) dm is
-        e^(-a t)/t int_0^inf coef(a + w/t) e^(-w) dw, taken by the fixed
-        exp-sinh rule on one (t x node) array.  Beyond m = _M_FAR, which
-        only t < 2e-149 reach and where w/t would overflow for the
-        smallest t, coef is continued as the power of m that it has
-        between _M_FAR/2 and _M_FAR (the catalog's constant, affine and
-        m^(-s)-like coefficients follow it to 1e-140).  A sum beyond the
-        float range reads inf.  The t where e^(-(start - 3/4) t), the
-        smallest stencil point's factor, is 0 read 0, as all their terms do.
+        e^(-a t)/t int_0^inf coef(a + w/t) e^(-w) dw, taken by
+        ``_w_integral``.  The t where e^(-(start - 3/4) t), the smallest
+        stencil point's factor, is 0 read 0, as all their terms do; a sum
+        beyond the float range reads inf.
         """
         out = np.zeros_like(t)
         rows = np.exp(-t * (self.start - 0.75)) > 0.0
         t = t[rows]
         a = self.start - 0.5
-        tc = t[:, None]
-        near = np.minimum(EXP_SINH_NODES, tc * _M_FAR)
-        ends = self.coef(np.array([0.5 * _M_FAR, _M_FAR]))
-        power = np.log2(ends[1] / ends[0])
         m = a + MIDPOINT_STENCIL
+        integral = self._w_integral(t)
         with np.errstate(over="ignore"):
-            values = self.coef(a + near / tc) * \
-                (EXP_SINH_NODES / near) ** power
-            integral = np.exp(-a * t) / t * (values @ EXP_SINH_WEIGHTS)
+            integral *= np.exp(-a * t) / t
             sums = integral + midpoint_correction(
-                self.coef(m) * np.exp(-tc * m))
+                self.coef(m) * np.exp(-t[:, None] * m))
         out[rows] = sums * self._unit_laplace(t)
         return out
+
+    def _w_integral(self, t):
+        """int_0^inf coef(a + w/t) e^(-w) dw, a = start - 1/2, per t.
+
+        The levels of the nested exp-sinh rule evaluate coef on their new
+        nodes for the rows still open.  The integrand has a knee at
+        w = a t, where coef(a + w/t) turns from coef(a) to its decay in w,
+        and the nodes there lie |log(a t)| times the step apart in log w;
+        coarser levels can agree while they miss a knee that carries
+        little of the sum (gamma-reciprocal s = 0.9 at t = 1e-100 closed
+        5e-11 off at step 1/32).  So a row closes at the first level with
+        step <= 1/|log(a t)| on which it agrees with the level before to
+        1e-10 relative (every term is >= 0, so that is relative to the sum
+        of |terms|); a row beyond the float range reads inf.  Raises
+        ConvergenceError when a level is nan or when a row that step 1/256
+        resolves still disagrees at step 1/512.  Rows whose knee needs
+        step 1/512 or finer (a t < e^-256) keep the step-1/512 value, as
+        there is no finer level to check it against.  Beyond
+        m = _M_FAR, which only t < 2e-149 reach and where w/t would
+        overflow for the smallest t, coef is continued as the power of m
+        that it has between _M_FAR/2 and _M_FAR (the catalog's constant,
+        affine and m^(-s)-like coefficients follow it to 1e-140).
+        """
+        a = self.start - 0.5
+        ends = self.coef(np.array([0.5 * _M_FAR, _M_FAR]))
+        power = np.log2(ends[1] / ends[0])
+        knee = np.abs(np.log(a * t))
+        total = np.zeros_like(t)
+        rows = np.arange(t.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for level, (step, w, h) in enumerate(EXP_SINH_LEVELS):
+                tc = t[rows, None]
+                near = np.minimum(w, tc * _M_FAR)
+                values = self.coef(a + near / tc) * (w / near) ** power
+                previous = total[rows]
+                current = 0.5 * previous + step * (values @ h)
+                if np.any(np.isnan(current)):
+                    raise ConvergenceError(f"coefficient tail from "
+                                           f"{self.start} is nan at {step}")
+                total[rows] = current
+                if level:  # inf - inf is nan, which closes a row at inf
+                    rows = rows[(np.abs(current - previous) > 1e-10 * current)
+                                | (step * knee[rows] > 1.0)]
+                    if not rows.size:
+                        return total
+        if np.any(knee[rows] <= 256.0):
+            raise ConvergenceError(
+                f"coefficient tail from {self.start} did not converge at "
+                f"t = {t[rows][knee[rows] <= 256.0][0]:.3e}: steps 1/256 and "
+                f"1/512 differ")
+        return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -528,29 +570,60 @@ class CmKernel:
 
 def stieltjes_via_kernel(m, x):
     """f(x) = c + (1/Gamma(order)) int e^(-xt) t^(order-1) kappa(t) dt by
-    one pass of the exp-sinh rule in u = x t.
+    the nested exp-sinh rule in w = x t.
 
     The far field C/t of kappa (C = lim t kappa(t), the tail's mean density)
     is taken out as C e^(-t)/t, which leaves nothing at large t to cancel,
-    and added back as C Gamma(order-1) (1+x)^(1-order).  Nodes with
-    t < 1e-150 contribute 0; a non-finite kept value raises ConvergenceError.
+    and added back as C Gamma(order-1) (1+x)^(1-order).  Each level calls
+    kappa once, on its new t only.  Level 0 marks the span of w where its
+    terms exceed 1e-18 of f(x); later levels skip the nodes beyond it.
+    Nodes with t < 1e-150 contribute 0.  What kappa does around t = 1
+    sits at w = x, where the nodes lie |log x| times the step apart in
+    log w, and coarser levels can agree to 1e-10 while they miss it
+    (2e-12 off at x = 1e-8 for the sqrt locations).  So the levels stop
+    at the first one with step <= 1/(2 |log x|) that agrees with the one
+    before to 1e-10 relative to the f(x) they give: the sum itself has
+    the far field taken out and can cancel.  Raises ConvergenceError when
+    a level is not finite or step 1/512 gives no such agreement (always
+    for x below 1e-111 or above 1e111).
     """
     _positive(x)
     order = m.order
     far = getattr(m.tail, "mean", 0.0)  # coefficient tails take none out
     if far and order <= 1.0:
         raise ConvergenceError("a tail with a mean density needs order > 1")
-    keep = EXP_SINH_NODES / x >= 1e-150
-    t = EXP_SINH_NODES[keep] / x
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = EXP_SINH_WEIGHTS[keep] * t ** (order - 1.0) * \
-            (CmKernel(m)(t) - far * np.exp(-t) / t)
-    if not np.all(np.isfinite(values)):
-        raise ConvergenceError(f"kernel route integrand not finite at x={x}")
-    total = float(np.sum(values)) / x / math.gamma(order)
+    kappa = CmKernel(m)
+    head = m.constant
     if far:
-        total += far * (1.0 + x) ** (1.0 - order) / (order - 1.0)
-    return m.constant + total
+        head += far * (1.0 + x) ** (1.0 - order) / (order - 1.0)
+    unit = 1.0 / (x * math.gamma(order))  # f(x) = head + unit * integral
+    knee = abs(math.log(x))
+    total, lo, hi = 0.0, 0.0, math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level, (step, w, h) in enumerate(EXP_SINH_LEVELS):
+            keep = (w / x >= 1e-150) & (lo <= w) & (w <= hi)
+            t = w[keep] / x
+            terms = h[keep] * t ** (order - 1.0) * (
+                kappa(t) - far * np.exp(-t) / t)
+            previous, total = total, 0.5 * total + step * float(np.sum(terms))
+            if not math.isfinite(total):
+                raise ConvergenceError(
+                    f"kernel route integrand not finite at x={x}")
+            value = head + unit * total
+            if level == 0:
+                big = np.flatnonzero(
+                    step * unit * np.abs(terms) > 1e-18 * abs(value))
+                if big.size:
+                    w0 = w[keep]
+                    lo = w0[big[0] - 1] if big[0] else lo
+                    hi = w0[big[-1] + 1] if big[-1] + 1 < w0.size else hi
+            elif (2.0 * step * knee <= 1.0 and
+                  unit * abs(total - previous) <= 1e-10 * abs(value)):
+                return value
+    raise ConvergenceError(
+        f"kernel route did not converge at x={x}: no level up to step "
+        f"1/512 resolves w = x and agrees with the one before (steps 1/256 "
+        f"and 1/512 differ by {unit * abs(total - previous):.3e})")
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,14 @@ class TestInvert:
         code, _, _ = run(capsys, "invert", "beta-pow-c", "--c", "-1")
         assert code == 2
 
+    @pytest.mark.parametrize("c", ["166.7", "200", "1e300", "inf", "nan"])
+    def test_c_beyond_the_supported_range_exits_2(self, capsys, c):
+        # Gamma(c + 5) in the head's inverses overflows past c = 166.6
+        code, out, err = run(capsys, "invert", "beta-pow-c", "--c", c)
+        assert code == 2 and out == ""
+        assert err.startswith("error: c must be in (0, 166]")
+        assert err.count("\n") == 1
+
     def test_unknown_transform_exits_2(self, capsys):
         code, _, _ = run(capsys, "invert", "nosuch", "--c", "1")
         assert code == 2

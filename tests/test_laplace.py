@@ -311,6 +311,18 @@ class TestInversion:
         with pytest.raises(DomainError):
             lp.beta_power(-1.0)
 
+    def test_c_range_ends_where_the_head_overflows(self):
+        # c = C_MAX still forms the head (the Euler check then refuses the
+        # default grid); just past it Gamma(c + 5) overflows
+        assert math.isfinite(math.gamma(lp.C_MAX + lp._HEAD_TERMS - 1))
+        with pytest.raises(OverflowError):
+            math.gamma(lp.C_MAX + 0.7 + lp._HEAD_TERMS - 1)
+        with pytest.raises(InversionDisagreementError):
+            lp.semigroup_density(lp.C_MAX)
+        for c in (lp.C_MAX + 0.7, 200.0):
+            with pytest.raises(DomainError, match=r"\(0, 166\]"):
+                lp.semigroup_density(c)
+
 
 class TestSemigroup:
     def test_density_matches_logistic(self):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from cmfun._quadrature import (_NESTED_LEVELS, _NODES, _WEIGHTS_G,
-                               _WEIGHTS_K, exp_sinh_to_inf, quad)
+from cmfun._quadrature import (EXP_SINH_LEVELS, _NESTED_LEVELS, _NODES,
+                               _WEIGHTS_G, _WEIGHTS_K, _panel,
+                               exp_sinh_rule, exp_sinh_to_inf, quad)
 from cmfun.errors import ConvergenceError
 
 
@@ -43,11 +44,23 @@ def test_every_call_hands_f_one_panel(f, exact):
     assert abs(value - exact) <= 1e-12
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(math.inf, 0.0),
+                                   complex(0.0, -math.inf)])
 def test_quad_raises_on_a_non_finite_integrand(value):
-    # a nan error sum used to end the refinement and return the nan total
+    # a nan error sum used to end the refinement and return the nan total;
+    # a complex inf used to warn 0 * inf = nan from the weights' 0j first
     with pytest.raises(ConvergenceError):
-        quad(lambda t: np.full_like(t, value), 0.0, 1.0)
+        quad(lambda t: np.full(np.shape(t), value), 0.0, 1.0)
+
+
+def test_complex_panel_keeps_the_promoted_products():
+    # the Kronrod products of a complex integrand have the bits of the
+    # complex multiply they replace, so a complex quad keeps its value
+    rng = np.random.default_rng(3)
+    fx = rng.normal(size=15) + 1j * rng.normal(size=15)
+    value, _ = _panel(lambda t: fx, 0.0, 1.0)
+    assert value == 0.5 * np.sum(_WEIGHTS_K * fx)
 
 
 def test_nested_levels_add_only_new_nodes():
@@ -58,6 +71,30 @@ def test_nested_levels_add_only_new_nodes():
     u = np.sort(np.concatenate([u for _, u, _ in _NESTED_LEVELS]))
     tau = np.arcsinh(np.log(u) / (0.5 * math.pi)) * 512.0
     assert np.allclose(tau, np.arange(-2304, 3105), rtol=0.0, atol=1e-8)
+
+
+def test_exp_sinh_levels_add_only_new_nodes():
+    # every tau = j/512 on [-3480/512, 864/512] once, 68 at step 1/8, and
+    # the first four levels are the step-1/64 rule tau = i/64
+    steps = [step for step, _, _ in EXP_SINH_LEVELS]
+    assert steps == [2.0 ** -k for k in range(3, 10)]
+    assert [len(w) for _, w, _ in EXP_SINH_LEVELS[:2]] == [68, 68]
+    w = np.sort(np.concatenate([w for _, w, _ in EXP_SINH_LEVELS]))
+    tau = np.arcsinh(np.log(w) / (0.5 * math.pi)) * 512.0
+    assert np.allclose(tau, np.arange(-3480, 865), rtol=0.0, atol=1e-8)
+    w64, h64 = exp_sinh_rule(4)
+    tau64 = np.arange(-435, 109) / 64.0
+    np.testing.assert_array_equal(w64, np.exp(0.5 * np.pi * np.sinh(tau64)))
+    np.testing.assert_array_equal(
+        h64, (0.5 * np.pi / 64.0) * np.cosh(tau64) * w64 * np.exp(-w64))
+
+
+@pytest.mark.parametrize("levels", range(3, 8))
+def test_exp_sinh_rule_integrates_powers(levels):
+    # int_0^inf w^p e^(-w) dw = Gamma(p + 1), from step 1/32 on
+    w, h = exp_sinh_rule(levels)
+    for p in (-0.5, 0.0, 0.3, 1.0, 4.0):
+        assert abs(h @ w ** p / math.gamma(p + 1.0) - 1.0) <= 2e-15
 
 
 def test_exp_sinh_calls_g_once_per_level_on_new_nodes():

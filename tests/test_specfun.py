@@ -9,6 +9,7 @@ from hypothesis import strategies as hs
 
 from cmfun import specfun as sf
 from cmfun._quadrature import quad
+from cmfun._series import ordered_sum
 from cmfun.errors import ConvergenceError, DomainError
 
 LOG2 = math.log(2.0)
@@ -148,6 +149,22 @@ class TestSinCosIntegrals:
                 m = mpmath.mpf(x)
                 assert abs(s_val - (mpmath.si(m) - mpmath.pi / 2)) <= 2e-15, x
                 assert abs(c_val - mpmath.ci(m)) <= 2e-15, x
+
+    def test_exp_sinh_branch_keeps_the_fixed_step_64_rule(self):
+        # the rule before the nested table, written out: tau = i/64 for
+        # -435 <= i <= 108, w = exp(pi/2 sinh tau), one ordered sum per x
+        tau = np.arange(-435, 109) / 64.0
+        w = np.exp(0.5 * np.pi * np.sinh(tau))
+        weights = (0.5 * np.pi / 64.0) * np.cosh(tau) * w * np.exp(-w)
+        xs = np.concatenate([np.geomspace(4.0, 1e6, 400)[1:],
+                             [4.000001, 7.25, 1e6]])
+        u = w / xs[:, None]
+        h = weights / (1.0 + u * u)
+        f = ordered_sum(h) / xs
+        g = ordered_sum(h * u) / xs
+        si, ci = sf.sin_cos_integrals(xs)
+        np.testing.assert_array_equal(si, -f * np.cos(xs) - g * np.sin(xs))
+        np.testing.assert_array_equal(ci, f * np.sin(xs) - g * np.cos(xs))
 
 
 class TestPrym:

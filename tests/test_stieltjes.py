@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -13,7 +14,7 @@ from cmfun import monotonicity as mono
 from cmfun import specfun as sf
 from cmfun import stieltjes as st
 from cmfun._quadrature import quad
-from cmfun.errors import CapTooSmallError, DomainError
+from cmfun.errors import CapTooSmallError, ConvergenceError, DomainError
 
 LOG2 = math.log(2.0)
 
@@ -414,6 +415,85 @@ def test_kernel_route_grid(build):
     for x, tol in KERNEL_ROUTE_TOL.items():
         assert st.stieltjes_via_kernel(m, x) == pytest.approx(
             st.stieltjes_eval(m, x), rel=tol), x
+
+
+def offset_alternating():
+    return st.measure_alternating(lambda n: n + 1.5, 1.0)
+
+
+def genus1():
+    return st.measure_genus1_log_ratio((1.0, 2.0, 3.0), 0.5, 0.5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("build,x,tol", [
+    (offset_alternating, 1e-12, 1e-14), (offset_alternating, 1e5, 1e-14),
+    (genus1, 1e-12, 1e-14), (genus1, 1e5, 1e-11)],
+    ids=["alternating-1e-12", "alternating-1e5", "genus1-1e-12",
+         "genus1-1e5"])
+def test_kernel_route_far_x(build, x, tol):
+    # the levels stop only where they resolve w = x: the fixed rule was
+    # 8.5e-10 off for genus 1 at 1e-12; at 1e5 genus 1's kernel limits it
+    m = build()
+    assert st.stieltjes_via_kernel(m, x) == pytest.approx(
+        st.stieltjes_eval(m, x), rel=tol)
+
+
+@pytest.mark.parametrize("build", [b for _, b in kernel_route_catalog()],
+                         ids=[name for name, _ in kernel_route_catalog()])
+def test_kernel_route_small_x_at_rounding(build):
+    # levels coarser than 1/(2 |log x|) agreed to 1e-10 while off by
+    # 2e-12 (sqrt locations at x = 1e-8) and 3e-14 (gamma-reciprocal
+    # s = 0.01 at x = 1e-5)
+    m = build()
+    for x in (1e-12, 1e-8, 1e-5):
+        assert st.stieltjes_via_kernel(m, x) == pytest.approx(
+            st.stieltjes_eval(m, x), rel=4e-15), x
+
+
+@pytest.mark.parametrize("build", [offset_alternating, genus1],
+                         ids=["alternating", "genus1"])
+def test_kernel_route_converges_or_raises_at_tiny_x(build):
+    # the fixed rule returned values 15 % (alternating) and 44 % (genus 1)
+    # off at x = 1e-100; below e^-256 no level resolves w = x
+    m = build()
+    try:
+        value = st.stieltjes_via_kernel(m, 1e-100)
+    except ConvergenceError:
+        pass
+    else:
+        assert value == pytest.approx(st.stieltjes_eval(m, 1e-100), rel=1e-8)
+    with pytest.raises(ConvergenceError):
+        st.stieltjes_via_kernel(m, 1e-120)
+
+
+def test_kernel_route_counts(monkeypatch):
+    # at most 250 kappa t per call on [0.05, 50], and at most 100k
+    # coefficient values per gamma-reciprocal call (s <= 0.9); the fixed
+    # rule took 498 t and 271k values
+    counts = {"t": 0, "coef": 0}
+    kappa = st.CmKernel.__call__
+
+    def counted(self, t):
+        counts["t"] += np.size(t)
+        return kappa(self, t)
+
+    monkeypatch.setattr(st.CmKernel, "__call__", counted)
+    builds = [b for _, b in kernel_route_catalog()]
+    builds += [lambda: st.measure_gamma_reciprocal_ratio(0.9)]
+    for build in builds:
+        m = build()
+        if isinstance(m.tail, (st.SmoothCoefTail, st.AtomTail)):
+            def coef(k, coef=m.tail.coef):
+                counts["coef"] += np.size(k)
+                return coef(k)
+            m = dataclasses.replace(
+                m, tail=dataclasses.replace(m.tail, coef=coef))
+        for x in np.geomspace(0.05, 50.0, 7):
+            counts.update(t=0, coef=0)
+            st.stieltjes_via_kernel(m, x)
+            assert counts["t"] <= 250, (build, x, counts)
+            assert counts["coef"] <= 100_000, (build, x, counts)
 
 
 @pytest.mark.parametrize("build", [

@@ -169,6 +169,55 @@ def test_kernel_vector_within_2e_14_of_closed_form(build, closed):
     assert np.max(np.abs(values / ref - 1.0)) <= 2e-14
 
 
+def deep_kernels():
+    for s in (0.01, 0.1, 0.5, 0.9, 0.99):
+        yield f"gamma-reciprocal-{s}", \
+            lambda s=s: st.measure_gamma_reciprocal_ratio(s), \
+            lambda t, s=s: (-mpmath.expm1(-t)) ** s / t
+    yield "integer-atoms", st.measure_integer_atoms, \
+        lambda t: 1 / -mpmath.expm1(-t)
+
+
+@pytest.mark.parametrize("build,closed", [c[1:] for c in deep_kernels()],
+                         ids=[c[0] for c in deep_kernels()])
+def test_kernel_within_2e_14_down_to_1e_140(build, closed):
+    # the coefficient tail's knee at w = a t needs a step of about
+    # 1/|log(a t)|; the fixed step-1/64 rule was 2.1e-6 off at t = 1e-60
+    # and 7e-5 at 1e-200 for s = 0.99
+    ts = np.geomspace(1e-140, 10.0, 400)
+    values = st.CmKernel(build())(ts)
+    ref = np.array([float(closed(mpmath.mpf(t))) for t in ts])
+    assert np.max(np.abs(values / ref - 1.0)) <= 2e-14
+
+
+@pytest.mark.parametrize("s", [0.5, 0.9, 0.99])
+def test_gamma_reciprocal_kernel_below_1e_140(s):
+    # only step 1/512 resolves the knee there, and its value is kept
+    # unchecked: within 4.5e-7 at s = 0.99 (the fixed rule: 1e-4)
+    ts = np.geomspace(2.3e-308, 1e-140, 60)
+    values = st.CmKernel(st.measure_gamma_reciprocal_ratio(s))(ts)
+    ref = np.array([float((-mpmath.expm1(-mpmath.mpf(t))) ** s / t)
+                    for t in ts])
+    assert np.max(np.abs(values / ref - 1.0)) <= (1e-6 if s > 0.9 else 1e-12)
+
+
+def test_coef_tail_closes_rows_level_by_level(monkeypatch):
+    # each level hands coef only the rows still open: a row near t = 1
+    # closes by step 1/32, one at 1e-100 runs to the step its knee needs
+    m = st.measure_gamma_reciprocal_ratio(0.9)
+    rows = []
+
+    def coef(k):
+        if np.ndim(k) == 2:
+            rows.append(k.shape[0])
+        return m.tail.coef(k)
+
+    tail = dataclasses.replace(m.tail, coef=coef)
+    tail.laplace(np.array([0.3, 1e-100]))
+    assert rows[:3] == [2, 2, 2] and set(rows[3:]) == {1}
+    assert len(rows) == 6  # step 1/256 <= 1/|log(2047.5e-100)|
+
+
 @settings(max_examples=60, deadline=None)
 @given(s=hs.floats(0.005, 0.995), log_t=hs.floats(-20.0, 1.0))
 def test_kernel_gamma_reciprocal_property(s, log_t):
