@@ -1,9 +1,8 @@
-"""Adaptive Gauss-Kronrod quadrature (G7/K15), real or complex integrands,
+"""Adaptive Gauss-Kronrod quadrature (G7/K15) of real, complex or
+vector-valued integrands, one integrand call per generation of panels,
 and two nested exp-sinh rules: for int_0^inf f(w) e^(-w) dw and for
 int_a^inf g."""
 
-import cmath
-import heapq
 import math
 
 import numpy as np
@@ -34,7 +33,8 @@ _NODES = np.concatenate([-_XK[:-1], _XK[::-1]])          # 15 ascending nodes
 _WEIGHTS_K = np.concatenate([_WK[:-1], _WK[::-1]])
 _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
-_LIMIT = 2000  # panels before quad gives up
+_LIMIT = 2000  # panels quad may evaluate in all before it gives up
+_TINY = np.finfo(float).tiny
 
 # Nested exp-sinh rule for int_0^inf f(w) e^(-w) dw (Takahasi & Mori 1974):
 # w = exp(pi/2 sinh tau), trapezoid in tau on [-3480/512, 864/512], i.e.
@@ -105,75 +105,93 @@ def vectorized(f):
     return wrapped
 
 
-def _panel(f, a, b):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fx = f(mid + half * _NODES)
+def _panels(f, lo, hi):
+    """(Kronrod sums, error estimates) of ``f`` on the panels [lo, hi]
+    (1-D arrays), from one call of ``f`` on the 15 nodes of every panel.
+    ``f`` returns its values along the last axis, behind any leading axes;
+    both results have shape (leading axes..., panels)."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    fx = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel()))
+    fx = fx.reshape(fx.shape[:-1] + (len(lo), 15))
     if np.iscomplexobj(fx):
         # a complex product would promote the weights to w + 0j, whose
         # 0j meets an infinite real part as 0 * inf = nan (and warns);
         # scaling the (real, imag) pairs gives the same products
-        pairs = np.asarray(fx, dtype=complex).view(float).reshape(-1, 2)
-        wfx = (_WEIGHTS_K[:, None] * pairs).view(complex)[:, 0]
+        pairs = np.asarray(fx, dtype=complex).view(float).reshape(
+            fx.shape + (2,))
+        wfx = (_WEIGHTS_K[:, None] * pairs).view(complex)[..., 0]
     else:
         wfx = _WEIGHTS_K * fx
-    ik = np.sum(wfx)
-    if not cmath.isfinite(ik):
+    ik = wfx.sum(axis=-1)
+    if not np.isfinite(ik).all():
         # the Kronrod weights are all positive, so this catches any value
         # of fx that is not finite before the Gauss weights' zeros meet it
+        p = np.nonzero(~np.isfinite(ik))[-1][0]
         raise ConvergenceError(
-            f"integrand is not finite on the panel [{a}, {b}]")
-    ik = half * ik
-    ig = half * np.sum(_WEIGHTS_G * fx)
-    e = abs(ik - ig)
+            f"integrand is not finite on the panel [{lo[p]}, {hi[p]}]")
+    ik *= half
+    e = np.abs(ik - half * (fx @ _WEIGHTS_G))
     # the Kronrod estimate superconverges; the standard rescaling credits it
-    scale = half * float(np.sum(_WEIGHTS_K * np.abs(fx)))
-    if scale > 0 and e < scale:
-        e = scale * min(1.0, (200.0 * e / scale) ** 1.5)
+    scale = half * (np.abs(fx) @ _WEIGHTS_K)
+    below = e < scale
+    ratio = np.divide(e, scale, out=np.zeros_like(e), where=below)
+    e = np.where(below, scale * np.minimum(1.0, (200.0 * ratio) ** 1.5), e)
     return ik, e
 
 
 def quad(f, a, b, abs_tol=1e-12, rel_tol=1e-12, points=None):
-    """Integrate ``f`` over [a, b] adaptively.
+    """Integrate ``f`` over [a, b] adaptively, in generations of panels.
 
-    ``f`` must accept an ndarray of abscissae.  ``points`` seeds extra panel
-    boundaries (breakpoints, kinks).  Raises ConvergenceError when the
-    subdivision limit is hit before the tolerance, or when the total or
-    its error estimate is not finite.
+    ``f`` maps a 1-D ndarray of abscissae to values along the last axis;
+    leading axes make a vector-valued integrand, and the result has their
+    shape.  Each generation calls ``f`` once, on the 15 Kronrod nodes of
+    all of its new panels; the first holds the panels between a, b and the
+    ``points`` inside (breakpoints, kinks).  The loop stops when every
+    component's error sum is at most max(abs_tol, rel_tol |total|).  Else
+    each panel's error is divided by its component's tolerance and the
+    largest ratio over components is its score; the panels of the lowest
+    scores that sum to at most 1/2 are kept and the others halved.
+    Raises ConvergenceError when the next generation would take the
+    panels evaluated in all past _LIMIT, or when a Kronrod sum, the total
+    or its error sum is not finite.
     """
     edges = [a, b]
     if points is not None:
         edges += [p for p in points if a < p < b]
-    edges = sorted(set(float(e) for e in edges))
-    heap = []
-    total = 0.0  # a complex panel sum promotes it
-    err_sum = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        ik, err = _panel(f, lo, hi)
-        total += ik
-        err_sum += err
-        heapq.heappush(heap, (-err, lo, hi, ik))
-    count = len(heap)
-    while err_sum > max(abs_tol, rel_tol * abs(total)) and heap:
-        if count > _LIMIT:
+    edges = np.array(sorted(set(float(e) for e in edges)))
+    lo, hi = edges[:-1], edges[1:]
+    ik, err = _panels(f, lo, hi)
+    count = len(lo)
+    while True:
+        total, err_sum = ik.sum(axis=-1), err.sum(axis=-1)
+        if not (np.isfinite(total).all() and np.isfinite(err_sum).all()):
             raise ConvergenceError(
-                f"quadrature did not converge on [{a}, {b}]: "
-                f"error {err_sum:.3e} after {count} panels")
-        neg_err, lo, hi, ik = heapq.heappop(heap)
-        err_sum += neg_err  # neg_err is -err
-        total -= ik
-        mid = 0.5 * (lo + hi)
-        for p, q in ((lo, mid), (mid, hi)):
-            i2, e2 = _panel(f, p, q)
-            total += i2
-            err_sum += e2
-            heapq.heappush(heap, (-e2, p, q, i2))
-        count += 2
-    if not (np.isfinite(total) and math.isfinite(err_sum)):
-        raise ConvergenceError(
-            f"quadrature on [{a}, {b}] is not finite: total {total}, "
-            f"error {err_sum}")
-    return total
+                f"quadrature on [{a}, {b}] is not finite: total {total}, "
+                f"error {err_sum}")
+        # floored at _TINY for an exact zero total with abs_tol 0
+        tol = np.maximum(max(abs_tol, _TINY), rel_tol * np.abs(total))
+        if (err_sum <= tol).all():
+            return total[()]
+        score = (err / tol[..., None]).reshape(-1, len(lo)).max(axis=0)
+        order = score.argsort(kind="stable")
+        split = np.ones(len(lo), dtype=bool)
+        split[order[score[order].cumsum() <= 0.5]] = False
+        new = 2 * np.count_nonzero(split)
+        if count + new > _LIMIT:
+            raise ConvergenceError(
+                f"quadrature did not converge on [{a}, {b}]: error "
+                f"{np.max(err_sum):.3e} after {count} panels")
+        count += new
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        ik2, err2 = _panels(f, new_lo, new_hi)
+        keep = ~split
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        ik = np.concatenate([ik[..., keep], ik2], axis=-1)
+        err = np.concatenate([err[..., keep], err2], axis=-1)
 
 
 def exp_sinh_to_inf(g, a):

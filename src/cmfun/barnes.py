@@ -148,8 +148,10 @@ def p_kernel_series(t, n=1):
 
 def r_2_2n(w, n=1):
     """R_{2,2n}(w) = int_0^inf e^(-wt) t^(2n) p_n(t) dt, positive and
-    decreasing in w."""
-    if not (w > 0 and math.isfinite(w)):
+    decreasing in w.  An array of w, of any shape, takes one
+    ``laplace_quad`` on one shared panel set."""
+    w = np.asarray(w, dtype=float)
+    if not (w.size and np.all((w > 0) & np.isfinite(w))):
         raise DomainError(f"need finite w > 0, got {w}")
     if n < 1 or int(n) != n:
         raise DomainError("n must be a positive integer")

@@ -265,15 +265,18 @@ def kappa_eval(seq, k, t):
 
 @dataclass(frozen=True)
 class ThreeWayResult:
+    """The three evaluations: floats for a scalar x, arrays for an array."""
+
     direct: float
     stieltjes: float
     laplace: float
 
     @property
     def spread(self):
-        """(max - min) / max |value| of the three evaluations."""
-        vals = (self.direct, self.stieltjes, self.laplace)
-        return (max(vals) - min(vals)) / max(map(abs, vals))
+        """(max - min) / max |value| of the three evaluations, per x."""
+        vals = np.array([self.direct, self.stieltjes, self.laplace])
+        out = (vals.max(axis=0) - vals.min(axis=0)) / np.abs(vals).max(axis=0)
+        return out if out.ndim else float(out)
 
 
 def direct_series(seq, lam, x):
@@ -301,18 +304,28 @@ def series_eval_three_ways(seq, k, lam, x):
     """(direct, stieltjes, laplace) evaluations of sum a_n/(x+n)^lam, the
     last by ``laplace_quad`` of t^(lam+k) kappa(t) / Gamma(lam).  First
     ``hypotheses_check`` (exact and O(1) for the presets, else probed on
-    its default prefix); a failure raises HypothesisViolationError."""
-    if not x > 0:
-        raise DomainError("x must be positive")
+    its default prefix); a failure raises HypothesisViolationError.
+
+    ``x`` is a positive scalar or 1-D array.  An array takes one gate,
+    one ``measure_cesaro`` and one array ``laplace_quad``, and the three
+    fields are arrays over x."""
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1 or not np.all(xs > 0):
+        raise DomainError("x must be positive, a scalar or a 1-D array")
     seq = _as_preset(seq) or seq
     report = hypotheses_check(seq, k, lam)
     if report.overall == "fail":
         raise HypothesisViolationError(
             f"representation hypotheses fail: {report.to_dict()}")
-    direct = direct_series(seq, lam, x)
-    stieltjes = stieltjes_eval(measure_cesaro(
-        seq.coef if isinstance(seq, SequencePreset) else seq, k, lam), x)
-    laplace = float(laplace_quad(
-        lambda t: t ** (lam + k) * kappa_eval(seq, k, t), x,
-        abs_tol=1e-15)) / math.gamma(lam)
-    return ThreeWayResult(direct=direct, stieltjes=stieltjes, laplace=laplace)
+    measure = measure_cesaro(
+        seq.coef if isinstance(seq, SequencePreset) else seq, k, lam)
+    points = np.atleast_1d(xs).tolist()
+    direct = np.array([direct_series(seq, lam, v) for v in points])
+    stieltjes = np.array([stieltjes_eval(measure, v) for v in points])
+    laplace = laplace_quad(
+        lambda t: t ** (lam + k) * kappa_eval(seq, k, t), xs,
+        abs_tol=1e-15) / math.gamma(lam)
+    if xs.ndim:
+        return ThreeWayResult(direct, stieltjes, laplace)
+    return ThreeWayResult(float(direct[0]), float(stieltjes[0]),
+                          float(laplace))

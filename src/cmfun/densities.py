@@ -159,5 +159,5 @@ def ks_critical(n, alpha=0.01):
 
 def samples_to_csv(samples):
     lines = ["t"]
-    lines += [f"{v:.15g}" for v in samples]
+    lines += [f"{v:.15g}" for v in np.asarray(samples, dtype=float).tolist()]
     return "\n".join(lines) + "\n"

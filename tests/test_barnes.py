@@ -127,6 +127,24 @@ class TestR22:
         grid = mono.CheckGrid(np.geomspace(0.5, 50.0, 12), n_max=6)
         assert mono.cm_check(lambda w: bn.r_2_2n(w, 1), grid).passed
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_array_w_matches_scalar_calls(self, n):
+        # the cm grid's points x + j h in one call, on one panel set
+        grid = mono.CheckGrid(np.geomspace(0.5, 50.0, 12), n_max=6)
+        w = mono._grid_points(grid)
+        values = bn.r_2_2n(w, n)
+        assert values.shape == w.shape
+        one = np.array([bn.r_2_2n(float(v), n) for v in w.flat])
+        # r_2_2n's tolerance: max(1e-16, 5e-14 |R|)
+        assert np.all(np.abs(values.ravel() - one)
+                      <= np.maximum(1e-16, 5e-14 * one))
+
+    def test_array_w_domain(self):
+        for w in (np.array([1.0, 0.0]), np.array([1.0, math.inf]),
+                  np.array([])):
+            with pytest.raises(DomainError):
+                bn.r_2_2n(w, 1)
+
     def test_positivity_object(self):
         # positivity of t - sin t + c(1 - cos t - t sin(t)/2) at c = 1/(pi k)
         for k in (1, 2, 10):

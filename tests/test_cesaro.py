@@ -219,8 +219,8 @@ class TestExactHypotheses:
 
 
 def test_cesaro_suite_gates_every_three_way_call(monkeypatch):
-    # each three-way evaluation (4 x per item) passes the hypotheses gate,
-    # which is exact and O(1) for the suite's presets
+    # each three-way item passes the hypotheses gate once for its 4 x,
+    # and the gate is exact and O(1) for the suite's presets
     from cmfun import suites
     reports = []
     probe = cs.hypotheses_check
@@ -234,8 +234,8 @@ def test_cesaro_suite_gates_every_three_way_call(monkeypatch):
     for thunk in suites._suite_cesaro():
         before = len(reports)
         item = thunk()
-        expected = 4 if item["name"].startswith("three-way:") else 0
-        three_way += expected // 4
+        expected = 1 if item["name"].startswith("three-way:") else 0
+        three_way += expected
         assert item["passed"] and len(reports) - before == expected, item
     assert three_way == 4
     assert all(r.n_probe == 0 and r.overall == "pass" for r in reports)
@@ -353,6 +353,50 @@ class TestThreeWays:
     def test_hypothesis_gate(self):
         with pytest.raises(HypothesisViolationError):
             cs.series_eval_three_ways("ones", 0, 1.0, 1.0)
+        with pytest.raises(HypothesisViolationError):
+            cs.series_eval_three_ways("ones", 0, 1.0, np.array([1.0, 2.0]))
+
+    def test_scalar_x_gives_floats(self):
+        res = cs.series_eval_three_ways("alternating", 0, 1.0, 2.0)
+        for v in (res.direct, res.stieltjes, res.laplace, res.spread):
+            assert type(v) is float
+
+    @pytest.mark.parametrize("seq, lam", [("prym", 1.0), ("alternating", 1.0),
+                                          ("ones", 2.0)])
+    def test_array_x_matches_scalar_calls(self, seq, lam):
+        # the direct and Stieltjes legs are the scalar ones point by point;
+        # the Laplace leg shares one panel set, so it meets the scalar
+        # call's tolerance without its bits
+        x = np.array([0.5, 1.0, 2.0, 10.0])
+        res = cs.series_eval_three_ways(seq, 0, lam, x)
+        spread = res.spread
+        assert spread.shape == x.shape and np.all(spread <= 1e-7)
+        for i, xi in enumerate(x):
+            one = cs.series_eval_three_ways(seq, 0, lam, float(xi))
+            assert res.direct[i] == one.direct
+            assert res.stieltjes[i] == one.stieltjes
+            assert abs(res.laplace[i] - one.laplace) <= 1e-12 * abs(one.laplace)
+
+    def test_array_x_probes_a_callable_once(self, monkeypatch):
+        # a user callable's hypotheses probe runs once per call, not per x
+        calls = []
+        check = cs.hypotheses_check
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(cs, "hypotheses_check", counted)
+        x = np.array([0.5, 2.0, 10.0])
+        res = cs.series_eval_three_ways(lambda n: (-1.0) ** n, 0, 1.0, x)
+        assert len(calls) == 1
+        assert np.all(np.abs(res.direct - sf.nielsen_beta(x)) <= 1e-12)
+        assert np.all(res.spread <= 1e-7)
+
+    def test_x_domain(self):
+        for x in (0.0, np.array([1.0, -1.0]), np.ones((2, 2))):
+            with pytest.raises(DomainError):
+                cs.series_eval_three_ways("prym", 0, 1.0, x)
 
 
 def test_preset_keys():

@@ -33,6 +33,12 @@ class TestEval:
         assert code == 0
         assert len(out.strip().split("\n")) == 4
 
+    def test_r22_row_does_not_depend_on_the_other_points(self, capsys):
+        # one quadrature per x: an array call would share its panels
+        _, alone, _ = run(capsys, "eval", "r22", "1000")
+        _, among, _ = run(capsys, "eval", "r22", "0.1", "1000", "3")
+        assert alone.split("\n")[1] == among.split("\n")[2]
+
     def test_parameterized_keys(self, capsys):
         code, out, _ = run(capsys, "eval", "beta-a-lambda", "2",
                            "--a", "0.5", "--lam", "1.5")

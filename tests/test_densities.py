@@ -149,3 +149,13 @@ class TestLaplaceConsistency:
         text = dn.samples_to_csv(s)
         lines = text.strip().split("\n")
         assert lines[0] == "t" and len(lines) == 4
+
+    def test_csv_bytes_match_numpy_scalar_formatting(self):
+        # Python floats format as the numpy scalars did, byte for byte
+        rng = np.random.default_rng(12)
+        s = np.concatenate([
+            [0.0, -0.0, 5e-324, -1e-310, 1.7976931348623157e308, 0.1, -1.0],
+            rng.normal(size=1000) * 10.0 ** rng.uniform(-300.0, 300.0, 1000),
+            dn.density_sample(dn.DensitySpec("nu", 0.5), 200, seed=3)])
+        old = "\n".join(["t"] + [f"{v:.15g}" for v in s]) + "\n"
+        assert dn.samples_to_csv(s) == old

@@ -6,7 +6,8 @@ import pytest
 
 from cmfun import laplace as lp
 from cmfun import specfun as sf
-from cmfun.errors import DomainError, InversionDisagreementError
+from cmfun.errors import (ConvergenceError, DomainError,
+                          InversionDisagreementError)
 
 PI = math.pi
 
@@ -111,6 +112,56 @@ class TestLaplaceQuad:
     def test_domain(self):
         with pytest.raises(DomainError):
             lp.laplace_quad(lambda t: t, 0.0)
+        for x in (np.array([1.0, -1.0]), np.array([1.0, 2.0j]),
+                  np.array([]), np.array([1.0, math.nan]), math.inf):
+            with pytest.raises(DomainError):
+                lp.laplace_quad(np.sin, x)
+
+    @pytest.mark.parametrize("f, closed", [
+        (np.sin, lambda x: 1.0 / (1.0 + x * x)),
+        (lambda t: 2.0 * np.exp(-t) / (1.0 + np.exp(-2.0 * t)),
+         lambda x: sf.nielsen_beta((x + 1.0) / 2.0)),
+    ], ids=["sin", "sech"])
+    def test_array_x_matches_scalar_calls_and_closed_forms(self, f, closed):
+        # L[sin](x) = 1/(1+x^2), L[1/cosh](x) = beta((x+1)/2); one panel
+        # set serves every x, so each entry meets the tolerance of a
+        # scalar call without having its bits
+        x = np.geomspace(0.05, 50.0, 13)
+        values = lp.laplace_quad(f, x)
+        exact = closed(x)
+        assert values.shape == x.shape
+        assert np.all(np.abs(values - exact) <= 1e-13 * exact)
+        for xi, v in zip(x, values):
+            one = lp.laplace_quad(f, float(xi))
+            assert abs(v - one) <= max(1e-13, 1e-12 * abs(one))
+
+    def test_array_x_calls_f_once_per_generation(self):
+        # f sees the nodes only; e^(-x t) makes one row per x
+        sizes = []
+
+        def f(t):
+            sizes.append(np.shape(t))
+            return np.sin(t)
+
+        x = np.array([[0.5, 1.0, 2.0], [4.0, 8.0, 16.0]])
+        values = lp.laplace_quad(f, x)
+        assert values.shape == (2, 3)
+        assert np.all(np.abs(values - 1.0 / (1.0 + x * x))
+                      <= 1e-13 / (1.0 + x * x))
+        assert all(len(s) == 1 and s[0] % 15 == 0 for s in sizes)
+        assert len(sizes) <= 8
+
+    def test_complex_scalar_x(self):
+        z = 1.0 + 2.0j
+        assert abs(lp.laplace_quad(np.sin, z) - 1.0 / (1.0 + z * z)) <= 1e-13
+        assert abs(lp.laplace_quad(np.ones_like, z) - 1.0 / z) <= 1e-13
+
+    def test_array_x_raises_past_the_panel_limit(self):
+        # an integrable peak |t - 1/3|^(-0.9) that _LIMIT panels do not
+        # resolve to the tolerance
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            lp.laplace_quad(lambda t: np.abs(t - 1.0 / 3.0) ** -0.9,
+                            np.array([1.0, 2.0, 5.0]))
 
 
 class TestSigmaTauDiscrete:
@@ -323,6 +374,13 @@ class TestInversion:
             with pytest.raises(DomainError, match=r"\(0, 166\]"):
                 lp.semigroup_density(c)
 
+    @pytest.mark.filterwarnings("error")
+    def test_euler_underflow_is_a_disagreement_without_a_warning(self):
+        # at c = 166 every Euler value on dt = 0.5, t_max = 2 underflows
+        # to 0: no spread can be formed, and none is divided by zero
+        with pytest.raises(InversionDisagreementError, match="underflow"):
+            lp.semigroup_density(lp.C_MAX, 0.5, 2.0)
+
 
 class TestSemigroup:
     def test_density_matches_logistic(self):
@@ -483,6 +541,22 @@ class TestSemigroup:
         assert len(lines) == 1 + len(dens.t)
         assert float(lines[1].split(",")[0]) == pytest.approx(0.5)
 
+    def test_csv_bytes_match_numpy_scalar_formatting(self):
+        # Python floats format as the numpy scalars did, byte for byte
+        rng = np.random.default_rng(11)
+        special = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308,
+                   1.7976931348623157e308, -1.7976931348623157e308, 0.1,
+                   1.0, -123456789012345.6]
+        t = np.concatenate([special, rng.uniform(0.0, 1e3, 500)])
+        v = np.concatenate([special[::-1], rng.normal(size=500)
+                            * 10.0 ** rng.uniform(-300.0, 300.0, 500)])
+        dens = lp.SampledDensity(c=1.0, t=t, values=v, raw_min=0.0,
+                                 method_spread=0.0, spread_t=0.0,
+                                 fft_points=0, fft_band=0)
+        old = "\n".join(["t,value"] + [f"{ti:.12g},{vi:.15g}"
+                                        for ti, vi in zip(t, v)]) + "\n"
+        assert dens.to_csv() == old
+
 
 class TestHamburger:
     def test_degenerate(self):
@@ -503,6 +577,20 @@ class TestHamburger:
         lhs, rhs = lp.hamburger_check(n, x)
         assert abs(lhs - rhs) <= 1e-8
 
+    def test_array_x(self):
+        # one laplace_quad for all x; each entry as a scalar call gives it
+        x = np.array([0.5, 1.0, 3.0, 7.0])
+        for n in (0, 2, 4):
+            lhs, rhs = lp.hamburger_check(n, x)
+            assert lhs.shape == rhs.shape == x.shape
+            for xi, a, b in zip(x, lhs, rhs):
+                one_lhs, one_rhs = lp.hamburger_check(n, float(xi))
+                assert a == one_lhs
+                assert abs(b - one_rhs) <= max(1e-13, 1e-12 * abs(one_rhs))
+                assert abs(a - b) <= 1e-8
+
     def test_domain(self):
         with pytest.raises(DomainError):
             lp.hamburger_check(7, 1.0)
+        with pytest.raises(DomainError):
+            lp.hamburger_check(2, np.array([1.0, 0.0]))

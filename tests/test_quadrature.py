@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from cmfun import _quadrature
 from cmfun._quadrature import (EXP_SINH_LEVELS, _NESTED_LEVELS, _NODES,
-                               _WEIGHTS_G, _WEIGHTS_K, _panel,
+                               _WEIGHTS_G, _WEIGHTS_K, _XK, _panels,
                                exp_sinh_rule, exp_sinh_to_inf, quad)
 from cmfun.errors import ConvergenceError
 
@@ -31,17 +32,58 @@ OSCILLATING = complex(math.sin(8.0), 1.0 - math.cos(8.0))
     (lambda t: np.exp(-t) * np.sin(5.0 * t), DAMPED),
     (lambda t: np.exp(1j * t), OSCILLATING),
 ], ids=["real", "complex"])
-def test_every_call_hands_f_one_panel(f, exact):
-    # no probe call: f sees only the 15 Kronrod nodes of one panel at a time
-    sizes = []
+def test_every_call_hands_f_one_generation_of_whole_panels(f, exact):
+    # no probe call: the first call holds the seed panels [0, 1] and
+    # [1, 8]; each later call holds both halves of every panel it splits,
+    # left halves first, and the leaves always tile [0, 8]
+    calls = []
 
     def counted(t):
-        sizes.append(np.size(t))
+        calls.append(np.asarray(t))
         return f(t)
 
     value = quad(counted, 0.0, 8.0, points=[1.0])
-    assert len(sizes) > 2 and set(sizes) == {15}
     assert abs(value - exact) <= 1e-12
+    leaves = set()
+    for g, t in enumerate(calls):
+        assert t.ndim == 1 and len(t) % 15 == 0
+        rows = t.reshape(-1, 15)
+        half = (rows[:, -1] - rows[:, 0]) / (2.0 * _XK[0])
+        lo, hi = rows[:, 7] - half, rows[:, 7] + half
+        np.testing.assert_allclose(rows, (lo + hi)[:, None] / 2.0
+                                   + half[:, None] * _NODES, atol=1e-15)
+        if g == 0:
+            np.testing.assert_allclose([lo, hi], [[0.0, 1.0], [1.0, 8.0]],
+                                       atol=1e-15)
+            leaves = set(zip(lo.round(12), hi.round(12)))
+            continue
+        n = len(lo) // 2
+        assert len(lo) == 2 * n and n > 0
+        np.testing.assert_allclose(hi[:n], lo[n:], atol=1e-15)
+        for parent in zip(lo[:n].round(12), hi[n:].round(12)):
+            leaves.remove(parent)
+        leaves |= set(zip(lo.round(12), hi.round(12)))
+    edges = sorted(leaves)
+    assert edges[0][0] == 0.0 and edges[-1][1] == 8.0
+    assert all(a[1] == b[0] for a, b in zip(edges[:-1], edges[1:]))
+    assert 2 <= len(calls) <= 8
+
+
+def test_vector_integrand_converges_every_component():
+    # rows of e^(-x t) for x spread over five decades share the panels;
+    # each row meets its own tolerance
+    x = np.array([[1e-2, 0.3], [1.0, 4.0], [50.0, 1e3]])
+    calls = []
+
+    def f(t):
+        calls.append(len(t))
+        return np.exp(-x[..., None] * t)
+
+    value = quad(f, 0.0, 1.0, abs_tol=0.0, rel_tol=1e-13)
+    assert value.shape == x.shape
+    exact = -np.expm1(-x) / x
+    assert np.all(np.abs(value - exact) <= 1e-13 * exact)
+    assert len(calls) <= 12
 
 
 @pytest.mark.filterwarnings("error")
@@ -58,9 +100,28 @@ def test_complex_panel_keeps_the_promoted_products():
     # the Kronrod products of a complex integrand have the bits of the
     # complex multiply they replace, so a complex quad keeps its value
     rng = np.random.default_rng(3)
-    fx = rng.normal(size=15) + 1j * rng.normal(size=15)
-    value, _ = _panel(lambda t: fx, 0.0, 1.0)
-    assert value == 0.5 * np.sum(_WEIGHTS_K * fx)
+    fx = rng.normal(size=(2, 45)) + 1j * rng.normal(size=(2, 45))
+    lo, hi = np.array([0.0, 1.0, 3.0]), np.array([1.0, 3.0, 7.0])
+    value, _ = _panels(lambda t: fx, lo, hi)
+    assert value.shape == (2, 3)
+    for row, v in zip(fx, value):
+        for p, panel in enumerate(row.reshape(3, 15)):
+            assert v[p] == 0.5 * (hi[p] - lo[p]) * np.sum(_WEIGHTS_K * panel)
+
+
+def test_quad_raises_past_the_panel_limit():
+    # |t - 1/3|^(-0.9) has an integrable peak that _LIMIT panels do not
+    # resolve to 1e-12; the generation that would take the panels
+    # evaluated past the limit raises instead of being evaluated
+    sizes = []
+
+    def f(t):
+        sizes.append(len(t))
+        return np.abs(t - 1.0 / 3.0) ** -0.9
+
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        quad(f, 0.0, 1.0)
+    assert sum(sizes) <= 15 * _quadrature._LIMIT
 
 
 def test_nested_levels_add_only_new_nodes():
@@ -147,3 +208,37 @@ def test_exp_sinh_far_overflow_reads_zero():
     # 1/(1 + m^2)^2 overflows m^2 at the far nodes; those terms are 0
     value = exp_sinh_to_inf(lambda m: 1.0 / (1.0 + m * m) ** 2, 1.0)
     assert abs(value - (math.pi / 8.0 - 0.25)) <= 1e-16
+
+
+def _integrand_calls(monkeypatch, suite):
+    """{item name: integrand calls of its adaptive quadratures} for one
+    check suite; every item must pass."""
+    from cmfun import laplace, suites
+    calls = []
+    real = laplace.quad
+
+    def counted(f, *args, **kwargs):
+        def g(t):
+            calls.append(np.size(t))
+            return f(t)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(laplace, "quad", counted)
+    out = {}
+    for thunk in suites.SUITES[suite]():
+        before = len(calls)
+        item = thunk()
+        assert item["passed"], item
+        out[item["name"]] = len(calls) - before
+    return out
+
+
+def test_laplace_suites_share_panels_across_x(monkeypatch):
+    # r22-cm reaches r_2_2n with its whole grid, and each identities-s3
+    # item makes one laplace_quad per (function, nu) on all its x; one
+    # adaptive quad per point made 84 quads of about 860 integrand calls
+    # for r22-cm and 1,276 calls for identities-s3
+    barnes = _integrand_calls(monkeypatch, "barnes")
+    assert 0 < barnes["r22-cm"] <= 8
+    s3 = _integrand_calls(monkeypatch, "identities-s3")
+    assert len(s3) == 8 and 0 < sum(s3.values()) <= 100
