@@ -3,8 +3,6 @@ vector-valued integrands, one integrand call per generation of panels,
 and two nested exp-sinh rules: for int_0^inf f(w) e^(-w) dw and for
 int_a^inf g."""
 
-import math
-
 import numpy as np
 
 from .errors import ConvergenceError
@@ -197,32 +195,42 @@ def quad(f, a, b, abs_tol=1e-12, rel_tol=1e-12, points=None):
 def exp_sinh_to_inf(g, a):
     """int_a^inf g(m) dm for a > 0, by the nested exp-sinh rule.
 
-    ``g`` maps an ndarray of m to an ndarray and is called once per level,
-    on that level's new nodes.  The levels stop when two successive ones
-    agree to 1e-10 relative; the double-exponential error then squares,
-    so the last level is at rounding level.  Raises ConvergenceError,
-    never returning inf or nan, when a level is not finite, when the
-    last node's term exceeds 1e-17 of the sum (g decays too slowly for
-    the range), or when step 1/512 still disagrees with step 1/256.
-    Overflow and underflow at the far nodes are silent: a g that
-    overflows a denominator there correctly reads 0.
+    ``g`` maps an ndarray of m to values along the last axis (leading axes
+    make one integral per row) and is called once per level, on its new
+    nodes.  A row closes, keeping its value as a 1-D call would, when two
+    successive levels agree to 1e-10 relative; the double-exponential error
+    then squares, so its last level is at rounding level.  Raises
+    ConvergenceError, never returning inf or nan, when an open row is not
+    finite, when a closing row's last node exceeds 1e-17 of its sum (g
+    decays too slowly for the range), or when step 1/512 still disagrees
+    with step 1/256.  Overflow and underflow at the far nodes are silent.
     """
-    total = 0.0
+    rows, total = ..., 0.0  # the open rows, by index once some have closed
     with np.errstate(over="ignore", under="ignore"):
         for level, (step, u, du) in enumerate(_NESTED_LEVELS):
-            terms = a * du * np.asarray(g(a + a * u), dtype=float)
-            previous, total = total, 0.5 * total + step * float(np.sum(terms))
-            if not math.isfinite(total):
+            values = np.asarray(g(a + a * u), dtype=float)
+            terms = a * du * values.reshape(-1, len(u))[rows]
+            current = 0.5 * total + step * terms.sum(axis=-1)
+            if np.count_nonzero(np.isfinite(current)) < len(current):
                 raise ConvergenceError(
                     f"exp-sinh integral from {a} is not finite at step {step}")
+            if not level:
+                out, total = np.empty(len(current)), current
+                continue
             if level == 1:
-                last = terms[-1]
-            if level and abs(total - previous) <= 1e-10 * abs(total):
-                if abs(step * last) > 1e-17 * abs(total):
-                    raise ConvergenceError(
-                        f"integrand decays too slowly for the exp-sinh range "
-                        f"from {a}")
-                return total
+                last = np.abs(terms[:, -1])
+            size, change = np.abs(current), np.abs(current - total)
+            done = change <= 1e-10 * size
+            if np.count_nonzero(done & (last > (1e-17 / step) * size)):
+                raise ConvergenceError(
+                    f"integrand decays too slowly for the exp-sinh range "
+                    f"from {a}")
+            out[rows] = current
+            if np.count_nonzero(done) == len(done):
+                return out.reshape(values.shape[:-1])[()]
+            keep = ~done
+            rows = np.flatnonzero(keep) if rows is ... else rows[keep]
+            total, last = current[keep], last[keep]
     raise ConvergenceError(
         f"exp-sinh integral from {a} did not converge: steps 1/256 and "
-        f"1/512 differ by {abs(total - previous):.3e}")
+        f"1/512 differ by {np.max(change[keep]):.3e}")

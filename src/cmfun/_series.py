@@ -65,16 +65,6 @@ _STEP = 0.125
 MIDPOINT_STENCIL = _STEP * np.array([-2.0, -1.0, 1.0, 2.0])
 
 
-def midpoint_correction(g_stencil):
-    """g'(a)/24 - 7 g'''(a)/5760 from ``g_stencil`` = g(a + MIDPOINT_STENCIL)
-    along the last axis; leading axes broadcast, one correction per row."""
-    h = _STEP
-    gm2, gm1, gp1, gp2 = np.moveaxis(np.asarray(g_stencil), -1, 0)
-    d1 = (gm2 - 8.0 * gm1 + 8.0 * gp1 - gp2) / (12.0 * h)
-    d3 = (gp2 - 2.0 * gp1 + 2.0 * gm1 - gm2) / (2.0 * h ** 3)
-    return d1 / 24.0 - 7.0 * d3 / 5760.0
-
-
 def midpoint_tail(g, start, brute, integral=None):
     """sum_{m >= start} g(m) for g smooth and integrable in a real m.
 
@@ -83,15 +73,18 @@ def midpoint_tail(g, start, brute, integral=None):
 
         int_a^inf g + g'(a)/24 - 7 g'''(a)/5760,   a = start + brute - 1/2,
 
-    with g' and g''' from ``midpoint_correction``.  ``integral`` is
-    int_a^inf g when the caller has it in closed form; otherwise it is
-    taken by the nested exp-sinh rule ``_quadrature.exp_sinh_to_inf``,
-    which raises ConvergenceError rather than return a non-finite or
-    unconverged value.  ``g`` maps an ndarray of m to an ndarray.
+    with g' and g''' from central differences on a + MIDPOINT_STENCIL.
+    ``integral`` is int_a^inf g in closed form, or else it is taken by
+    ``_quadrature.exp_sinh_to_inf``, which raises ConvergenceError rather
+    than return a non-finite or unconverged value.  ``g`` maps an ndarray
+    of m to values along the last axis; leading axes make one sum per row.
     """
     a = start + brute - 0.5
-    head = float(np.sum(g(np.arange(start, start + brute, dtype=float))))
+    head = g(np.arange(start, start + brute, dtype=float)).sum(axis=-1)
     if integral is None:
         integral = exp_sinh_to_inf(g, a)
-    return float(head + integral
-                 + midpoint_correction(g(a + MIDPOINT_STENCIL)))
+    h = _STEP
+    gm2, gm1, gp1, gp2 = np.moveaxis(g(a + MIDPOINT_STENCIL), -1, 0)
+    d1 = (gm2 - 8.0 * gm1 + 8.0 * gp1 - gp2) / (12.0 * h)
+    d3 = (gp2 - 2.0 * gp1 + 2.0 * gm1 - gm2) / (2.0 * h ** 3)
+    return head + integral + (d1 / 24.0 - 7.0 * d3 / 5760.0)

@@ -63,10 +63,12 @@ def _taylor_coefficients(m_max):
 
 def _aux_sums(a, m_max):
     """S1_m = sum_k k^(-2m)/(k^2+a^2) and S2_m = sum_k k^(-2m)/(k^2+a^2)^2
-    for m = 0..m_max, elementwise over the array a.
+    for m = 0..m_max, elementwise over the array a, times ``_sum_scale(a)``.
 
     Small a: Taylor series in a^2 with even zeta values.  Otherwise the
-    coth/csch^2 closed forms seed upward recurrences in m.
+    coth/csch^2 closed forms seed upward recurrences in m that divide by
+    a^2/scale = a f, so no a^2 overflows and S1_m ~ zeta(2m)/a^2 stays in
+    range up to t = 2 pi a = 1e300; a power-of-two scale rounds nothing.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     small = a < 0.5
@@ -80,21 +82,30 @@ def _aux_sums(a, m_max):
     big = ~small
     if big.any():
         ab = a[big]
+        scale = _sum_scale(ab)
+        f = ab / scale
+        af = ab * f  # a^2 / scale
         pa = math.pi * ab
         coth = 1.0 / np.tanh(pa)
         # 1 / sinh(pa)^2, whose square overflows for pa > 355
         csch2 = 4.0 * np.exp(-2.0 * pa) / np.expm1(-2.0 * pa) ** 2
-        t1 = math.pi * coth / (2.0 * ab) - 1.0 / (2.0 * ab ** 2)
-        t2 = (math.pi ** 2 * csch2 / (4.0 * ab ** 2)
-              + math.pi * coth / (4.0 * ab ** 3) - 1.0 / (2.0 * ab ** 4))
+        t1 = math.pi * coth / (2.0 * f) - 1.0 / (2.0 * af)
+        t2 = (math.pi ** 2 * csch2 / (4.0 * af)
+              + math.pi * coth / (4.0 * f ** 3) / scale / scale
+              - 1.0 / (2.0 * f ** 4) / scale / scale / scale)
         s1[0][big] = t1
         s2[0][big] = t2
         for m in range(1, m_max + 1):
-            t1 = (_zeta(2.0 * m) - t1) / ab ** 2
-            t2 = (t1 - t2) / ab ** 2
+            t1 = (_zeta(2.0 * m) - t1 / scale) / af
+            t2 = (t1 / scale - t2 / scale) / af
             s1[m][big] = t1
             s2[m][big] = t2
     return s1, s2
+
+
+def _sum_scale(a):
+    """2^e for a = f 2^e, 1/2 <= f < 1; 1 for a < 1/2."""
+    return np.ldexp(1.0, np.maximum(np.frexp(a)[1], 0))
 
 
 def p_kernel(t, n=1):
@@ -119,10 +130,11 @@ def p_kernel(t, n=1):
 def _t2_p_kernel(t, n):
     """t^2 p_n(t) for an array of t > 0; finite as t -> 0, where 1/t^2
     overflows."""
-    s1, s2 = _aux_sums(t / _TWO_PI, n)
+    a = t / _TWO_PI
+    s1, s2 = _aux_sums(a, n)
     return _TWO_PI ** (-2.0 * n) * (
         2.0 * s1[n - 1] + (t / math.pi ** 2) * s2[n - 1]
-        + ((2.0 * n - 1.0) * t / (2.0 * math.pi ** 2)) * s1[n])
+        + ((2.0 * n - 1.0) * t / (2.0 * math.pi ** 2)) * s1[n]) / _sum_scale(a)
 
 
 def p_kernel_series(t, n=1):

@@ -280,22 +280,23 @@ class ThreeWayResult:
 
 
 def direct_series(seq, lam, x):
-    """sum a_n/(x+n)^lam: the ordered sum of a finite array, accelerated
-    when the signs alternate, 8192 terms plus a midpoint tail when the
-    coefficients are positive and smooth."""
+    """sum a_n/(x+n)^lam, one sum per entry of an array x: the ordered sum
+    of a finite array, accelerated when the signs alternate, 8192 terms
+    plus a midpoint tail when the coefficients are positive and smooth."""
+    x_row = np.asarray(x, dtype=float)[..., None]  # x against the n axis
     if _as_preset(seq) is None and not callable(seq):
         a = np.asarray(seq, dtype=float)
-        return float(ordered_sum(a * (x + np.arange(len(a))) ** (-lam)))
+        return ordered_sum(a * (x_row + np.arange(len(a))) ** (-lam))
     coef = _as_coef(seq)
     probe = coef(np.arange(64))
     signs = np.sign(probe[probe != 0.0])
     if len(signs) >= 8 and np.all(signs[::2] == signs[0]) and \
             np.all(signs[1::2] == -signs[0]):
-        def term(n):
-            return np.abs(coef(n)) * (x + n) ** (-lam)
-        return float(signs[0] * alternating_sum(term, n_terms=36))
+        return signs[0] * alternating_sum(
+            lambda n: np.abs(coef(n)) * (x_row + n) ** (-lam), n_terms=36)
     if np.all(probe > 0):
-        return midpoint_tail(lambda n: coef(n) * (x + n) ** (-lam), 0, 8192)
+        return midpoint_tail(lambda n: coef(n) * (x_row + n) ** (-lam), 0,
+                             8192)
     raise DomainError("direct series needs alternating or positive smooth "
                       "coefficients")
 
@@ -307,7 +308,7 @@ def series_eval_three_ways(seq, k, lam, x):
     its default prefix); a failure raises HypothesisViolationError.
 
     ``x`` is a positive scalar or 1-D array.  An array takes one gate,
-    one ``measure_cesaro`` and one array ``laplace_quad``, and the three
+    one ``measure_cesaro`` and one array call of each leg, and the three
     fields are arrays over x."""
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1 or not np.all(xs > 0):
@@ -319,13 +320,7 @@ def series_eval_three_ways(seq, k, lam, x):
             f"representation hypotheses fail: {report.to_dict()}")
     measure = measure_cesaro(
         seq.coef if isinstance(seq, SequencePreset) else seq, k, lam)
-    points = np.atleast_1d(xs).tolist()
-    direct = np.array([direct_series(seq, lam, v) for v in points])
-    stieltjes = np.array([stieltjes_eval(measure, v) for v in points])
-    laplace = laplace_quad(
-        lambda t: t ** (lam + k) * kappa_eval(seq, k, t), xs,
-        abs_tol=1e-15) / math.gamma(lam)
-    if xs.ndim:
-        return ThreeWayResult(direct, stieltjes, laplace)
-    return ThreeWayResult(float(direct[0]), float(stieltjes[0]),
-                          float(laplace))
+    legs = (direct_series(seq, lam, xs), stieltjes_eval(measure, xs),
+            laplace_quad(lambda t: t ** (lam + k) * kappa_eval(seq, k, t), xs,
+                         abs_tol=1e-15) / math.gamma(lam))
+    return ThreeWayResult(*(legs if xs.ndim else map(float, legs)))

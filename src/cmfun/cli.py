@@ -54,32 +54,21 @@ class RunConfig:
         return cfg
 
 
-_EVAL_KEYS = ("beta", "digamma", "trigamma", "prym", "beta-a-lambda",
-              "gamma-ratio-log", "si", "ci", "p-kernel", "r22")
-
-
-def _eval_one(key, x, args):
-    if key == "beta":
-        return specfun.nielsen_beta(x)
-    if key == "digamma":
-        return specfun.digamma(x)
-    if key == "trigamma":
-        return specfun.trigamma(x)
-    if key == "prym":
-        return specfun.prym_P(x)
-    if key == "beta-a-lambda":
-        return specfun.beta_a_lambda(x, args.a, args.lam)
-    if key == "gamma-ratio-log":
-        return specfun.gamma_ratio_log(x, args.a, args.b)
-    if key == "si":
-        return specfun.sin_cos_integrals(x)[0]
-    if key == "ci":
-        return specfun.sin_cos_integrals(x)[1]
-    if key == "p-kernel":
-        return barnes.p_kernel(x, args.n)
-    if key == "r22":
-        return barnes.r_2_2n(x, args.n)
-    raise DomainError(f"unknown function key {key!r}")
+# each key's value at one x, given the parsed arguments
+_EVAL = {
+    "beta": lambda x, args: specfun.nielsen_beta(x),
+    "digamma": lambda x, args: specfun.digamma(x),
+    "trigamma": lambda x, args: specfun.trigamma(x),
+    "prym": lambda x, args: specfun.prym_P(x),
+    "beta-a-lambda": lambda x, args: specfun.beta_a_lambda(x, args.a, args.lam),
+    "gamma-ratio-log": lambda x, args: specfun.gamma_ratio_log(x, args.a,
+                                                                args.b),
+    "si": lambda x, args: specfun.sin_cos_integrals(x)[0],
+    "ci": lambda x, args: specfun.sin_cos_integrals(x)[1],
+    "p-kernel": lambda x, args: barnes.p_kernel(x, args.n),
+    "r22": lambda x, args: barnes.r_2_2n(x, args.n),
+}
+_EVAL_KEYS = tuple(_EVAL)
 
 
 def _emit(text, out_path):
@@ -98,7 +87,7 @@ def _report_json(report):
 def cmd_eval(args, cfg):
     fmt = args.fmt or cfg.fmt
     with np.errstate(all="ignore"):  # a non-finite value is reported below
-        values = [(x, _eval_one(args.key, x, args)) for x in args.x]
+        values = [(x, _EVAL[args.key](x, args)) for x in args.x]
     for x, v in values:
         if not math.isfinite(v):
             raise DomainError(f"{args.key}({x:.12g}) is not finite: {v}")

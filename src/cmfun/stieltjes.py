@@ -12,13 +12,14 @@ so the truncation error stays far below the contract tolerances.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from ._quadrature import EXP_SINH_LEVELS, vectorized
-from ._series import (MIDPOINT_STENCIL, iterate_sums, midpoint_correction,
-                      midpoint_tail, running_product)
+from ._series import (MIDPOINT_STENCIL, iterate_sums, midpoint_tail,
+                      running_product)
 from .errors import CapTooSmallError, ConvergenceError, DomainError
 from .specfun import _LGAMMA_C, _even_series, _positive
 
@@ -301,14 +302,16 @@ class GapTail:
             raise ConvergenceError("gap tail needs order > 1")
         h, w = self.step, self.weight
         A = x + self.offset + 2.0 * h * (self.start + self.brute - 0.5)
-        if abs(order - 2.0) < 1e-12:
-            integral = (w / (2.0 * h)) * math.log1p(h / A)
+        if abs(order - 2.0) < 1e-12:  # one x keeps the C library's log1p
+            log1p = np.log1p if np.ndim(A) else math.log1p
+            integral = (w / (2.0 * h)) * log1p(h / A)
         else:
             integral = (w / (order - 1.0)) * \
-                float(_pow_diff(A, h, 2.0 - order)) / (2.0 * h * (2.0 - order))
+                _pow_diff(A, h, 2.0 - order) / (2.0 * h * (2.0 - order))
+        x_row = np.asarray(x)[..., None] + self.offset
         return midpoint_tail(lambda n: -(w / (order - 1.0)) * _pow_diff(
-            x + self.offset + 2.0 * h * n, h, 1.0 - order), self.start,
-            self.brute, integral)
+            x_row + 2.0 * h * n, h, 1.0 - order), self.start, self.brute,
+            integral)
 
     def laplace(self, t):
         h = self.step
@@ -332,8 +335,12 @@ class PeriodicTail:
         if abs(self.profile.breakpoints[-1] - self.period) > 1e-12:
             raise DomainError("profile must span exactly one period")
         _check_nonneg(self.profile, "periodic profile")
+        co = self.profile.coeffs.copy()
+        co[:, 0] -= self.mean  # the residual has mass 0 per period
+        object.__setattr__(self, "_residual", PiecewisePolynomial(
+            self.profile.breakpoints, co))
 
-    @property
+    @cached_property
     def mean(self):
         return self.profile.mass() / self.period
 
@@ -341,14 +348,12 @@ class PeriodicTail:
         if order <= 1.0:
             raise ConvergenceError("periodic tail needs order > 1")
         X0 = x + self.start
-        p = self.period
-        co = self.profile.coeffs.copy()
-        co[:, 0] -= self.mean
-        resid = PiecewisePolynomial(self.profile.breakpoints, co)
+        Xr = np.asarray(X0)[..., None]  # X0 against the m axis
+        p, resid = self.period, self._residual
         Xa = X0 + p * (self.brute - 0.5)
         integral = resid.integrate_power(Xa, order - 1.0) / (p * (order - 1.0))
         return self.mean * X0 ** (1.0 - order) / (order - 1.0) + midpoint_tail(
-            lambda m: resid.integrate_power(X0 + p * m, order), 0, self.brute,
+            lambda m: resid.integrate_power(Xr + p * m, order), 0, self.brute,
             integral)
 
     def laplace(self, t):
@@ -386,10 +391,11 @@ class _CoefTail:
         if not np.all((0.0 <= v) & (v < math.inf)):
             raise DomainError("tail coefficients must be finite and >= 0")
 
-    def _sum(self, unit):
-        """sum_{m >= start} coef(m) unit(m)."""
-        return midpoint_tail(lambda m: self.coef(m) * unit(m), self.start,
-                             self.brute)
+    def _sum(self, x, unit):
+        """sum_{m >= start} coef(m) unit(x + m), one sum per entry of x."""
+        x_row = np.asarray(x)[..., None]
+        return midpoint_tail(lambda m: self.coef(m) * unit(x_row + m),
+                             self.start, self.brute)
 
     def laplace(self, t):
         """sum_{m >= start} coef(m) e^(-m t) times the unit's transform, for
@@ -405,13 +411,11 @@ class _CoefTail:
         out = np.zeros_like(t)
         rows = np.exp(-t * (self.start - 0.75)) > 0.0
         t = t[rows]
-        a = self.start - 0.5
-        m = a + MIDPOINT_STENCIL
         integral = self._w_integral(t)
         with np.errstate(over="ignore"):
-            integral *= np.exp(-a * t) / t
-            sums = integral + midpoint_correction(
-                self.coef(m) * np.exp(-t[:, None] * m))
+            integral *= np.exp(-(self.start - 0.5) * t) / t
+        sums = midpoint_tail(lambda m: self.coef(m) * np.exp(-t[:, None] * m),
+                             self.start, 0, integral)
         out[rows] = sums * self._unit_laplace(t)
         return out
 
@@ -476,7 +480,7 @@ class SmoothCoefTail(_CoefTail):
         if order <= 1.0:
             raise ConvergenceError("cell tail needs order > 1")
         return self._sum(
-            lambda m: -_pow_diff(x + m, 1.0, 1.0 - order) / (order - 1.0))
+            x, lambda xm: -_pow_diff(xm, 1.0, 1.0 - order) / (order - 1.0))
 
     @staticmethod
     def _unit_laplace(t):
@@ -490,7 +494,7 @@ class AtomTail(_CoefTail):
     def stieltjes(self, x, order):
         if order <= 1.0:
             raise ConvergenceError("atom tail needs order > 1")
-        return self._sum(lambda m: (x + m) ** (-order))
+        return self._sum(x, lambda xm: xm ** (-order))
 
     @staticmethod
     def _unit_laplace(t):
@@ -499,10 +503,11 @@ class AtomTail(_CoefTail):
 
 @dataclass(frozen=True, eq=False)
 class RepresentingMeasure:
-    """mu in f(x) = int dmu(t) / (x+t)^order + constant."""
+    """mu in f(x) = int dmu(t) / (x+t)^order + constant; ``atoms`` is a
+    sequence of (t, mass) pairs, kept as a read-only (n, 2) float array."""
 
     order: float
-    atoms: tuple = ()
+    atoms: np.ndarray = ()
     density: PiecewisePolynomial = None
     constant: float = 0.0
     tail: object = None
@@ -512,13 +517,13 @@ class RepresentingMeasure:
             raise DomainError("order must be positive")
         if self.constant < 0:
             raise DomainError("constant must be nonnegative")
-        atoms = tuple((float(t), float(m)) for t, m in self.atoms)
+        atoms = np.array(self.atoms, dtype=float).reshape(-1, 2)
+        atoms.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
-        locs = [t for t, _ in atoms]
-        if any(t < 0 for t in locs) or any(
-                b <= a for a, b in zip(locs, locs[1:])):
+        locs, masses = atoms.T
+        if np.any(locs < 0) or np.any(np.diff(locs) <= 0):
             raise DomainError("atom locations must be >= 0, strictly increasing")
-        if any(m <= 0 for _, m in atoms):
+        if np.any(masses <= 0):
             raise DomainError("atom masses must be positive")
         if self.density is not None:
             _check_nonneg(self.density, "density")
@@ -528,21 +533,20 @@ class RepresentingMeasure:
 
 
 def stieltjes_eval(m, x):
-    """f(x) = int dmu(t)/(x+t)^order + c for a RepresentingMeasure at one
-    x; an array raises DomainError (``_quadrature.vectorized`` maps the
-    measure over one)."""
-    if np.ndim(x):
-        raise DomainError("stieltjes_eval takes a scalar x")
-    _positive(x)
-    total = m.constant
-    if m.atoms:
-        locs, masses = np.array(m.atoms).T
-        total += float(np.sum(masses * (x + locs) ** (-m.order)))
+    """f(x) = int dmu(t)/(x+t)^order + c for a RepresentingMeasure: a float
+    for a positive scalar x, an array of x's shape for an array, in one
+    pass whose every part broadcasts over x."""
+    xs = _positive(x)
+    x = xs if xs.ndim else float(xs)
+    total = m.constant + 0.0 * x  # a float, or an array of x's shape
+    if len(m.atoms):
+        locs, masses = m.atoms.T
+        total += (masses * (xs[..., None] + locs) ** (-m.order)).sum(axis=-1)
     if m.density is not None:
         total += m.density.integrate_power(x, m.order)
     if m.tail is not None:
         total += m.tail.stieltjes(x, m.order)
-    return total
+    return total if xs.ndim else float(total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -558,8 +562,8 @@ class CmKernel:
             raise DomainError("kappa is evaluated for finite t > 0")
         m = self.measure
         total = np.zeros_like(t)
-        if m.atoms:
-            locs, masses = np.array(m.atoms).T
+        if len(m.atoms):
+            locs, masses = m.atoms.T
             total += _exp_weighted_sum(locs, t, lambda b, _: masses[b, None])
         if m.density is not None:
             total += m.density.laplace(t)
@@ -683,7 +687,7 @@ def measure_alternating(a, lam):
 
 def measure_integer_atoms(mass=1.0):
     """mu = sum_n mass * eps_n; with kappa(t) = mass/(1 - e^(-t))."""
-    atoms = tuple((float(n), mass) for n in range(_ATOM_CAP))
+    atoms = np.stack([np.arange(_ATOM_CAP), np.full(_ATOM_CAP, mass)], axis=1)
     return RepresentingMeasure(
         order=2.0, atoms=atoms,
         tail=AtomTail(start=_ATOM_CAP, coef=lambda k: np.full_like(

@@ -229,13 +229,13 @@ def _suite_identities_s3(tol=1e-7):
 
 def _suite_gamma_ratios(tol=1e-7):
     items = []
-    xs = (0.5, 1.0, 2.0, 5.0, 10.0)
+    xs = np.array([0.5, 1.0, 2.0, 5.0, 10.0])
 
     def gamma_ratio(a, b):
         def thunk():
             m = stieltjes.measure_gamma_ratio(a, b)
-            pairs = [(stieltjes.stieltjes_eval(m, x),
-                      specfun.gamma_ratio_log(x, a, b)) for x in xs]
+            pairs = zip(stieltjes.stieltjes_eval(m, xs).tolist(),
+                        specfun.gamma_ratio_log(xs, a, b).tolist())
             return _max_err_item(f"gamma-ratio-({a},{b})", pairs, tol)
         return thunk
 
@@ -245,10 +245,9 @@ def _suite_gamma_ratios(tol=1e-7):
     def integer_b():
         pairs = []
         for a, n in ((0.5, 2), (0.7, 1), (1.0, 3)):
-            for x in xs:
-                closed = math.fsum(math.log((x + a + k) / (x + k))
-                                   for k in range(n))
-                pairs.append((specfun.gamma_ratio_log(x, a, n), closed))
+            closed = [math.fsum(math.log((x + a + k) / (x + k))
+                                for k in range(n)) for x in xs.tolist()]
+            pairs += zip(specfun.gamma_ratio_log(xs, a, n).tolist(), closed)
         return _max_err_item("gamma-ratio-integer-shift", pairs, 1e-10)
     items.append(integer_b)
 
@@ -261,8 +260,9 @@ def _suite_gamma_ratios(tol=1e-7):
 
         def thunk():
             m = stieltjes.measure_genus1_log_ratio(zeros, a, b)
-            pairs = [(stieltjes.stieltjes_eval(m, x), direct(x)) for x in xs]
-            far = abs(stieltjes.stieltjes_eval(m, 1e4))
+            values = stieltjes.stieltjes_eval(m, np.append(xs, 1e4)).tolist()
+            far = abs(values.pop())
+            pairs = zip(values, map(direct, xs.tolist()))
             res = _max_err_item(f"log-product-{list(zeros)}", pairs, 1e-8)
             res["passed"] = res["passed"] and far < 1e-3
             res["value_at_1e4"] = far
@@ -277,10 +277,9 @@ def _suite_gamma_ratios(tol=1e-7):
         def thunk():
             m = stieltjes.measure_gamma_reciprocal_ratio(s)
             scale = 1.0 / math.gamma(s + 1.0)
-            pairs = [(scale * stieltjes.stieltjes_eval(m, x),
-                      math.exp(specfun.log_gamma(x)
-                               - specfun.log_gamma(x + s + 1.0)))
-                     for x in xs]
+            pairs = zip((scale * stieltjes.stieltjes_eval(m, xs)).tolist(),
+                        np.exp(specfun.log_gamma(xs)
+                               - specfun.log_gamma(xs + s + 1.0)).tolist())
             res = _max_err_item(f"gamma-reciprocal-s={s}", pairs, 1e-8)
             res["passed"] = res["passed"] and \
                 abs(m.density(0.5) - 1.0) < 1e-14 and \

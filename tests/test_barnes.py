@@ -98,6 +98,35 @@ def test_aux_sums_small_a_match_mpmath():
             assert abs(s2[m, k] - float(r2)) <= 2e-14 * float(r2)
 
 
+def test_kernel_keeps_its_leading_terms_up_to_t_1e300():
+    # t^2 p_1(t) = (7/12) / t - 1/t^2 + O(t^-3); a^2 overflowed beyond
+    # t ~ 8e154 and dropped the S1_1 term, a seventh of the value
+    t = np.geomspace(1e10, 1e300, 400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = t * bn._t2_p_kernel(t, 1)
+    assert np.all(np.abs(value - (7.0 / 12.0 - 1.0 / t)) <= 1e-14)
+
+
+@pytest.mark.parametrize("a", [0.5, 0.9, 3.0, 1e3, 1e100, 1e160, 1e300])
+def test_aux_sums_large_a_match_the_exact_recurrence(a):
+    # S1_m from the coth closed form and S1_m = (zeta(2m) - S1_(m-1))/a^2
+    # in 60 digits; the returned sums are times _sum_scale(a)
+    scale = float(bn._sum_scale(a))
+    assert scale == 2.0 ** math.frexp(a)[1] and a < scale <= 2.0 * a
+    s1, _ = bn._aux_sums(np.array([a]), 3)
+    with mpmath.workdps(60):
+        am = mpmath.mpf(a)
+        ref = mpmath.pi * mpmath.coth(mpmath.pi * am) / (2 * am) \
+            - 1 / (2 * am ** 2)
+        for m in range(4):
+            if m:
+                ref = (mpmath.zeta(2 * m) - ref) / am ** 2
+            want = float(ref * scale)
+            if want > 1e-290:
+                assert abs(s1[m, 0] - want) <= 1e-14 * want
+
+
 class TestR22:
     def test_positive_decreasing(self):
         r5 = bn.r_2_2n(5.0, 1)

@@ -301,13 +301,23 @@ def test_routes_reject_bad_x(route, x):
         route(m, x)
 
 
-def test_eval_refuses_an_array_and_checks_map_the_measure():
+def test_checks_call_a_measure_once_on_their_grid(monkeypatch):
     m = st.measure_alternating(lambda n: float(n), 1.0)
-    with pytest.raises(DomainError):
-        st.stieltjes_eval(m, np.array([1.0, 2.0]))
-    # cm_check calls the measure once per grid point instead
-    rep = mono.cm_check(m, mono.CheckGrid.default(n_points=6, n_max=4))
+    shapes = []
+    evaluate = st.stieltjes_eval
+
+    def counted(measure, x):
+        shapes.append(np.shape(x))
+        return evaluate(measure, x)
+
+    monkeypatch.setattr(st, "stieltjes_eval", counted)
+    grid = mono.CheckGrid.default(n_points=6, n_max=4)
+    rep = mono.cm_check(m, grid)
     assert rep.passed and not rep.witnesses
+    assert shapes == [(6, 5)]
+    shapes.clear()
+    assert mono.lcm_check(m, grid).passed
+    assert shapes == [(3, 6, 5)]
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf])
