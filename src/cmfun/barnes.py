@@ -11,7 +11,7 @@ import numpy as np
 from ._series import midpoint_tail
 from .errors import DomainError
 from .laplace import laplace_quad
-from .specfun import _zeta, log_gamma
+from .specfun import _like, _positive, _zeta, log_gamma
 from .stieltjes import PeriodicTail, PiecewisePolynomial, RepresentingMeasure
 
 _TWO_PI = 2.0 * math.pi
@@ -42,12 +42,10 @@ def stirling_remainder(x):
         log Gamma(x) - ((x - 1/2) log x - x + log(2 pi)/2)
             = int_0^inf Q(t)/(x+t)^2 dt.
     """
-    if not x > 0:
-        raise DomainError("need x > 0")
-    lhs = log_gamma(x) - ((x - 0.5) * math.log(x) - x
+    x = _positive(x)
+    lhs = log_gamma(x) - ((x - 0.5) * np.log(x) - x
                           + 0.5 * math.log(2.0 * math.pi))
-    rhs = _Q_MEASURE(x)
-    return lhs, rhs
+    return _like(x, lhs), _like(x, _Q_MEASURE(x))
 
 
 @lru_cache(maxsize=16)
@@ -103,6 +101,13 @@ def _aux_sums(a, m_max):
     return s1, s2
 
 
+def _points(t, n):
+    """``t`` through ``_positive``, once n is checked to be an integer >= 1."""
+    if n < 1 or int(n) != n:
+        raise DomainError("n must be a positive integer")
+    return _positive(t)
+
+
 def _sum_scale(a):
     """2^e for a = f 2^e, 1/2 <= f < 1; 1 for a < 1/2."""
     return np.ldexp(1.0, np.maximum(np.frexp(a)[1], 0))
@@ -117,14 +122,8 @@ def p_kernel(t, n=1):
 
     reduced to coth/csch^2 sums; accurate to ~1e-14 relative for all t > 0.
     """
-    if n < 1 or int(n) != n:
-        raise DomainError("n must be a positive integer")
-    scalar = np.isscalar(t) or np.ndim(t) == 0
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all((t > 0) & np.isfinite(t)):
-        raise DomainError("p_kernel needs finite t > 0")
-    val = _t2_p_kernel(t, n) / t ** 2
-    return float(val[0]) if scalar else val
+    t = _points(t, n)
+    return _like(t, (_t2_p_kernel(t, n) / t ** 2).reshape(t.shape))
 
 
 def _t2_p_kernel(t, n):
@@ -140,35 +139,28 @@ def _t2_p_kernel(t, n):
 def p_kernel_series(t, n=1):
     """The k-series of p_n, its first 1000 terms summed directly and the
     rest by the midpoint Euler-Maclaurin completion; the independent
-    cross-check for p_kernel."""
-    if n < 1 or int(n) != n:
-        raise DomainError("n must be a positive integer")
-    t = float(t)
-    if not 0 < t < math.inf:
-        raise DomainError("p_kernel_series needs finite t > 0")
+    cross-check for p_kernel; one sum per entry of t."""
+    t = _points(t, n)
+    tr = t[..., None]  # t against the k axis
 
     def term(k):
-        k = np.asarray(k, dtype=float)
         w = _TWO_PI * k
-        den = t * t + w * w
+        den = tr * tr + w * w
         return w ** (1.0 - 2.0 * n) * (4.0 * math.pi * k / den
-                                       + 8.0 * math.pi * k * t / den ** 2
-                                       + (2.0 * n - 1.0) / w * 2.0 * t / den)
+                                       + 8.0 * math.pi * k * tr / den ** 2
+                                       + (2.0 * n - 1.0) / w * 2.0 * tr / den)
 
-    return midpoint_tail(term, 1, 1000) / (t * t)
+    return _like(t, midpoint_tail(term, 1, 1000) / (t * t))
 
 
 def r_2_2n(w, n=1):
     """R_{2,2n}(w) = int_0^inf e^(-wt) t^(2n) p_n(t) dt, positive and
     decreasing in w.  An array of w, of any shape, takes one
     ``laplace_quad`` on one shared panel set."""
-    w = np.asarray(w, dtype=float)
-    if not (w.size and np.all((w > 0) & np.isfinite(w))):
-        raise DomainError(f"need finite w > 0, got {w}")
-    if n < 1 or int(n) != n:
-        raise DomainError("n must be a positive integer")
-    return laplace_quad(lambda t: t ** (2.0 * n - 2.0) * _t2_p_kernel(t, n),
-                        w, abs_tol=1e-16, rel_tol=5e-14)
+    w = _points(w, n)
+    return _like(w, laplace_quad(
+        lambda t: t ** (2.0 * n - 2.0) * _t2_p_kernel(t, n), w,
+        abs_tol=1e-16, rel_tol=5e-14))
 
 
 def barnes_g_limit(n=1):

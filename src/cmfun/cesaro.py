@@ -13,6 +13,7 @@ from ._series import (alternating_sum, iterate_sums, midpoint_tail,
                       ordered_sum, running_product)
 from .errors import CapTooSmallError, DomainError, HypothesisViolationError
 from .laplace import laplace_quad
+from .specfun import _like, _positive
 from .stieltjes import measure_cesaro, stieltjes_eval
 
 
@@ -240,9 +241,7 @@ def kappa_eval(seq, k, t):
     presets, truncated series otherwise, each block of 2^16 terms summed
     pairwise and the block sums added in order; t must be positive and
     finite."""
-    t = np.asarray(t, dtype=float)
-    if not np.all((t > 0) & np.isfinite(t)):
-        raise DomainError(f"kappa is evaluated for finite t > 0, got {t}")
+    t = _positive(t)
     preset = _as_preset(seq)
     if preset is not None:
         core = preset.gen(t)
@@ -250,17 +249,15 @@ def kappa_eval(seq, k, t):
         n_terms = int(min(50.0 / max(np.min(t), 1e-6), 2_000_000))
         if n_terms >= 2_000_000:
             raise CapTooSmallError("generic kappa series needs too many terms")
-        coef, ts = _as_coef(seq), np.atleast_1d(t).ravel()
-        core = np.zeros_like(ts)
+        coef, core = _as_coef(seq), np.zeros_like(t)
         for lo in range(0, n_terms + 1, _KAPPA_BLOCK):
             # one row per t: numpy sums the contiguous last axis pairwise
             ns = np.arange(lo, min(lo + _KAPPA_BLOCK, n_terms + 1), 1.0)
-            block = np.multiply.outer(ts, -ns)
+            block = np.multiply.outer(t, -ns)
             np.exp(block, out=block)
             block *= coef(ns)
             core += np.sum(block, axis=-1)
-        core = core if t.ndim else float(core[0])
-    return core / t ** (k + 1.0)
+    return _like(t, core / t ** (k + 1.0))
 
 
 @dataclass(frozen=True)
@@ -283,20 +280,21 @@ def direct_series(seq, lam, x):
     """sum a_n/(x+n)^lam, one sum per entry of an array x: the ordered sum
     of a finite array, accelerated when the signs alternate, 8192 terms
     plus a midpoint tail when the coefficients are positive and smooth."""
-    x_row = np.asarray(x, dtype=float)[..., None]  # x against the n axis
+    x = _positive(x)
+    x_row = x[..., None]  # x against the n axis
     if _as_preset(seq) is None and not callable(seq):
         a = np.asarray(seq, dtype=float)
-        return ordered_sum(a * (x_row + np.arange(len(a))) ** (-lam))
+        return _like(x, ordered_sum(a * (x_row + np.arange(len(a))) ** (-lam)))
     coef = _as_coef(seq)
     probe = coef(np.arange(64))
     signs = np.sign(probe[probe != 0.0])
     if len(signs) >= 8 and np.all(signs[::2] == signs[0]) and \
             np.all(signs[1::2] == -signs[0]):
-        return signs[0] * alternating_sum(
-            lambda n: np.abs(coef(n)) * (x_row + n) ** (-lam), n_terms=36)
+        return _like(x, signs[0] * alternating_sum(
+            lambda n: np.abs(coef(n)) * (x_row + n) ** (-lam), n_terms=36))
     if np.all(probe > 0):
-        return midpoint_tail(lambda n: coef(n) * (x_row + n) ** (-lam), 0,
-                             8192)
+        return _like(x, midpoint_tail(
+            lambda n: coef(n) * (x_row + n) ** (-lam), 0, 8192))
     raise DomainError("direct series needs alternating or positive smooth "
                       "coefficients")
 
@@ -307,12 +305,9 @@ def series_eval_three_ways(seq, k, lam, x):
     ``hypotheses_check`` (exact and O(1) for the presets, else probed on
     its default prefix); a failure raises HypothesisViolationError.
 
-    ``x`` is a positive scalar or 1-D array.  An array takes one gate,
-    one ``measure_cesaro`` and one array call of each leg, and the three
-    fields are arrays over x."""
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim > 1 or not np.all(xs > 0):
-        raise DomainError("x must be positive, a scalar or a 1-D array")
+    An array x takes one gate, one ``measure_cesaro`` and one array call
+    of each leg, and the three fields are arrays of x's shape."""
+    xs = _positive(x)
     seq = _as_preset(seq) or seq
     report = hypotheses_check(seq, k, lam)
     if report.overall == "fail":
@@ -323,4 +318,4 @@ def series_eval_three_ways(seq, k, lam, x):
     legs = (direct_series(seq, lam, xs), stieltjes_eval(measure, xs),
             laplace_quad(lambda t: t ** (lam + k) * kappa_eval(seq, k, t), xs,
                          abs_tol=1e-15) / math.gamma(lam))
-    return ThreeWayResult(*(legs if xs.ndim else map(float, legs)))
+    return ThreeWayResult(*(_like(xs, leg) for leg in legs))

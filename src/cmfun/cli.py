@@ -40,7 +40,8 @@ class RunConfig:
                 data = json.load(fh)
                 if not isinstance(data, dict):
                     raise TypeError("not a JSON object")
-                cfg.tolerances = dict(data.get("tolerances", {}))
+                cfg.tolerances = {k: float(v) for k, v in
+                                  dict(data.get("tolerances", {})).items()}
                 cfg.jobs = int(data.get("jobs", cfg.jobs))
                 cfg.seed = int(data.get("seed", cfg.seed))
                 cfg.fmt = data.get("format", cfg.fmt)
@@ -79,6 +80,13 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
+def _tolerance(tol):
+    """``tol`` if finite and > 0; any other makes every verdict meaningless."""
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tolerance must be finite and positive, got {tol}")
+    return tol
+
+
 def _report_json(report):
     return json.dumps(report, sort_keys=True, indent=2,
                       default=float) + "\n"
@@ -114,7 +122,7 @@ def cmd_check(args, cfg):
         if "tol" not in params:
             raise DomainError(f"suite {args.suite} takes no tolerance, but "
                               f"the config file sets one")
-        overrides["tol"] = float(tol)
+        overrides["tol"] = _tolerance(tol)
     if args.r is not None:
         overrides["r"] = args.r
     if "seed" in params:
@@ -151,8 +159,8 @@ def cmd_invert(args, cfg):
 def cmd_semigroup(args, cfg):
     dt = args.dt if args.dt is not None else cfg.dt
     t_max = args.tmax if args.tmax is not None else cfg.t_max
-    tol = args.tol if args.tol is not None else \
-        float(cfg.tolerances.get("semigroup", laplace.SEMIGROUP_TOL))
+    tol = _tolerance(args.tol if args.tol is not None else
+                     cfg.tolerances.get("semigroup", laplace.SEMIGROUP_TOL))
     sup = laplace.semigroup_check(args.c, args.d, dt, t_max)
     report = {"c": args.c, "d": args.d, "dt": dt, "t_max": t_max,
               "sup_discrepancy": sup, "tol": tol, "passed": sup < tol}

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._quadrature import _NODES, _WEIGHTS_K, quad
 from .errors import DomainError
-from .specfun import nielsen_beta, prym_P, trigamma
+from .specfun import _like, _positive, nielsen_beta, prym_P, trigamma
 
 FAMILIES = ("nu", "tau", "half-gumbel")
 
@@ -45,10 +45,7 @@ def normalization(spec):
 
 def density_eval(spec, t):
     """Pointwise density value(s) for finite t > 0."""
-    scalar = np.isscalar(t) or np.ndim(t) == 0
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all((t > 0) & np.isfinite(t)):
-        raise DomainError("densities live on finite t > 0")
+    t = _positive(t)
     a = spec.a
     norm = normalization(spec)
     if spec.family == "nu":
@@ -57,7 +54,7 @@ def density_eval(spec, t):
         out = t * np.exp(-a * t) / (norm * -np.expm1(-t))
     else:
         out = np.exp(-a * t - np.exp(-t)) / norm
-    return float(out[0]) if scalar else out
+    return _like(t, out)
 
 
 def support_cutoff(spec):
@@ -86,8 +83,7 @@ def density_cdf(spec, t):
     The panel never exceeds one table cell, so a single 15-point rule is
     already machine accurate; fully vectorized.
     """
-    scalar = np.isscalar(t) or np.ndim(t) == 0
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):
         raise DomainError("need t >= 0")
     edges, cdf = _cdf_table(spec)
@@ -96,19 +92,16 @@ def density_cdf(spec, t):
                 0, len(edges) - 2)
     half = 0.5 * (t_cl - edges[j])
     mid = edges[j] + half
-    pts = np.maximum(mid[:, None] + half[:, None] * _NODES[None, :], 1e-300)
-    vals = density_eval(spec, pts.ravel()).reshape(pts.shape)
-    out = cdf[j] + half * (vals @ _WEIGHTS_K)
-    out[t >= edges[-1]] = cdf[-1]
-    return float(out[0]) if scalar else out
+    pts = np.maximum(mid[..., None] + half[..., None] * _NODES, 1e-300)
+    return _like(t, np.where(t >= edges[-1], cdf[-1], cdf[j] + half * (
+        density_eval(spec, pts) @ _WEIGHTS_K)))
 
 
 def density_quantile(spec, u):
     """Inverse CDF: Newton on the exact CDF from the table interpolant;
     raises DomainError unless |CDF(quantile(u)) - u| <= 1e-10."""
-    scalar = np.isscalar(u) or np.ndim(u) == 0
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any((u <= 0.0) | (u >= 1.0)):
+    u = np.asarray(u, dtype=float)
+    if not np.all((u > 0.0) & (u < 1.0)):
         raise DomainError("u must lie in (0, 1)")
     edges, cdf = _cdf_table(spec)
     t = np.interp(u, cdf, edges)
@@ -122,7 +115,7 @@ def density_quantile(spec, u):
     residual = np.max(np.abs(density_cdf(spec, t) - u))
     if residual > 1e-10:
         raise DomainError(f"quantile Newton failed: residual {residual:.2e}")
-    return float(t[0]) if scalar else t
+    return _like(u, t)
 
 
 def density_sample(spec, count, seed):

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._quadrature import quad, vectorized
 from .errors import DomainError, InversionDisagreementError
-from .specfun import _BETA_ASYM, _positive, _zeta, nielsen_beta_complex
+from .specfun import _BETA_ASYM, _like, _positive, _zeta, nielsen_beta_complex
 
 # ---------------------------------------------------------------------------
 # periodic step functions
@@ -62,12 +62,6 @@ class PeriodicStep:
         idx = np.searchsorted(self.breakpoints, u, side="right")
         out = self.levels[np.clip(idx, 0, len(self.levels) - 1)]
         return out if out.ndim else float(out)
-
-    def one_period_transform(self, x):
-        """int_0^T phi(t) e^(-xt) dt in closed form."""
-        lo = np.concatenate([[0.0], self.breakpoints[:-1]])
-        return float(np.sum(self.levels *
-                            (np.exp(-lo * x) - np.exp(-self.breakpoints * x)))) / x
 
 
 # ---------------------------------------------------------------------------
@@ -113,20 +107,22 @@ def laplace_quad(f, x, abs_tol=1e-13, rel_tol=1e-12):
 def laplace_periodic(phi, x, period=None):
     """L(phi)(x) for T-periodic phi via one period and the geometric factor;
     a callable phi needs a positive finite period, a step none or its own."""
-    _positive(x)
+    x = _positive(x)
+    xr = x[..., None]  # x against the breakpoints or the quadrature nodes
     if isinstance(phi, PeriodicStep):
         if period is not None and period != phi.period:
             raise DomainError(f"the step's period is {phi.period}, not {period}")
-        T = phi.period
-        one = phi.one_period_transform(x)
+        T, lo = phi.period, np.concatenate([[0.0], phi.breakpoints[:-1]])
+        one = np.sum(phi.levels * (np.exp(-lo * xr) - np.exp(
+            -phi.breakpoints * xr)), axis=-1) / x
     else:
         if period is None or not 0 < period < math.inf:
             raise DomainError("callable phi needs a positive finite period")
         T = float(period)
         fv = vectorized(phi)
-        one = quad(lambda t: np.exp(-x * t) * fv(t), 0.0, T,
+        one = quad(lambda t: np.exp(-xr * t) * fv(t), 0.0, T,
                    abs_tol=1e-13, rel_tol=1e-12)
-    return one / -math.expm1(-x * T)
+    return _like(x, one / -np.expm1(-x * T))
 
 
 def step_F(phi, x):
@@ -135,36 +131,37 @@ def step_F(phi, x):
         F(x) = (1/x) (a_n + sum_k (a_k - a_{k+1})
                               (1 - e^(-l_k x)) / (1 - e^(-l_n x)))
     """
-    _positive(x)
+    x = _positive(x)
     a = phi.levels
     if a[0] != a[-1]:
         raise DomainError("step_F requires a_n = a_1")
-    return (a[-1] + _step_sum(phi, 1.0, x)) / x
+    return _like(x, (a[-1] + _step_sum(phi, 1.0, x)) / x)
 
 
 def _step_sum(phi, alpha, x):
     a = phi.levels
     lam = phi.breakpoints / alpha
-    den = -math.expm1(-lam[-1] * x)
-    return float(np.sum((a[:-1] - a[1:]) * (-np.expm1(-lam[:-1] * x)))) / den
+    den = -np.expm1(-lam[-1] * x)
+    return np.sum((a[:-1] - a[1:]) * (-np.expm1(-lam[:-1] * x[..., None])),
+                  axis=-1) / den
 
 
 def sigma_discrete(phi, alpha, beta, x):
     """sigma(x) = a_1 + cosh(beta x / alpha) * sum_k (a_k - a_{k+1}) ...;
     satisfies sigma(x)/x = (1/2) L[phi(alpha t + beta) + phi(alpha t - beta)]."""
-    _check_shift(phi, alpha, beta, x)
-    return float(phi.levels[0]) + math.cosh(beta * x / alpha) * \
-        _step_sum(phi, alpha, x)
+    x = _check_shift(phi, alpha, beta, x)
+    return _like(x, phi.levels[0] + np.cosh(beta * x / alpha)
+                 * _step_sum(phi, alpha, x))
 
 
 def tau_discrete(phi, alpha, beta, x, sign=1):
     """tau(x) = max_j a_j +/- 2 sinh(beta x / alpha) * sum_k ...;
     satisfies tau(x)/x = L[A +/- (phi(alpha t + beta) - phi(alpha t - beta))]."""
-    _check_shift(phi, alpha, beta, x)
+    x = _check_shift(phi, alpha, beta, x)
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
-    return float(np.max(phi.levels)) + sign * 2.0 * \
-        math.sinh(beta * x / alpha) * _step_sum(phi, alpha, x)
+    return _like(x, np.max(phi.levels) + sign * 2.0 *
+                 np.sinh(beta * x / alpha) * _step_sum(phi, alpha, x))
 
 
 def _check_shift(phi, alpha, beta, x):
@@ -174,23 +171,28 @@ def _check_shift(phi, alpha, beta, x):
         raise DomainError("alpha must be positive")
     if not 0 <= beta <= phi.breakpoints[0]:
         raise DomainError("beta must lie in [0, l_1]")
-    _positive(x)
+    return _positive(x)
 
 
 def _continuous_parts(dphi, T, alpha, beta, x, breaks, kernel):
-    """(int_0^beta phi'(t) kernel((x/alpha)(t - beta)) dt,
-    int_0^T phi'(t) e^(-xt/alpha) dt, 1 - e^(-Tx/alpha))."""
-    _check_cont(T, alpha, beta, x)
+    """(x, int_0^beta phi'(t) kernel((x/alpha)(t - beta)) dt, int_0^T
+    phi'(t) e^(-xt/alpha) dt, 1 - e^(-Tx/alpha)) for the checked x."""
+    if alpha <= 0 or T <= 0:
+        raise DomainError("alpha and T must be positive")
+    if not 0 <= beta <= T:
+        raise DomainError("beta must lie in [0, T]")
+    x = _positive(x)
+    xr = x[..., None]  # x against the quadrature nodes
     dv = vectorized(dphi)
     pts = [b for b in (breaks or []) if 0 < b < T]
     head = 0.0
     if beta > 0:
-        head = quad(lambda t: dv(t) * kernel((x / alpha) * (t - beta)),
+        head = quad(lambda t: dv(t) * kernel((xr / alpha) * (t - beta)),
                     0.0, beta, abs_tol=1e-14, rel_tol=1e-12,
                     points=[b for b in pts if b < beta])
-    per = quad(lambda t: dv(t) * np.exp(-x * t / alpha), 0.0, T,
+    per = quad(lambda t: dv(t) * np.exp(-xr * t / alpha), 0.0, T,
                abs_tol=1e-14, rel_tol=1e-12, points=pts)
-    return head, per, -math.expm1(-T * x / alpha)
+    return x, head, per, -np.expm1(-T * x / alpha)
 
 
 def sigma_continuous(dphi, T, alpha, beta, x, phi_at_beta, breaks=None):
@@ -202,9 +204,9 @@ def sigma_continuous(dphi, T, alpha, beta, x, phi_at_beta, breaks=None):
 
     Satisfies sigma(x)/x = (1/2) L[phi(alpha t + beta) + phi(alpha t - beta)].
     """
-    head, per, geom = _continuous_parts(dphi, T, alpha, beta, x, breaks,
-                                        np.cosh)
-    return phi_at_beta - head + math.cosh(beta * x / alpha) * per / geom
+    x, head, per, geom = _continuous_parts(dphi, T, alpha, beta, x, breaks,
+                                           np.cosh)
+    return _like(x, phi_at_beta - head + np.cosh(beta * x / alpha) * per / geom)
 
 
 def tau_continuous(dphi, T, alpha, beta, x, phi_max, sign=1, breaks=None):
@@ -216,18 +218,10 @@ def tau_continuous(dphi, T, alpha, beta, x, phi_max, sign=1, breaks=None):
     """
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
-    head, per, geom = _continuous_parts(dphi, T, alpha, beta, x, breaks,
-                                        np.sinh)
-    return phi_max + sign * 2.0 * \
-        (head + math.sinh(beta * x / alpha) * per / geom)
-
-
-def _check_cont(T, alpha, beta, x):
-    if alpha <= 0 or T <= 0:
-        raise DomainError("alpha and T must be positive")
-    if not 0 <= beta <= T:
-        raise DomainError("beta must lie in [0, T]")
-    _positive(x)
+    x, head, per, geom = _continuous_parts(dphi, T, alpha, beta, x, breaks,
+                                           np.sinh)
+    return _like(x, phi_max + sign * 2.0 *
+                 (head + np.sinh(beta * x / alpha) * per / geom))
 
 
 # ---------------------------------------------------------------------------
@@ -245,41 +239,41 @@ _INVERT_TOL = 1e-6  # laplace_invert's gate on the spread of the two lines
 
 
 def euler_inversion_grid(F, ts, rule=_EULER):
-    """Bromwich inversion with Euler summation at every t in ``ts``; nodes
-    (A + 2 pi i k)/(2t), k = 0..N+M.  F must map a complex ndarray to one."""
+    """Bromwich inversion with Euler summation at every t in ``ts``, of any
+    shape; nodes (A + 2 pi i k)/(2t), k = 0..N+M.  F must map a complex
+    ndarray to one."""
     ts = np.asarray(ts, dtype=float)
     A, N, binom = rule
     k = np.arange(0, N + len(binom))
-    s = (A + 2j * math.pi * k[None, :]) / (2.0 * ts[:, None])
+    s = (A + 2j * math.pi * k) / (2.0 * ts[..., None])
     vals = np.real(F(s.ravel()).reshape(s.shape))
-    terms = vals * (-1.0) ** k[None, :]
-    terms[:, 0] *= 0.5
-    sums = np.cumsum(terms, axis=1)
-    avg = sums[:, N:] @ binom
+    terms = vals * (-1.0) ** k
+    terms[..., 0] *= 0.5
+    sums = np.cumsum(terms, axis=-1)
+    avg = sums[..., N:] @ binom
     return np.exp(A / 2.0) / ts * avg
 
 
 def laplace_invert(F, t):
-    """Invert F at t > 0; returns the Euler value after checking that Euler
-    summation on a second Bromwich line agrees to 1e-6 relative (20 times
+    """Invert F at each t > 0: the Euler value, once Euler summation on a
+    second Bromwich line agrees with it to 1e-6 relative (20 times
     the worst spread measured for beta^c, c in [0.2, 2], t in [1e-3, 12])."""
     value, spread = laplace_invert_diag(F, t)
-    if not spread <= _INVERT_TOL:
+    if not np.all(spread <= _INVERT_TOL):
         raise InversionDisagreementError(
-            f"inversion methods disagree at t={t}: spread {spread:.3e}")
+            f"inversion methods disagree at t={t}: spread {np.max(spread):.3e}")
     return value
 
 
 def laplace_invert_diag(F, t):
     """(value, relative spread of the two Euler lines) without the gate.
     F is called once per line on all nodes, or per node if scalar-only."""
-    if not t > 0:
-        raise DomainError("need t > 0")
+    t = _positive(t)
     Fv = vectorized(F)
-    value = float(euler_inversion_grid(Fv, [t])[0])
-    check = float(euler_inversion_grid(Fv, [t], _EULER_CHECK)[0])
-    scale = max(abs(value), abs(check), 1e-300)
-    return value, abs(value - check) / scale
+    value = euler_inversion_grid(Fv, t)
+    check = euler_inversion_grid(Fv, t, _EULER_CHECK)
+    scale = np.maximum(np.maximum(abs(value), abs(check)), 1e-300)
+    return _like(t, value), _like(t, abs(value - check) / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +327,7 @@ _HEAD_TERMS = 6     # J, the singular terms subtracted before the FFT
 C_MAX = 166.0       # the largest c with Gamma(c + J - 1) finite
 _HEAD_SHIFT = 1.0   # sigma in w = 1/(z + sigma)
 _FFT_STEP = 1e-2    # the FFT samples t every dt / L <= _FFT_STEP
+_FFT_MAX = 2 ** 22  # the longest FFT a grid may take (64 MB of complex)
 _BAND_TOL = 1e-16   # the bound on the band's truncation error, absolute
 _EULER_POINTS = 128
 _GRID_SPREAD_TOL = 1e-7
@@ -411,7 +406,9 @@ def semigroup_density(c, dt=1e-3, t_max=12.0):
     """Tabulate m_c on [dt, t_max] by one FFT inversion of beta^c, checked
     against Euler inversion at up to 128 evenly spaced grid points, for c
     in (0, C_MAX] (DomainError beyond).  On the default grid the check
-    passes at c = 40 and refuses the grid from c = 45 on.
+    passes at c = 40 and refuses the grid from c = 45 on.  A grid whose
+    FFT would exceed 2^22 points (dt = 1e-5 at t_max = 12 would take
+    2^23) is a DomainError before anything is allocated.
 
     The Euler line moves right by (c - 1) log 3 for c > 1, which keeps its
     aliasing error, about e^(-A) m_c(3t) / m_c(t), at e^(-23) as m_c grows.
@@ -422,6 +419,10 @@ def semigroup_density(c, dt=1e-3, t_max=12.0):
         raise DomainError(f"grid dt={dt}, t_max={t_max} needs dt > 0, a finite "
                           "t_max and at least 2 points")
     n = int(round(t_max / dt))
+    # M > 2^22 exactly when 4 n L does, L as in _fft_inversion_grid
+    if 4 * n * math.ceil(min(dt / _FFT_STEP, _FFT_MAX)) > _FFT_MAX:
+        raise DomainError(f"grid dt={dt}, t_max={t_max} needs an FFT of "
+                          "more than 2^22 points")
     ts = dt * np.arange(1, n + 1)
     values, (M, K) = _fft_inversion_grid(c, dt, ts)
     idx = np.linspace(0, n - 1, min(n, _EULER_POINTS)).round().astype(int)
@@ -588,6 +589,4 @@ def hamburger_check(n, x):
                              axis=-1))
     rhs = 2.0 ** n / math.comb(2 * n, n) * laplace_quad(
         lambda t: (1.0 - np.cos(math.pi * t)) ** n, x, abs_tol=1e-13)
-    if x.ndim:
-        return lhs, rhs
-    return float(lhs), float(rhs)
+    return _like(x, lhs), _like(x, rhs)

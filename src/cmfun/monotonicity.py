@@ -67,6 +67,7 @@ class CheckReport:
     witnesses: tuple = ()
     sup_im: float = None
     inf_im: float = None
+    error: str = None
 
 
 def _grid_points(grid):
@@ -168,14 +169,19 @@ def pick_check(h, re_max=20.0, im_max=20.0, n=40, exclusion=0.1,
                floor=-1e-10):
     """Im h >= floor on the upper-half-plane region; reports the Im range.
 
-    A point where h raises, or returns NaN, is a witness with value NaN.
+    A point where h raises, or returns NaN, is a witness with value NaN;
+    the report's ``error`` is the first exception raised at a point, as
+    "<Type>: <message>".
     """
     pts = pick_region(re_max, im_max, n, exclusion)
+    errors = []
 
     def guarded(z):
         try:
             return np.asarray(h(z), dtype=complex)
-        except Exception:  # evaluation failures reported per point
+        except Exception as exc:  # evaluation failures reported per point
+            if np.ndim(z) == 0:  # not the whole-region call of vectorized
+                errors.append(f"{type(exc).__name__}: {exc}")
             return complex(math.nan, math.nan)
 
     im = np.imag(vectorized(guarded)(pts))
@@ -187,7 +193,8 @@ def pick_check(h, re_max=20.0, im_max=20.0, n=40, exclusion=0.1,
                                                          initial=math.inf)),
                        witnesses=witnesses,
                        sup_im=float(np.fmax.reduce(im, initial=-math.inf)),
-                       inf_im=float(np.fmin.reduce(im, initial=math.inf)))
+                       inf_im=float(np.fmin.reduce(im, initial=math.inf)),
+                       error=errors[0] if errors else None)
 
 
 @dataclass(frozen=True)
@@ -241,6 +248,8 @@ def lemma_pos_check(c, t_max=50.0, n_points=2000, floor=-1e-12):
 
 
 def conjugate_symmetry_spread(h, zs):
-    """max |h(conj z) - conj h(z)| over the sample points."""
-    return max(abs(complex(h(z.conjugate())) - complex(h(z)).conjugate())
-               for z in zs)
+    """max |h(conj z) - conj h(z)| over the sample points, from one call of
+    h on all of them per side."""
+    zs = np.asarray(zs, dtype=complex)
+    hv = vectorized(h)
+    return float(np.max(np.abs(hv(zs.conj()) - np.conj(hv(zs)))))

@@ -57,19 +57,23 @@ def _prepare(z, cut_plane=False):
         elif np.any(arr.real <= 0):
             raise DomainError("argument must satisfy Re z > 0")
     else:
-        arr = arr.astype(float)
-        if np.any(arr <= 0) or np.any(~np.isfinite(arr)):
-            raise DomainError("argument must be a positive real")
-    return arr, np.isscalar(z) or np.ndim(z) == 0
+        arr = np.atleast_1d(_positive(z))
+    return arr, np.ndim(z) == 0
 
 
 def _positive(x):
-    """``x`` as a float ndarray, after checking that every entry is
-    positive and finite."""
+    """``x`` as a float ndarray, after checking that every entry is a
+    point: a finite float > 0 (DomainError otherwise)."""
     arr = np.asarray(x, dtype=float)
     if not ((arr > 0) & np.isfinite(arr)).all():
-        raise DomainError(f"x must be positive and finite, got {x}")
+        raise DomainError(f"a point must be finite and positive, got {x}")
     return arr
+
+
+def _like(x, value):
+    """``value``, an array of the shape of the checked points ``x``, as the
+    contract returns it: a Python float for a 0-d x."""
+    return value if x.ndim else float(value)
 
 
 def _shift(x, term, asym, step=1.0, until=_SHIFT, far=math.inf,
@@ -275,16 +279,13 @@ def sin_cos_integrals(x):
     for part, rule in ((z <= 4.0, _si_ci_series), (z > 4.0, _si_ci_aux)):
         if part.any():
             si[part], ci[part] = rule(z[part])
-    if np.ndim(x) == 0:
-        return float(si[0]), float(ci[0])
-    return si.reshape(arr.shape), ci.reshape(arr.shape)
+    return _like(arr, si.reshape(arr.shape)), _like(arr, ci.reshape(arr.shape))
 
 
 def prym_P(x):
     """Prym's function P(x) = sum (-1)^n / (n!(x+n)), the fixed 20 terms."""
     arr = _positive(x)
-    value = ordered_sum(_PRYM_C / (arr[..., None] + np.arange(20.0)))
-    return float(value) if np.ndim(x) == 0 else value
+    return _like(arr, ordered_sum(_PRYM_C / (arr[..., None] + np.arange(20.0))))
 
 
 def beta_a_lambda(x, a, lam):
@@ -295,9 +296,8 @@ def beta_a_lambda(x, a, lam):
     if not lam > 0:
         raise DomainError(f"lam must be positive, got {lam}")
     poch = running_product(lambda k: (a + k - 1.0) / k, 30)
-    value = alternating_sum(
-        lambda k: poch[k] * (arr[..., None] + k) ** (-lam), n_terms=30)
-    return float(value) if np.ndim(x) == 0 else value
+    return _like(arr, alternating_sum(
+        lambda k: poch[k] * (arr[..., None] + k) ** (-lam), n_terms=30))
 
 
 def gamma_ratio_log(x, a, b):

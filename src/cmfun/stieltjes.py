@@ -21,7 +21,7 @@ from ._quadrature import EXP_SINH_LEVELS, vectorized
 from ._series import (MIDPOINT_STENCIL, iterate_sums, midpoint_tail,
                       running_product)
 from .errors import CapTooSmallError, ConvergenceError, DomainError
-from .specfun import _LGAMMA_C, _even_series, _positive
+from .specfun import _LGAMMA_C, _even_series, _like, _positive
 
 _MAX_DEGREE = 8
 _BLOCK = 256  # cells or atoms per block of _exp_weighted_sum
@@ -546,7 +546,7 @@ def stieltjes_eval(m, x):
         total += m.density.integrate_power(x, m.order)
     if m.tail is not None:
         total += m.tail.stieltjes(x, m.order)
-    return total if xs.ndim else float(total)
+    return _like(xs, total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -556,10 +556,8 @@ class CmKernel:
     measure: RepresentingMeasure
 
     def __call__(self, t):
-        scalar = np.isscalar(t) or np.ndim(t) == 0
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if not np.all((t > 0) & (t < math.inf)):
-            raise DomainError("kappa is evaluated for finite t > 0")
+        ts = _positive(t)
+        t = np.atleast_1d(ts)
         m = self.measure
         total = np.zeros_like(t)
         if len(m.atoms):
@@ -569,12 +567,12 @@ class CmKernel:
             total += m.density.laplace(t)
         if m.tail is not None:
             total += m.tail.laplace(t)
-        return float(total[0]) if scalar else total
+        return _like(ts, total.reshape(ts.shape))
 
 
 def stieltjes_via_kernel(m, x):
-    """f(x) = c + (1/Gamma(order)) int e^(-xt) t^(order-1) kappa(t) dt by
-    the nested exp-sinh rule in w = x t.
+    """f(x) = c + (1/Gamma(order)) int e^(-xt) t^(order-1) kappa(t) dt at
+    one x by the nested exp-sinh rule in w = x t.
 
     The far field C/t of kappa (C = lim t kappa(t), the tail's mean density)
     is taken out as C e^(-t)/t, which leaves nothing at large t to cancel,
@@ -591,7 +589,10 @@ def stieltjes_via_kernel(m, x):
     a level is not finite or step 1/512 gives no such agreement (always
     for x below 1e-111 or above 1e111).
     """
-    _positive(x)
+    xs = _positive(x)
+    if xs.ndim:
+        raise DomainError("stieltjes_via_kernel takes one x")
+    x = float(xs)
     order = m.order
     far = getattr(m.tail, "mean", 0.0)  # coefficient tails take none out
     if far and order <= 1.0:

@@ -106,6 +106,8 @@ def _report_item(name, report):
     if report.sup_im is not None:
         out["sup_im"] = report.sup_im
         out["inf_im"] = report.inf_im
+    if report.error is not None:
+        out["error"] = report.error
     return out
 
 
@@ -296,8 +298,8 @@ def _suite_barnes(tol=1e-7):
     items = []
 
     def stirling():
-        pairs = [barnes.stirling_remainder(x)
-                 for x in (0.5, 1.0, 2.0, 5.0, 10.0, 50.0)]
+        pairs = zip(*barnes.stirling_remainder(
+            np.array([0.5, 1.0, 2.0, 5.0, 10.0, 50.0])))
         return _max_err_item("stirling-remainder", pairs, tol)
     items.append(stirling)
 
@@ -308,9 +310,9 @@ def _suite_barnes(tol=1e-7):
                 lambda t: barnes.p_kernel(t, n), grid6)))
 
     def series_match():
-        err = max(abs(barnes.p_kernel(t, 1)
-                      - barnes.p_kernel_series(t, n=1))
-                  for t in (0.01, 1.0, 7.3, 60.0))
+        ts = np.array([0.01, 1.0, 7.3, 60.0])
+        err = float(np.max(np.abs(barnes.p_kernel(ts, 1)
+                                  - barnes.p_kernel_series(ts, n=1))))
         return _item("p1-series-crosscheck", err < 1e-10, max_error=err)
     items.append(series_match)
 
@@ -417,9 +419,8 @@ def _suite_pick(tol=1e-10):
     items.append(trivial)
 
     def conj_sym():
-        zs = [complex(re, im) for re, im in
-              ((0.5, 1.0), (3.0, 0.3), (-2.0, 2.0), (7.0, 5.0), (-9.0, 1.0),
-               (1.0, 9.0), (-0.5, 4.0), (2.5, 2.5), (-14.0, 6.0), (10.0, 0.7))]
+        zs = np.array([0.5 + 1j, 3 + 0.3j, -2 + 2j, 7 + 5j, -9 + 1j, 1 + 9j,
+                       -0.5 + 4j, 2.5 + 2.5j, -14 + 6j, 10 + 0.7j])
         def h(z):
             return specfun.log_gamma_complex(z + 0.5) - specfun.log_gamma_complex(z)
         spread = monotonicity.conjugate_symmetry_spread(h, zs)
@@ -515,9 +516,9 @@ def _suite_hamburger(tol=1e-8):
 
 def _suite_counterexample(r=3.0, tol=1e-10):
     items = []
+    ce = monotonicity.find_lcm_counterexample(r)  # refuses r before any item
 
     def main():
-        ce = monotonicity.find_lcm_counterexample(r)
         return _item(f"counterexample-r={r}",
                      ce.residual < tol and ce.z_c.real > 0,
                      residual=ce.residual, c=ce.c,

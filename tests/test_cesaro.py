@@ -394,9 +394,13 @@ class TestThreeWays:
         assert np.all(res.spread <= 1e-7)
 
     def test_x_domain(self):
-        for x in (0.0, np.array([1.0, -1.0]), np.ones((2, 2))):
+        for x in (0.0, np.array([1.0, -1.0]), np.inf, np.array([1.0, np.nan])):
             with pytest.raises(DomainError):
                 cs.series_eval_three_ways("prym", 0, 1.0, x)
+        # a 2-D x is one more array: each field keeps its shape
+        res = cs.series_eval_three_ways("prym", 0, 1.0, np.ones((2, 2)))
+        for field in (res.direct, res.stieltjes, res.laplace, res.spread):
+            assert field.shape == (2, 2)
 
 
 def test_preset_keys():

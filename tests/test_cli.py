@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from cmfun import cli, laplace
+from cmfun import cli, laplace, suites
 from cmfun.errors import ConvergenceError
 from cmfun.suites import SUITES
 
@@ -114,6 +114,14 @@ class TestCheck:
             _, out2, _ = run(capsys, "check", suite, "--jobs", "4")
             assert out1 == out2, suite
 
+    def test_default_reports_are_strict_json(self, capsys):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        for suite in SUITES:
+            _, out, _ = run(capsys, "check", suite)
+            json.loads(out, parse_constant=refuse)
+
     def test_jobs_flag(self, capsys):
         code, out, _ = run(capsys, "check", "hamburger", "--jobs", "4")
         assert code == 0 and json.loads(out)["passed"]
@@ -128,6 +136,30 @@ class TestCheck:
                                       ("hamburger", "--r", "3")])
     def test_flag_the_suite_lacks_exits_2(self, capsys, argv):
         code, out, err = run(capsys, "check", *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("hamburger", "--tol", "inf"), ("hamburger", "--tol", "nan"),
+        ("hamburger", "--tol", "-1"), ("hamburger", "--tol", "0"),
+        ("counterexample", "--r", "2"), ("counterexample", "--r", "nan"),
+        ("counterexample", "--r", "4000")])
+    def test_meaningless_tolerance_or_order_exits_2_before_any_item(
+            self, capsys, monkeypatch, argv):
+        ran = []
+        monkeypatch.setattr(suites, "_run_item",
+                            lambda *args: ran.append(args))
+        code, out, err = run(capsys, "check", *argv)
+        assert code == 2 and out == "" and not ran
+        assert err.count("\n") == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, 1e400, "x", [1e-8]])
+    def test_meaningless_config_tolerance_exits_2(self, capsys, tmp_path,
+                                                  tol):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tolerances": {"hamburger": tol}}))
+        code, out, err = run(capsys, "--config", str(cfg), "check",
+                             "hamburger")
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:")
 
@@ -217,6 +249,14 @@ class TestInvert:
         code, _, _ = run(capsys, "invert", "nosuch", "--c", "1")
         assert code == 2
 
+    def test_grid_beyond_the_fft_bound_exits_2(self, capsys):
+        # 1e15 points of dt = 1 would take an FFT of 2^59 points
+        code, out, err = run(capsys, "invert", "beta-pow-c", "--c", "0.5",
+                             "--dt", "1", "--tmax", "1e15")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "2^22" in err
+        assert err.count("\n") == 1
+
     def test_zero_dt_exits_2(self, capsys):
         code, out, err = run(capsys, "invert", "beta-pow-c", "--c", "1",
                              "--dt", "0")
@@ -231,6 +271,16 @@ class TestSemigroupCommand:
         report = json.loads(out)
         assert code == 0 and report["passed"]
         assert report["sup_discrepancy"] < 1e-4
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+    def test_meaningless_tolerance_exits_2_before_the_check(
+            self, capsys, monkeypatch, tol):
+        ran = []
+        monkeypatch.setattr(laplace, "semigroup_check",
+                            lambda *args: ran.append(args))
+        code, out, err = run(capsys, "semigroup", "0.5", "0.5", "--tol", tol)
+        assert code == 2 and out == "" and not ran
+        assert err.count("\n") == 1 and err.startswith("error:")
 
     def test_one_point_grid_exits_2(self, capsys):
         code, out, err = run(capsys, "semigroup", "0.5", "0.5",

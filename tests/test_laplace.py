@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -373,6 +374,21 @@ class TestInversion:
         for c in (lp.C_MAX + 0.7, 200.0):
             with pytest.raises(DomainError, match=r"\(0, 166\]"):
                 lp.semigroup_density(c)
+
+    def test_grid_beyond_the_fft_bound_is_refused_before_allocating(self):
+        # 1e15 steps of dt = 1 would take an FFT of 2^59 points and a grid
+        # of t of 8 PB; the refusal comes before either is built (a grid
+        # just past the bound costs seconds and a gigabyte without it)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=r"2\^22"):
+                lp.semigroup_density(0.5, 1.0, 1e15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        # the finest grid the tests use takes 2^19 points
+        assert lp.semigroup_density(0.5, 1e-4, 12.0).fft_points == 2 ** 19
 
     @pytest.mark.filterwarnings("error")
     def test_euler_underflow_is_a_disagreement_without_a_warning(self):

@@ -6,6 +6,7 @@ import pytest
 
 from cmfun import monotonicity as mono
 from cmfun import specfun as sf
+from cmfun import suites
 from cmfun.errors import DomainError
 
 
@@ -122,6 +123,23 @@ class TestPickCheck:
         zs = [0.5 + 1j, 3.0 + 0.3j, -2.0 + 2j, 7.0 + 5j, -9.0 + 1j,
               1.0 + 9j, -0.5 + 4j, 2.5 + 2.5j, -14.0 + 6j, 10.0 + 0.7j]
         assert mono.conjugate_symmetry_spread(h, zs) < 1e-12
+
+    def test_the_first_exception_is_reported(self):
+        def h(z):
+            z = complex(z)  # one point at a time: the region call raises
+            if z.real > 10.0:
+                raise ValueError(f"no value at {z.real:g}")
+            return -1.0 / z
+
+        rep = mono.pick_check(h)
+        assert not rep.passed and rep.error.startswith("ValueError: no value")
+        assert all(math.isnan(w.value) for w in rep.witnesses)
+        assert suites._report_item("h", rep)["error"] == rep.error
+        # a function that raises nowhere reports no error, and the item has
+        # no error field
+        rep = mono.pick_check(lambda z: -1.0 / z)
+        assert rep.error is None and "error" not in suites._report_item(
+            "h", rep)
 
     def test_region_excludes_cut(self):
         pts = mono.pick_region()
