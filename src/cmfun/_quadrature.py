@@ -34,24 +34,25 @@ _WEIGHTS_G[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 _LIMIT = 2000  # panels quad may evaluate in all before it gives up
 _TINY = np.finfo(float).tiny
 
-# Nested exp-sinh rule for int_0^inf f(w) e^(-w) dw (Takahasi & Mori 1974):
-# w = exp(pi/2 sinh tau), trapezoid in tau on [-3480/512, 864/512], i.e.
-# w from 5e-306 to 60.  Level 0 has step 1/8 and each further level halves
-# the step and adds only the new nodes, down to step 1/512.  Level 0 holds
+def _levels(lo, hi, shift, damped):
+    """The levels of a nested exp-sinh rule (Takahasi & Mori 1974) in
+    u = exp(pi/2 sinh tau), tau = j/512 for lo <= j <= hi, as (step, u,
+    du/dtau, times e^(-u) when ``damped``) at each level's new nodes,
+    ascending.  Level 0 holds j - shift = 0 (mod 64), step 1/8; level k
+    holds j - shift = k (mod 2k), step k/512, for k = 32, 16, ..., 1."""
+    j, levels = np.arange(lo, hi + 1), []
+    for k in (64, 32, 16, 8, 4, 2, 1):
+        tau = j[(j - shift) % min(2 * k, 64) == k % 64] / 512.0
+        u = np.exp(0.5 * np.pi * np.sinh(tau))
+        du = 0.5 * np.pi * np.cosh(tau) * u
+        levels.append((k / 512.0, u, du * np.exp(-u) if damped else du))
+    return levels
+
+
+# int_0^inf f(w) e^(-w) dw with w = u from 5e-306 to 60.  Level 0 holds
 # tau = 1/16 + i/8, so the first four levels (step 1/64) are exactly
-# tau = i/64, -435 <= i <= 108.  Each level is (step, w, e^(-w) dw/dtau)
-# at its new nodes, ascending in tau.
-def _exp_sinh_nodes(j):
-    """(w, e^(-w) dw/dtau) of the exp-sinh rule at tau = j/512."""
-    tau = j / 512.0
-    w = np.exp(0.5 * np.pi * np.sinh(tau))
-    return w, 0.5 * np.pi * np.cosh(tau) * w * np.exp(-w)
-
-
-_J = np.arange(-3480, 865) - 32  # tau - 1/16, in units of 1/512
-EXP_SINH_LEVELS = [(0.125, *_exp_sinh_nodes(32 + _J[_J % 64 == 0]))] + [
-    (k / 512.0, *_exp_sinh_nodes(32 + _J[_J % (2 * k) == k]))
-    for k in (32, 16, 8, 4, 2, 1)]
+# tau = i/64, -435 <= i <= 108.
+EXP_SINH_LEVELS = _levels(-3480, 864, 32, True)
 
 
 def exp_sinh_rule(levels):
@@ -64,24 +65,11 @@ def exp_sinh_rule(levels):
     return w[order], step * h[order]
 
 
-# Nested exp-sinh rule for int_a^inf g (Bailey, Jeyabalan & Li 2005):
-# m = a (1 + u), u = exp(pi/2 sinh tau), trapezoid in tau on
-# [-2304/512, 3104/512], i.e. u from 2e-31 to 3e146.  Level 0 has step 1/8
-# and each further level halves the step and adds only the new nodes, down
-# to step 1/512.  A knee of g at m = x needs a step of about 1/log(x/a):
+# int_a^inf g (Bailey, Jeyabalan & Li 2005) with m = a (1 + u), u from
+# 2e-31 to 3e146.  A knee of g at m = x needs a step of about 1/log(x/a):
 # for g ~ m^-2 the rule stops at step 1/16 up to x/a = 100, at 1/64 up to
-# 3e9, and step 1/512 reaches 1e80 (1e51 for g ~ m^-6).  Each level is
-# (step, u, du/dtau) at its new nodes, ascending in tau.
-def _nested_nodes(j):
-    """(u, du/dtau) of the nested rule at tau = j/512."""
-    tau = j / 512.0
-    u = np.exp(0.5 * np.pi * np.sinh(tau))
-    return u, 0.5 * np.pi * np.cosh(tau) * u
-
-
-_NESTED_LEVELS = [(0.125, *_nested_nodes(np.arange(-2304, 3105, 64)))] + [
-    (k / 512.0, *_nested_nodes(np.arange(-2304 + k, 3105, 2 * k)))
-    for k in (32, 16, 8, 4, 2, 1)]
+# 3e9, and step 1/512 reaches 1e80 (1e51 for g ~ m^-6).
+_NESTED_LEVELS = _levels(-2304, 3104, 0, False)
 
 
 def vectorized(f):
@@ -192,45 +180,79 @@ def quad(f, a, b, abs_tol=1e-12, rel_tol=1e-12, points=None):
         err = np.concatenate([err[..., keep], err2], axis=-1)
 
 
+def _nested_levels(levels, level_sum, knee=0.0, offset=0.0,
+                   what="nested exp-sinh sum"):
+    """(total, closed) of one or more rows of a nested exp-sinh sum over
+    ``levels`` (EXP_SINH_LEVELS or _NESTED_LEVELS).
+
+    ``level_sum(level, nodes, weights, rows)`` is, per open row, the
+    weighted sum over the level's new nodes; ``rows`` is ``...`` (all) at
+    level 0, an index array after.  A level's value is half the one before
+    plus the step times that sum.  From level 1 on, a row closes at the
+    first level whose step is at most 1/knee and which agrees with the one
+    before to 1e-10 relative to |offset + value|: the double-exponential
+    error then squares to rounding level.  Nodes lie knee times the step
+    apart in log u where the integrand turns, and coarser levels can agree
+    while they miss that.  A row at inf closes (inf - inf is nan, which
+    does not disagree).  ``knee`` and ``offset`` are scalars or per row.
+    closed[i] is the step at which row i closed, 0 if none did.  Invalid
+    operations are silent, in ``level_sum`` too; a level that is nan
+    raises ConvergenceError, naming the sum by ``what``."""
+    rows = ...
+    with np.errstate(invalid="ignore"):  # inf - inf, as above
+        for level, (step, nodes, weights) in enumerate(levels):
+            previous = total[rows] if level else 0.0
+            current = 0.5 * previous + step * level_sum(level, nodes,
+                                                        weights, rows)
+            if np.isnan(current).any():
+                raise ConvergenceError(f"{what} is nan at step {step}")
+            if not level:
+                total = np.atleast_1d(current)
+                closed = np.zeros_like(total)
+                knee, offset = closed + knee, closed + offset
+                rows = np.arange(total.size)
+                continue
+            total[rows] = current
+            change = np.abs(current - previous)
+            done = (step * knee[rows] <= 1.0) & ~(
+                change > 1e-10 * np.abs(offset[rows] + current))
+            closed[rows[done]] = step
+            rows = rows[~done]
+            if not rows.size:
+                break
+    return total, closed
+
+
 def exp_sinh_to_inf(g, a):
-    """int_a^inf g(m) dm for a > 0, by the nested exp-sinh rule.
+    """int_a^inf g(m) dm for a > 0, by ``_nested_levels`` on
+    _NESTED_LEVELS with no knee.
 
     ``g`` maps an ndarray of m to values along the last axis (leading axes
     make one integral per row) and is called once per level, on its new
-    nodes.  A row closes, keeping its value as a 1-D call would, when two
-    successive levels agree to 1e-10 relative; the double-exponential error
-    then squares, so its last level is at rounding level.  Raises
-    ConvergenceError, never returning inf or nan, when an open row is not
-    finite, when a closing row's last node exceeds 1e-17 of its sum (g
-    decays too slowly for the range), or when step 1/512 still disagrees
-    with step 1/256.  Overflow and underflow at the far nodes are silent.
+    nodes; a row keeps the value a 1-D call would give.  Raises
+    ConvergenceError, never returning inf or nan, when a row is not
+    finite, when a row's last node at step 1/16 exceeds 1e-17 of its sum
+    over the step it closed at (g decays too slowly for the range), or
+    when no level closes a row.  Overflow and underflow are silent.
     """
-    rows, total = ..., 0.0  # the open rows, by index once some have closed
+    seen = {}
+
+    def level_sum(level, u, du, rows):
+        values = np.asarray(g(a + a * u), dtype=float)
+        terms = a * du * values.reshape(-1, len(u))[rows]
+        seen.setdefault("shape", values.shape[:-1])
+        if level == 1:
+            seen["last"] = np.abs(terms[:, -1])
+        return terms.sum(axis=-1)
     with np.errstate(over="ignore", under="ignore"):
-        for level, (step, u, du) in enumerate(_NESTED_LEVELS):
-            values = np.asarray(g(a + a * u), dtype=float)
-            terms = a * du * values.reshape(-1, len(u))[rows]
-            current = 0.5 * total + step * terms.sum(axis=-1)
-            if np.count_nonzero(np.isfinite(current)) < len(current):
-                raise ConvergenceError(
-                    f"exp-sinh integral from {a} is not finite at step {step}")
-            if not level:
-                out, total = np.empty(len(current)), current
-                continue
-            if level == 1:
-                last = np.abs(terms[:, -1])
-            size, change = np.abs(current), np.abs(current - total)
-            done = change <= 1e-10 * size
-            if np.count_nonzero(done & (last > (1e-17 / step) * size)):
-                raise ConvergenceError(
-                    f"integrand decays too slowly for the exp-sinh range "
-                    f"from {a}")
-            out[rows] = current
-            if np.count_nonzero(done) == len(done):
-                return out.reshape(values.shape[:-1])[()]
-            keep = ~done
-            rows = np.flatnonzero(keep) if rows is ... else rows[keep]
-            total, last = current[keep], last[keep]
-    raise ConvergenceError(
-        f"exp-sinh integral from {a} did not converge: steps 1/256 and "
-        f"1/512 differ by {np.max(change[keep]):.3e}")
+        total, closed = _nested_levels(_NESTED_LEVELS, level_sum,
+                                       what=f"exp-sinh integral from {a}")
+    if not np.isfinite(total).all():
+        raise ConvergenceError(f"exp-sinh integral from {a} is not finite")
+    if np.any(closed * seen["last"] > 1e-17 * np.abs(total)):
+        raise ConvergenceError(
+            f"integrand decays too slowly for the exp-sinh range from {a}")
+    if not closed.all():
+        raise ConvergenceError(
+            f"exp-sinh integral from {a} did not converge by step 1/512")
+    return total.reshape(seen["shape"])[()]

@@ -24,7 +24,6 @@ class RunConfig:
     line flags win."""
 
     tolerances: dict = field(default_factory=dict)
-    jobs: int = 1
     seed: int = 20260808
     fmt: str = "csv"
     dt: float = 1e-3
@@ -42,7 +41,6 @@ class RunConfig:
                     raise TypeError("not a JSON object")
                 cfg.tolerances = {k: float(v) for k, v in
                                   dict(data.get("tolerances", {})).items()}
-                cfg.jobs = int(data.get("jobs", cfg.jobs))
                 cfg.seed = int(data.get("seed", cfg.seed))
                 cfg.fmt = data.get("format", cfg.fmt)
                 cfg.dt = float(data.get("dt", cfg.dt))
@@ -131,8 +129,7 @@ def cmd_check(args, cfg):
         overrides["dt"] = cfg.dt
     if "t_max" in params:
         overrides["t_max"] = cfg.t_max
-    jobs = args.jobs if args.jobs is not None else cfg.jobs
-    report = suites.run_suite(args.suite, jobs=jobs, **overrides)
+    report = suites.run_suite(args.suite, **overrides)
     _emit(_report_json(report), args.out)
     return 0 if report["passed"] else 1
 
@@ -199,7 +196,6 @@ def build_parser():
     p_check = sub.add_parser("check", help="run a verification suite")
     p_check.add_argument("suite", choices=sorted(suites.SUITES))
     p_check.add_argument("--tol", type=float)
-    p_check.add_argument("--jobs", type=int)
     p_check.add_argument("--seed", type=int)
     p_check.add_argument("--r", type=float,
                          help="order parameter for the counterexample suite")

@@ -83,9 +83,10 @@ def density_cdf(spec, t):
     The panel never exceeds one table cell, so a single 15-point rule is
     already machine accurate; fully vectorized.
     """
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0):
+    t = np.asarray(t)
+    if np.iscomplexobj(t) or not (t.size and np.all(t >= 0)):
         raise DomainError("need t >= 0")
+    t = t.astype(float)
     edges, cdf = _cdf_table(spec)
     t_cl = np.minimum(t, edges[-1])
     j = np.clip(np.searchsorted(edges, t_cl, side="right") - 1,
@@ -100,9 +101,10 @@ def density_cdf(spec, t):
 def density_quantile(spec, u):
     """Inverse CDF: Newton on the exact CDF from the table interpolant;
     raises DomainError unless |CDF(quantile(u)) - u| <= 1e-10."""
-    u = np.asarray(u, dtype=float)
-    if not np.all((u > 0.0) & (u < 1.0)):
+    u = np.asarray(u)
+    if np.iscomplexobj(u) or not (u.size and np.all((u > 0.0) & (u < 1.0))):
         raise DomainError("u must lie in (0, 1)")
+    u = u.astype(float)
     edges, cdf = _cdf_table(spec)
     t = np.interp(u, cdf, edges)
     for _ in range(60):

@@ -62,12 +62,15 @@ def _prepare(z, cut_plane=False):
 
 
 def _positive(x):
-    """``x`` as a float ndarray, after checking that every entry is a
-    point: a finite float > 0 (DomainError otherwise)."""
-    arr = np.asarray(x, dtype=float)
-    if not ((arr > 0) & np.isfinite(arr)).all():
-        raise DomainError(f"a point must be finite and positive, got {x}")
-    return arr
+    """``x`` as a float ndarray, after checking that it is real, holds at
+    least one entry and that every entry is a point: a finite float > 0
+    (DomainError otherwise)."""
+    arr = np.asarray(x)
+    if arr.size and not np.iscomplexobj(arr):
+        arr = arr.astype(float, copy=False)
+        if ((arr > 0) & np.isfinite(arr)).all():
+            return arr
+    raise DomainError(f"a point must be finite and positive, got {x}")
 
 
 def _like(x, value):

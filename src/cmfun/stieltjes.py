@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._quadrature import EXP_SINH_LEVELS, vectorized
+from ._quadrature import EXP_SINH_LEVELS, _nested_levels, vectorized
 from ._series import (MIDPOINT_STENCIL, iterate_sums, midpoint_tail,
                       running_product)
 from .errors import CapTooSmallError, ConvergenceError, DomainError
@@ -420,23 +420,15 @@ class _CoefTail:
         return out
 
     def _w_integral(self, t):
-        """int_0^inf coef(a + w/t) e^(-w) dw, a = start - 1/2, per t.
+        """int_0^inf coef(a + w/t) e^(-w) dw, a = start - 1/2, per t, by
+        ``_nested_levels`` on EXP_SINH_LEVELS.
 
-        The levels of the nested exp-sinh rule evaluate coef on their new
-        nodes for the rows still open.  The integrand has a knee at
-        w = a t, where coef(a + w/t) turns from coef(a) to its decay in w,
-        and the nodes there lie |log(a t)| times the step apart in log w;
-        coarser levels can agree while they miss a knee that carries
-        little of the sum (gamma-reciprocal s = 0.9 at t = 1e-100 closed
-        5e-11 off at step 1/32).  So a row closes at the first level with
-        step <= 1/|log(a t)| on which it agrees with the level before to
-        1e-10 relative (every term is >= 0, so that is relative to the sum
-        of |terms|); a row beyond the float range reads inf.  Raises
-        ConvergenceError when a level is nan or when a row that step 1/256
-        resolves still disagrees at step 1/512.  Rows whose knee needs
-        step 1/512 or finer (a t < e^-256) keep the step-1/512 value, as
-        there is no finer level to check it against.  Beyond
-        m = _M_FAR, which only t < 2e-149 reach and where w/t would
+        coef(a + w/t) turns from coef(a) to its decay at w = a t, so a
+        row's knee is |log(a t)| (gamma-reciprocal s = 0.9 at t = 1e-100
+        closed 5e-11 off at step 1/32 without it).  Rows that no level
+        closes raise ConvergenceError, except those whose knee needs a step
+        finer than 1/256 (a t < e^-256): they keep the step-1/512 value.
+        Beyond m = _M_FAR, which only t < 2e-149 reach and where w/t would
         overflow for the smallest t, coef is continued as the power of m
         that it has between _M_FAR/2 and _M_FAR (the catalog's constant,
         affine and m^(-s)-like coefficients follow it to 1e-140).
@@ -445,29 +437,20 @@ class _CoefTail:
         ends = self.coef(np.array([0.5 * _M_FAR, _M_FAR]))
         power = np.log2(ends[1] / ends[0])
         knee = np.abs(np.log(a * t))
-        total = np.zeros_like(t)
-        rows = np.arange(t.size)
+
+        def level_sum(level, w, h, rows):
+            tc = t[rows, None]
+            near = np.minimum(w, tc * _M_FAR)
+            return self.coef(a + near / tc) * (w / near) ** power @ h
         with np.errstate(over="ignore", invalid="ignore"):
-            for level, (step, w, h) in enumerate(EXP_SINH_LEVELS):
-                tc = t[rows, None]
-                near = np.minimum(w, tc * _M_FAR)
-                values = self.coef(a + near / tc) * (w / near) ** power
-                previous = total[rows]
-                current = 0.5 * previous + step * (values @ h)
-                if np.any(np.isnan(current)):
-                    raise ConvergenceError(f"coefficient tail from "
-                                           f"{self.start} is nan at {step}")
-                total[rows] = current
-                if level:  # inf - inf is nan, which closes a row at inf
-                    rows = rows[(np.abs(current - previous) > 1e-10 * current)
-                                | (step * knee[rows] > 1.0)]
-                    if not rows.size:
-                        return total
-        if np.any(knee[rows] <= 256.0):
+            total, closed = _nested_levels(
+                EXP_SINH_LEVELS, level_sum, knee,
+                what=f"coefficient tail from {self.start}")
+        open_rows = (closed == 0) & (knee <= 256.0)
+        if open_rows.any():
             raise ConvergenceError(
                 f"coefficient tail from {self.start} did not converge at "
-                f"t = {t[rows][knee[rows] <= 256.0][0]:.3e}: steps 1/256 and "
-                f"1/512 differ")
+                f"t = {t[open_rows][0]:.3e}: steps 1/256 and 1/512 differ")
         return total
 
 
@@ -572,7 +555,7 @@ class CmKernel:
 
 def stieltjes_via_kernel(m, x):
     """f(x) = c + (1/Gamma(order)) int e^(-xt) t^(order-1) kappa(t) dt at
-    one x by the nested exp-sinh rule in w = x t.
+    one x, by ``_nested_levels`` on EXP_SINH_LEVELS in w = x t.
 
     The far field C/t of kappa (C = lim t kappa(t), the tail's mean density)
     is taken out as C e^(-t)/t, which leaves nothing at large t to cancel,
@@ -580,14 +563,11 @@ def stieltjes_via_kernel(m, x):
     kappa once, on its new t only.  Level 0 marks the span of w where its
     terms exceed 1e-18 of f(x); later levels skip the nodes beyond it.
     Nodes with t < 1e-150 contribute 0.  What kappa does around t = 1
-    sits at w = x, where the nodes lie |log x| times the step apart in
-    log w, and coarser levels can agree to 1e-10 while they miss it
-    (2e-12 off at x = 1e-8 for the sqrt locations).  So the levels stop
-    at the first one with step <= 1/(2 |log x|) that agrees with the one
-    before to 1e-10 relative to the f(x) they give: the sum itself has
-    the far field taken out and can cancel.  Raises ConvergenceError when
-    a level is not finite or step 1/512 gives no such agreement (always
-    for x below 1e-111 or above 1e111).
+    sits at w = x, so the knee is 2 |log x| (with none, the sqrt locations
+    closed 2e-12 off at x = 1e-8).  The sum has the far field taken out
+    and can cancel, so its offset makes the levels agree relative to f(x).
+    Raises ConvergenceError when f(x) is not finite or no level closes
+    (always for x below 1e-111 or above 1e111).
     """
     xs = _positive(x)
     if xs.ndim:
@@ -602,33 +582,35 @@ def stieltjes_via_kernel(m, x):
     if far:
         head += far * (1.0 + x) ** (1.0 - order) / (order - 1.0)
     unit = 1.0 / (x * math.gamma(order))  # f(x) = head + unit * integral
-    knee = abs(math.log(x))
-    total, lo, hi = 0.0, 0.0, math.inf
+    lo, hi = 0.0, math.inf
+
+    def level_sum(level, w, h, rows):
+        nonlocal lo, hi
+        keep = (w / x >= 1e-150) & (lo <= w) & (w <= hi)
+        t = w[keep] / x
+        terms = h[keep] * t ** (order - 1.0) * (
+            kappa(t) - far * np.exp(-t) / t)
+        part = np.sum(terms)
+        if level == 0:
+            step = EXP_SINH_LEVELS[0][0]
+            value = head + unit * (step * part)
+            big = np.flatnonzero(
+                step * unit * np.abs(terms) > 1e-18 * abs(value))
+            if big.size:
+                w0 = w[keep]
+                lo = w0[big[0] - 1] if big[0] else lo
+                hi = w0[big[-1] + 1] if big[-1] + 1 < w0.size else hi
+        return part
     with np.errstate(over="ignore", invalid="ignore"):
-        for level, (step, w, h) in enumerate(EXP_SINH_LEVELS):
-            keep = (w / x >= 1e-150) & (lo <= w) & (w <= hi)
-            t = w[keep] / x
-            terms = h[keep] * t ** (order - 1.0) * (
-                kappa(t) - far * np.exp(-t) / t)
-            previous, total = total, 0.5 * total + step * float(np.sum(terms))
-            if not math.isfinite(total):
-                raise ConvergenceError(
-                    f"kernel route integrand not finite at x={x}")
-            value = head + unit * total
-            if level == 0:
-                big = np.flatnonzero(
-                    step * unit * np.abs(terms) > 1e-18 * abs(value))
-                if big.size:
-                    w0 = w[keep]
-                    lo = w0[big[0] - 1] if big[0] else lo
-                    hi = w0[big[-1] + 1] if big[-1] + 1 < w0.size else hi
-            elif (2.0 * step * knee <= 1.0 and
-                  unit * abs(total - previous) <= 1e-10 * abs(value)):
-                return value
-    raise ConvergenceError(
-        f"kernel route did not converge at x={x}: no level up to step "
-        f"1/512 resolves w = x and agrees with the one before (steps 1/256 "
-        f"and 1/512 differ by {unit * abs(total - previous):.3e})")
+        total, closed = _nested_levels(
+            EXP_SINH_LEVELS, level_sum, 2.0 * abs(math.log(x)), head / unit,
+            what=f"kernel route at x={x}")
+    value = head + unit * float(total[0])
+    if not (math.isfinite(value) and closed[0]):
+        raise ConvergenceError(f"kernel route did not converge at x={x}: "
+                               f"no level up to step 1/512 resolves w = x "
+                               f"and agrees with the one before")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Named verification suites backing the command line ``check`` command.
 
 Each suite is a list of independent items (pure thunks returning a result
-dict); the runner evaluates them, optionally on a thread pool, and
-assembles a deterministic JSON-ready report.
+dict); the runner evaluates them in order and assembles a deterministic
+JSON-ready report.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -567,18 +566,12 @@ def _run_item(key, index, thunk):
                 "error": f"{type(exc).__name__}: {exc}"}
 
 
-def run_suite(key, jobs=1, **overrides):
+def run_suite(key, **overrides):
     """Run a named suite; returns a JSON-ready report dict."""
     if key not in SUITES:
         raise KeyError(f"unknown suite {key!r}")
-    thunks = SUITES[key](**overrides)
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_item, key, i, t)
-                       for i, t in enumerate(thunks)]
-            items = [f.result() for f in futures]
-    else:
-        items = [_run_item(key, i, t) for i, t in enumerate(thunks)]
+    items = [_run_item(key, i, t)
+             for i, t in enumerate(SUITES[key](**overrides))]
     return {"suite": key,
             "passed": all(it["passed"] for it in items),
             "items": items}

@@ -81,9 +81,9 @@ class TestEval:
 
 
 class TestConfigFile:
-    @pytest.mark.parametrize("text", [None, "{bad", '{"jobs": "two"}',
+    @pytest.mark.parametrize("text", [None, "{bad", '{"seed": "two"}',
                                       '{"format": "xml"}'],
-                             ids=["missing", "not-json", "bad-jobs",
+                             ids=["missing", "not-json", "bad-seed",
                                   "bad-format"])
     def test_bad_config_exits_2(self, capsys, tmp_path, text):
         cfg = tmp_path / "cfg.json"
@@ -108,10 +108,10 @@ class TestCheck:
         assert code == 2
 
     def test_reports_byte_identical(self, capsys):
-        # every suite, serial and on a thread pool
+        # every suite, run twice in one process
         for suite in SUITES:
             _, out1, _ = run(capsys, "check", suite)
-            _, out2, _ = run(capsys, "check", suite, "--jobs", "4")
+            _, out2, _ = run(capsys, "check", suite)
             assert out1 == out2, suite
 
     def test_default_reports_are_strict_json(self, capsys):
@@ -123,8 +123,9 @@ class TestCheck:
             json.loads(out, parse_constant=refuse)
 
     def test_jobs_flag(self, capsys):
+        # the suite thread pool and its flag are gone
         code, out, _ = run(capsys, "check", "hamburger", "--jobs", "4")
-        assert code == 0 and json.loads(out)["passed"]
+        assert code == 2 and out == ""
 
     def test_counterexample_order_flag(self, capsys):
         code, out, _ = run(capsys, "check", "counterexample", "--r", "3")
@@ -190,13 +191,12 @@ class TestCheck:
         assert any("max_error" in it for it in report["items"])
 
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_raising_item_fails_alone(self, capsys, monkeypatch, jobs):
+    def test_raising_item_fails_alone(self, capsys, monkeypatch):
         def refuse(*args):
             raise ConvergenceError("did not converge")
 
         monkeypatch.setattr(laplace, "semigroup_check", refuse)
-        code, out, _ = run(capsys, "check", "semigroup", "--jobs", jobs)
+        code, out, _ = run(capsys, "check", "semigroup")
         report = json.loads(out)
         assert code == 1 and not report["passed"]
         assert [it["passed"] for it in report["items"]] == [True, False, True]

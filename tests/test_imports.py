@@ -149,8 +149,8 @@ def test_public_names_are_exported_or_read():
 
 def test_cli_runtime_is_numpy_only():
     # a fresh interpreter, since the test session itself imports both
-    code = ("import sys, cmfun.cli; "
-            "print(sorted({'scipy', 'mpmath'} & set(sys.modules)))")
+    code = ("import sys, cmfun.cli; print(sorted({'scipy', 'mpmath', "
+            "'concurrent.futures'} & set(sys.modules)))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)

@@ -2,7 +2,7 @@
 gives a Python float (or a tuple of floats) for a scalar or 0-d point and
 an ndarray of the input's shape for an array, whose entries match the
 scalar calls; a point that is not a finite float > 0 raises DomainError,
-with no warning on the way."""
+with no warning on the way, and so do complex points and an empty array."""
 
 import math
 import warnings
@@ -137,11 +137,24 @@ def test_a_bad_point_in_an_array_is_a_domain_error(name):
                 f(x)
 
 
+@pytest.mark.parametrize("name", ROUTINES)
+def test_complex_and_empty_points_are_a_domain_error(name):
+    f = ROUTINES[name][0]
+    grid = POINTS.get(name, GRID)
+    p = float(grid[0, 1])
+    for x in (complex(p, p), np.complex128(p), grid + 1j * grid,
+              [complex(p)], [], np.empty(0), np.empty((0, 3))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                f(x)
+
+
 def test_the_kernel_route_takes_one_point():
     m = st.measure_gamma_ratio(0.5, 1.3)
     for x in (2.0, np.float64(2.0), np.array(2.0)):
         assert type(st.stieltjes_via_kernel(m, x)) is float
-    for x in ([1.0, 2.0], GRID, [2.0]) + BAD:
+    for x in ([1.0, 2.0], GRID, [2.0], 2.0 + 1j, []) + BAD:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as hs
 
 from cmfun import _quadrature
 from cmfun._quadrature import (EXP_SINH_LEVELS, _NESTED_LEVELS, _NODES,
-                               _WEIGHTS_G, _WEIGHTS_K, _XK, _panels,
-                               exp_sinh_rule, exp_sinh_to_inf, quad)
+                               _WEIGHTS_G, _WEIGHTS_K, _XK, _nested_levels,
+                               _panels, exp_sinh_rule, exp_sinh_to_inf, quad)
 from cmfun.errors import ConvergenceError
 
 
@@ -208,6 +209,59 @@ def test_exp_sinh_far_overflow_reads_zero():
     # 1/(1 + m^2)^2 overflows m^2 at the far nodes; those terms are 0
     value = exp_sinh_to_inf(lambda m: 1.0 / (1.0 + m * m) ** 2, 1.0)
     assert abs(value - (math.pi / 8.0 - 0.25)) <= 1e-16
+
+
+def scripted(values, opened):
+    """A level_sum under which row i reads values[i][k] at level k; it
+    notes the rows each level is asked for."""
+    values = np.array(values, dtype=float)
+    steps = [step for step, _, _ in EXP_SINH_LEVELS]
+
+    def level_sum(level, nodes, weights, rows):
+        opened.append(np.arange(len(values))[rows].tolist())
+        before = values[rows, level - 1] if level else 0.0
+        return (values[rows, level] - 0.5 * before) / steps[level]
+    return level_sum
+
+
+def test_nested_level_driver_closes_each_row_on_its_own():
+    # agreement at level 1, at level 3, never (the last level stands);
+    # offset 1e4 scales the third row's 1e-8 change below 1e-10
+    opened = []
+    rows = [[1.0] * 7, [1.0, 2.0, 1.5, 1.5, 9.0, 9.0, 9.0],
+            [1.0, 2.0] * 3 + [1.0], [1.0, 1.0 + 1e-8] + [5.0] * 5]
+    total, closed = _nested_levels(EXP_SINH_LEVELS, scripted(rows, opened),
+                                   offset=[0.0, 0.0, 0.0, 1e4])
+    assert total[:3].tolist() == [1.0, 1.5, 1.0]
+    assert abs(total[3] - 1.0 - 1e-8) <= 1e-16
+    assert closed.tolist() == [1 / 16, 1 / 64, 0.0, 1 / 16]
+    assert opened == [[0, 1, 2, 3], [0, 1, 2, 3], [1, 2], [1, 2], [2], [2],
+                      [2]]
+
+
+def test_nested_level_driver_waits_for_the_knee_step():
+    # step * knee <= 1 first holds at step 1/128 for a knee of 100
+    opened = []
+    total, closed = _nested_levels(
+        EXP_SINH_LEVELS, scripted([[2.0] * 7, [2.0] * 7], opened),
+        knee=np.array([100.0, 0.0]))
+    assert total.tolist() == [2.0, 2.0]
+    assert closed.tolist() == [1 / 128, 1 / 16]
+    assert len(opened) == 5
+
+
+def test_nested_level_driver_closes_inf_and_raises_on_nan():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        total, closed = _nested_levels(
+            EXP_SINH_LEVELS, scripted([[1.0] + [math.inf] * 6], []))
+    assert total.tolist() == [math.inf] and closed.tolist() == [1 / 16]
+    for late in (0, 3):
+        row = [1.0] * 7
+        row[late] = math.nan
+        with pytest.raises(ConvergenceError, match="is nan at step"):
+            _nested_levels(EXP_SINH_LEVELS, scripted([row, [1.0] * 7], []),
+                           knee=[1e3, 0.0])
 
 
 def _integrand_calls(monkeypatch, suite):
