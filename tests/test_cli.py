@@ -191,17 +191,31 @@ class TestCheck:
         assert any("max_error" in it for it in report["items"])
 
 
-    def test_raising_item_fails_alone(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("index", [1, 2])
+    def test_raising_item_fails_alone(self, capsys, monkeypatch, index):
+        # the item at `index` raises: the convolution check, or the
+        # small-c density; it alone fails, named by its position
+        real_density = laplace.semigroup_density
+
         def refuse(*args):
             raise ConvergenceError("did not converge")
 
-        monkeypatch.setattr(laplace, "semigroup_check", refuse)
+        def refuse_small_c(c, *args):
+            if c < 0.1:
+                refuse()
+            return real_density(c, *args)
+
+        if index == 1:
+            monkeypatch.setattr(laplace, "semigroup_check", refuse)
+        else:
+            monkeypatch.setattr(laplace, "semigroup_density", refuse_small_c)
         code, out, _ = run(capsys, "check", "semigroup")
         report = json.loads(out)
         assert code == 1 and not report["passed"]
-        assert [it["passed"] for it in report["items"]] == [True, False, True]
-        assert report["items"][1] == {
-            "name": "semigroup[1]", "passed": False,
+        assert [it["passed"] for it in report["items"]] == [
+            i != index for i in range(3)]
+        assert report["items"][index] == {
+            "name": f"semigroup[{index}]", "passed": False,
             "error": "ConvergenceError: did not converge"}
 
 
