@@ -135,23 +135,28 @@ def step_F(phi, x):
     a = phi.levels
     if a[0] != a[-1]:
         raise DomainError("step_F requires a_n = a_1")
-    return _like(x, (a[-1] + _step_sum(phi, 1.0, x)) / x)
+    return _like(x, (a[-1] + _step_sum(phi, 1.0, 0.0, x)) / x)
 
 
-def _step_sum(phi, alpha, x):
-    a = phi.levels
-    lam = phi.breakpoints / alpha
-    den = -np.expm1(-lam[-1] * x)
-    return np.sum((a[:-1] - a[1:]) * (-np.expm1(-lam[:-1] * x[..., None])),
-                  axis=-1) / den
+def _step_sum(phi, alpha, beta, x):
+    """e^(beta y) sum_k (a_k - a_{k+1}) (1 - e^(-l_k y)) / (1 - e^(-l_n y)),
+    y = x / alpha, for a_1 = a_n.  The jumps then sum to 0, so the O(1)
+    terms are dropped exactly: the value is e^((beta - l_1) y) S(y), with
+    S(y) = sum_(k>=2) (a_(k+1) - a_k) expm1(-(l_k - l_1) y) / -expm1(-l_n y).
+    No exponent is positive for beta <= l_1, and nothing cancels."""
+    a, bp = phi.levels, phi.breakpoints
+    y = x / alpha
+    jumps = np.sum((a[2:] - a[1:-1])
+                   * np.expm1(-(bp[1:-1] - bp[0]) * y[..., None]), axis=-1)
+    return np.exp((beta - bp[0]) * y) * jumps / -np.expm1(-bp[-1] * y)
 
 
 def sigma_discrete(phi, alpha, beta, x):
     """sigma(x) = a_1 + cosh(beta x / alpha) * sum_k (a_k - a_{k+1}) ...;
     satisfies sigma(x)/x = (1/2) L[phi(alpha t + beta) + phi(alpha t - beta)]."""
     x = _check_shift(phi, alpha, beta, x)
-    return _like(x, phi.levels[0] + np.cosh(beta * x / alpha)
-                 * _step_sum(phi, alpha, x))
+    even = 0.5 * (1.0 + np.exp(-2.0 * beta * x / alpha))
+    return _like(x, phi.levels[0] + even * _step_sum(phi, alpha, beta, x))
 
 
 def tau_discrete(phi, alpha, beta, x, sign=1):
@@ -160,8 +165,9 @@ def tau_discrete(phi, alpha, beta, x, sign=1):
     x = _check_shift(phi, alpha, beta, x)
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
-    return _like(x, np.max(phi.levels) + sign * 2.0 *
-                 np.sinh(beta * x / alpha) * _step_sum(phi, alpha, x))
+    odd = -np.expm1(-2.0 * beta * x / alpha)
+    return _like(x, np.max(phi.levels)
+                 + sign * odd * _step_sum(phi, alpha, beta, x))
 
 
 def _check_shift(phi, alpha, beta, x):

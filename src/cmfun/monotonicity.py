@@ -27,11 +27,10 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class CheckGrid:
-    """Evaluation grid: log-spaced points, step h = x * h_factor, difference
+    """Evaluation grid: log-spaced points, step h = x / 16, difference
     orders up to n_max."""
 
     x_points: np.ndarray
-    h_factor: float = 1.0 / 16.0
     n_max: int = 8
 
     def __post_init__(self):
@@ -42,8 +41,6 @@ class CheckGrid:
             raise DomainError("x_points must be finite, positive, increasing")
         if self.n_max < 1:
             raise DomainError("n_max must be >= 1")
-        if not self.h_factor > 0:
-            raise DomainError("h_factor must be positive")
 
     @staticmethod
     def default(n_points=32, lo=0.05, hi=100.0, n_max=8):
@@ -71,9 +68,9 @@ class CheckReport:
 
 
 def _grid_points(grid):
-    """The (len(x_points), n_max + 1) array of points x + j h, h = x * h_factor."""
+    """The (len(x_points), n_max + 1) array of points x + j h, h = x / 16."""
     x = grid.x_points[:, None]
-    return x + np.arange(grid.n_max + 1) * (x * grid.h_factor)
+    return x + np.arange(grid.n_max + 1) * (x / 16.0)
 
 
 def _cm_report(vals, grid, eps):
@@ -156,24 +153,23 @@ def horn_check(f, alphas=DEFAULT_HORN_ALPHAS, grid=None):
                        witnesses=tuple(witnesses))
 
 
-def pick_region(re_max=20.0, im_max=20.0, n=40, exclusion=0.1):
-    """Complex ndarray grid on [-re_max, re_max] x (0, im_max] minus a
-    neighborhood of the cut (-inf, 0]."""
-    re, im = np.meshgrid(np.linspace(-re_max, re_max, n),
-                         np.linspace(im_max / n, im_max, n), indexing="ij")
+def pick_region():
+    """Complex ndarray grid of 40 x 40 points on [-20, 20] x [0.5, 20] less
+    those within 0.1 of the cut (-inf, 0]."""
+    re, im = np.meshgrid(np.linspace(-20.0, 20.0, 40),
+                         np.linspace(0.5, 20.0, 40), indexing="ij")
     dist = np.where(re <= 0, np.abs(im), np.hypot(re, im))
-    return (re + 1j * im)[dist >= exclusion]
+    return (re + 1j * im)[dist >= 0.1]
 
 
-def pick_check(h, re_max=20.0, im_max=20.0, n=40, exclusion=0.1,
-               floor=-1e-10):
-    """Im h >= floor on the upper-half-plane region; reports the Im range.
+def pick_check(h, floor=-1e-10):
+    """Im h >= floor on ``pick_region()``; reports the Im range.
 
     A point where h raises, or returns NaN, is a witness with value NaN;
     the report's ``error`` is the first exception raised at a point, as
     "<Type>: <message>".
     """
-    pts = pick_region(re_max, im_max, n, exclusion)
+    pts = pick_region()
     errors = []
 
     def guarded(z):
@@ -234,11 +230,13 @@ def find_lcm_counterexample(r):
                           residual=abs(sum(terms)) / sum(map(abs, terms)))
 
 
-def lemma_pos_check(c, t_max=50.0, n_points=2000, floor=-1e-12):
-    """h(t) = t - sin t + c (1 - cos t - t sin(t)/2) >= 0 on (0, t_max]."""
+def lemma_pos_check(c):
+    """h(t) = t - sin t + c (1 - cos t - t sin(t)/2) >= -1e-12 at 2,000
+    even points of (0, 50]."""
     if not 0 <= c <= 1:
         raise DomainError("c must lie in [0, 1]")
-    ts = np.linspace(t_max / n_points, t_max, n_points)
+    floor = -1e-12
+    ts = np.linspace(0.025, 50.0, 2000)
     vals = ts - np.sin(ts) + c * (1.0 - np.cos(ts) - 0.5 * ts * np.sin(ts))
     worst = float(np.min(vals))
     witnesses = tuple(Witness(float(t), 0, float(v), -floor)

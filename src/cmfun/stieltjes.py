@@ -25,9 +25,6 @@ from .specfun import _LGAMMA_C, _even_series, _like, _positive
 
 _MAX_DEGREE = 8
 _BLOCK = 256  # cells or atoms per block of _exp_weighted_sum
-_CHEB_ANGLES = (np.arange(16) + 0.5) * np.pi / 16
-_CHEB_U = 0.5 + 0.5 * np.cos(_CHEB_ANGLES)  # first-kind points on (0, 1)
-_CHEB_W = (-1.0) ** np.arange(16) * np.sin(_CHEB_ANGLES)  # their weights
 
 
 def _pow_diff(a, h, p):
@@ -68,17 +65,6 @@ def _exp_weighted_sum(lefts, t, inner):
         block = slice(lo, lo + _BLOCK)
         out[sel] += np.sum(_exp_neg_product(lefts[block, None], t[sel]) *
                            inner(block, t[sel]), axis=0)
-    return out
-
-
-def _chebyshev_interpolate(values, u):
-    """Barycentric interpolant (Berrut & Trefethen, SIAM Rev. 46, 2004)
-    through ``values`` at _CHEB_U, at u in [0, 1]; a node takes its value."""
-    diff = u[:, None] - _CHEB_U
-    q = _CHEB_W / np.where(diff == 0.0, 1.0, diff)
-    out = (q @ values) / np.sum(q, axis=1)
-    rows, cols = np.nonzero(diff == 0.0)
-    out[rows] = values[cols]
     return out
 
 
@@ -197,13 +183,8 @@ class PiecewisePolynomial:
         return total if total.ndim else float(total)
 
     def laplace(self, t):
-        """int e^(-t s) p(s) ds over the support, vectorized in t > 0.
-
-        The nonzero cells enter through ``_exp_weighted_sum``.  If more than
-        16 t lie below 1/b, b the last breakpoint, those take the degree-15
-        Chebyshev interpolant in t b of 16 exact values: e^(-t s), t s <= 1,
-        has coefficients below 1e-19 by that degree, so the error is
-        rounding (Lebesgue constant 2.8) relative to the transform of |p|."""
+        """int e^(-t s) p(s) ds over the support, vectorized in t > 0; the
+        nonzero cells enter through ``_exp_weighted_sum``."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         # cells whose polynomial is zero contribute nothing
         live = np.any(self.coeffs != 0.0, axis=1)
@@ -214,17 +195,7 @@ class PiecewisePolynomial:
             moments = _exp_moments(ts, lengths[block], self.degree)
             return sum(co[block, j:j + 1] * mj for j, mj in enumerate(moments))
 
-        def exact(ts):
-            return _exp_weighted_sum(self.breakpoints[:-1][live], ts, inner)
-
-        b = self.breakpoints[-1]
-        band = t * b < 1.0
-        if np.count_nonzero(band) <= len(_CHEB_U):
-            return exact(t)
-        out = np.empty_like(t)
-        out[~band] = exact(t[~band])
-        out[band] = _chebyshev_interpolate(exact(_CHEB_U / b), t[band] * b)
-        return out
+        return _exp_weighted_sum(self.breakpoints[:-1][live], t, inner)
 
     def mass(self):
         """int p over the support: sum_j c_j L^(j+1) / (j+1) per cell."""
@@ -302,9 +273,8 @@ class GapTail:
             raise ConvergenceError("gap tail needs order > 1")
         h, w = self.step, self.weight
         A = x + self.offset + 2.0 * h * (self.start + self.brute - 0.5)
-        if abs(order - 2.0) < 1e-12:  # one x keeps the C library's log1p
-            log1p = np.log1p if np.ndim(A) else math.log1p
-            integral = (w / (2.0 * h)) * log1p(h / A)
+        if abs(order - 2.0) < 1e-12:
+            integral = (w / (2.0 * h)) * np.log1p(h / A)
         else:
             integral = (w / (order - 1.0)) * \
                 _pow_diff(A, h, 2.0 - order) / (2.0 * h * (2.0 - order))

@@ -17,19 +17,22 @@ from .errors import CmfunError
 # ---------------------------------------------------------------------------
 
 
+# the period-4 steps whose sigma and tau at alpha = 1, beta = nu are the
+# kernels sigma_1 (square), sigma_2 (spike) and tau_+/- (square, sign -/+)
+_SQUARE = laplace.PeriodicStep([1.0, 3.0, 4.0], [1.0, 0.0, 1.0])
+_SPIKE = laplace.PeriodicStep([1.0, 3.0, 4.0], [0.0, 2.0, 0.0])
+
+
 def sigma1(t, nu):
-    t = np.asarray(t, dtype=float)
-    return 1.0 - np.cosh(nu * t) / (2.0 * np.cosh(t))
+    return laplace.sigma_discrete(_SQUARE, 1.0, nu, t)
 
 
 def sigma2(t, nu):
-    t = np.asarray(t, dtype=float)
-    return np.cosh(nu * t) / np.cosh(t)
+    return laplace.sigma_discrete(_SPIKE, 1.0, nu, t)
 
 
 def tau_pm(t, nu, sign):
-    t = np.asarray(t, dtype=float)
-    return 1.0 + sign * np.sinh(nu * t) / np.cosh(t)
+    return laplace.tau_discrete(_SQUARE, 1.0, nu, t, sign=-sign)
 
 
 def sigma_cont(t, nu):
@@ -74,6 +77,26 @@ def l_tau_cont_closed(x, nu, sign):
              + lg((x + nu) / 4.0 + 0.5) - np.log(x)
              - lg((x - nu) / 4.0 + 0.5) - lg((x + nu) / 4.0))
     return 1.0 / x + sign * inner
+
+
+def _shifted(f, df):
+    """x -> f(x + 1)/f(1) and its derivative."""
+    return (lambda x: f(x + 1.0) / f(1.0), lambda x: df(x + 1.0) / f(1.0))
+
+
+# the Laplace transforms of the shifted nu and tau densities: log-cm, so
+# those densities are infinitely divisible
+_SHIFTED_LCM = [
+    ("beta-shift", *_shifted(specfun.nielsen_beta,
+                             specfun.nielsen_beta_deriv)),
+    ("trigamma-shift", *_shifted(specfun.trigamma, specfun.tetragamma)),
+]
+
+
+def _log_gamma_shift(s):
+    """z -> log Gamma(z + s) - log Gamma(z)."""
+    return lambda z: (specfun.log_gamma_complex(z + s)
+                      - specfun.log_gamma_complex(z))
 
 
 def l_omega_closed(x, a, b):
@@ -155,18 +178,13 @@ def _suite_cm_catalog():
 
 def _suite_lcm_catalog():
     grid = monotonicity.CheckGrid.default()
-    beta = specfun.nielsen_beta
-    dbeta = specfun.nielsen_beta_deriv
     members = [
-        ("beta", beta, dbeta),
+        ("beta", specfun.nielsen_beta, specfun.nielsen_beta_deriv),
         ("one-over-sinh", lambda x: 1.0 / math.sinh(x),
          lambda x: -math.cosh(x) / math.sinh(x) ** 2),
         ("trigamma", specfun.trigamma, specfun.tetragamma),
         ("prym-P", specfun.prym_P, None),
-        ("beta-shift", lambda x: beta(x + 1.0) / beta(1.0),
-         lambda x: dbeta(x + 1.0) / beta(1.0)),
-        ("trigamma-shift", lambda x: specfun.trigamma(x + 1.0) / specfun.trigamma(1.0),
-         lambda x: specfun.tetragamma(x + 1.0) / specfun.trigamma(1.0)),
+        *_SHIFTED_LCM,
     ]
     non_members = [
         ("exp", math.exp, lambda x: math.exp(x)),
@@ -389,11 +407,8 @@ def _suite_pick(tol=1e-10):
     items = []
 
     def shift(s):
-        def h(z):
-            return specfun.log_gamma_complex(z + s) - specfun.log_gamma_complex(z)
-
         def thunk():
-            rep = monotonicity.pick_check(h, floor=-tol)
+            rep = monotonicity.pick_check(_log_gamma_shift(s), floor=-tol)
             out = _report_item(f"log-gamma-shift-s={s}", rep)
             out["passed"] = out["passed"] and rep.sup_im < math.pi
             out["sup_lt_pi"] = rep.sup_im < math.pi
@@ -404,11 +419,9 @@ def _suite_pick(tol=1e-10):
         items.append(shift(s))
 
     def ratio():
-        def h(z):
-            return np.exp(specfun.log_gamma_complex(z + 0.5)
-                          - specfun.log_gamma_complex(z))
-        return _report_item("gamma-ratio-pick-s=0.5",
-                            monotonicity.pick_check(h, floor=-tol))
+        h = _log_gamma_shift(0.5)
+        return _report_item("gamma-ratio-pick-s=0.5", monotonicity.pick_check(
+            lambda z: np.exp(h(z)), floor=-tol))
     items.append(ratio)
 
     def trivial():
@@ -420,9 +433,8 @@ def _suite_pick(tol=1e-10):
     def conj_sym():
         zs = np.array([0.5 + 1j, 3 + 0.3j, -2 + 2j, 7 + 5j, -9 + 1j, 1 + 9j,
                        -0.5 + 4j, 2.5 + 2.5j, -14 + 6j, 10 + 0.7j])
-        def h(z):
-            return specfun.log_gamma_complex(z + 0.5) - specfun.log_gamma_complex(z)
-        spread = monotonicity.conjugate_symmetry_spread(h, zs)
+        spread = monotonicity.conjugate_symmetry_spread(_log_gamma_shift(0.5),
+                                                        zs)
         return _item("conjugate-symmetry", spread < 1e-12, max_spread=spread)
     items.append(conj_sym)
     return items
@@ -481,14 +493,9 @@ def _suite_densities(tol=1e-9, seed=20260808):
 
     def infinite_divisibility():
         grid = monotonicity.CheckGrid.default()
-        beta = specfun.nielsen_beta
-        rep1 = monotonicity.lcm_check(
-            lambda x: beta(x + 1.0) / beta(1.0), grid,
-            df=lambda x: specfun.nielsen_beta_deriv(x + 1.0) / beta(1.0))
-        rep2 = monotonicity.lcm_check(
-            lambda x: specfun.trigamma(x + 1.0) / specfun.trigamma(1.0), grid,
-            df=lambda x: specfun.tetragamma(x + 1.0) / specfun.trigamma(1.0))
-        return _item("shifted-transforms-log-cm", rep1.passed and rep2.passed)
+        return _item("shifted-transforms-log-cm", all(
+            monotonicity.lcm_check(f, grid, df=df).passed
+            for _, f, df in _SHIFTED_LCM))
     items.append(infinite_divisibility)
 
     def sampling():

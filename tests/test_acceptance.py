@@ -66,6 +66,20 @@ def test_criterion_04_periodic_identities():
          report["passed"], detail)
 
 
+def test_periodic_suites_read_the_library(monkeypatch):
+    """A perturbed sigma_discrete must fail the items built on it, so the
+    suites check the library's construction and not a copy of it."""
+    exact = lp.sigma_discrete
+
+    def perturbed(phi, alpha, beta, x):
+        return exact(phi, alpha, beta, x) * (1.0 + 1e-3 * np.cos(5.0 * x))
+
+    monkeypatch.setattr(lp, "sigma_discrete", perturbed)
+    failed = {it["name"] for key in ("cm-catalog", "identities-s3")
+              for it in suites.run_suite(key)["items"] if not it["passed"]}
+    assert {"cm:sigma1-over-x", "sigma1-transform"} <= failed
+
+
 def test_criterion_05_gamma_ratio():
     worst = 0.0
     for a, b in ((0.5, 1.3), (1.0, 1.0), (0.5, 2.0)):

@@ -229,6 +229,54 @@ class TestSigmaTauDiscrete:
             lp.tau_discrete(SQUARE_STEP, PI / 2, 0.3, 1.0, sign=2)
 
 
+STEPS = {
+    "square": lp.PeriodicStep([1.0, 3.0, 4.0], [1.0, 0.0, 1.0]),
+    "spike": lp.PeriodicStep([1.0, 3.0, 4.0], [0.0, 2.0, 0.0]),
+    "uneven": lp.PeriodicStep([0.4, 1.1, 1.7, 2.5], [2.0, 0.5, 1.5, 2.0]),
+}
+
+
+def _mp_step(phi, alpha, beta, x, kind, sign=1):
+    """(value, leading constant) of sigma, tau or F at the float x, from the
+    defining step sum at enough digits to survive its cancellation."""
+    bp = [mpmath.mpf(float(b)) for b in phi.breakpoints]
+    a = [mpmath.mpf(float(v)) for v in phi.levels]
+    with mpmath.workdps(40 + int(float(bp[0]) * x / alpha / 2.3)):
+        y = mpmath.mpf(x) / alpha
+        s = sum((a[k] - a[k + 1]) * (1 - mpmath.exp(-bp[k] * y))
+                for k in range(len(a) - 1)) / (1 - mpmath.exp(-bp[-1] * y))
+        if kind == "sigma":
+            return float(a[0] + mpmath.cosh(beta * y) * s), a[0]
+        if kind == "tau":
+            return float(max(a) + sign * 2 * mpmath.sinh(beta * y) * s), max(a)
+        return float((a[-1] + s) / x), a[-1] / x
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(STEPS))
+@pytest.mark.parametrize("alpha", [1.0, 0.8])
+@pytest.mark.parametrize("frac", [0.0, 0.3, 1.0])
+def test_step_constructions_match_mpmath_to_large_x(name, alpha, frac):
+    """sigma, tau and step_F on x up to 1e4, beta = 0, inside (0, l_1) and
+    at l_1: relative to the leading constant plus the value, within the
+    rounding of the exponents, 8 eps (1 + l_n x / alpha)."""
+    phi = STEPS[name]
+    beta = frac * phi.breakpoints[0]
+    xs = np.geomspace(1e-6, 1e4, 25)
+    got = {"sigma": lp.sigma_discrete(phi, alpha, beta, xs),
+           ("tau", 1): lp.tau_discrete(phi, alpha, beta, xs, sign=1),
+           ("tau", -1): lp.tau_discrete(phi, alpha, beta, xs, sign=-1),
+           "F": lp.step_F(phi, xs)}
+    for key, vals in got.items():
+        kind, sign = key if isinstance(key, tuple) else (key, 1)
+        a = 1.0 if kind == "F" else alpha
+        for x, v in zip(xs.tolist(), vals.tolist()):
+            ref, lead = _mp_step(phi, a, beta, x, kind, sign)
+            tol = 8 * 2.2e-16 * (1 + phi.period * x / a)
+            assert abs(v - ref) <= tol * (abs(float(lead)) + abs(ref)), \
+                (key, x, v, ref)
+
+
 def _abs_saw(T=2 * PI):
     """Even 2 pi periodic extension of |t| with derivative +-1."""
     def dphi(t):

@@ -208,7 +208,7 @@ def reference_cm(f, grid, eps=mono._EPS):
     witnesses = []
     worst = math.inf
     for x in grid.x_points:
-        h = x * grid.h_factor
+        h = x / 16.0
         vals = [float(f(x + j * h)) for j in range(grid.n_max + 1)]
         scale = max(abs(v) for v in vals)
         for n in range(grid.n_max + 1):
@@ -293,10 +293,10 @@ class TestBatchedEvaluation:
             if np.any(np.real(z) < 0):
                 raise ValueError("left half plane")
             return -1.0 / z
-        rep = mono.pick_check(h, n=10)
+        rep = mono.pick_check(h)
         assert not rep.passed
         assert all(math.isnan(w.value) and w.x < 0 for w in rep.witnesses)
-        assert len(rep.witnesses) == 50
+        assert len(rep.witnesses) == np.sum(mono.pick_region().real < 0)
 
     def test_nan_values_fail(self):
         assert not mono.cm_check(lambda x: x * np.nan).passed
