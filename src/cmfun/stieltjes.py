@@ -24,7 +24,7 @@ from .errors import CapTooSmallError, ConvergenceError, DomainError
 from .specfun import _LGAMMA_C, _even_series, _like, _positive
 
 _MAX_DEGREE = 8
-_BLOCK = 256  # cells or atoms per block of _exp_weighted_sum
+_CLASS_BLOCK = 256  # residue classes per block of a _LatticeSum
 
 
 def _pow_diff(a, h, p):
@@ -39,7 +39,9 @@ def _exp_neg_product(a, t):
     A rounded product of size P is off by up to P * 1.1e-16, which e^(-P)
     turns into a relative error of the same size (1.5e-14 at P = 138).
     Veltkamp splitting leaves 26-bit halves whose product a_hi t_hi is
-    exact; the cross terms are ~1e-8 P, so their rounding is harmless."""
+    exact; the cross terms are ~1e-8 P, so their rounding is harmless.
+    ``a`` and ``t`` broadcast to an array, which is built in place: no
+    more than two arrays of its size are alive at once."""
     def split(v):
         v = np.asarray(v, dtype=float)
         c = 134217729.0 * v  # 2^27 + 1
@@ -48,36 +50,31 @@ def _exp_neg_product(a, t):
 
     a_hi, a_lo = split(a)
     t_hi, t_lo = split(t)
+    cross = a_hi * t_lo
+    cross += a_lo * t
+    np.negative(cross, out=cross)
     # the cap binds only where a t > 1e10 and the first factor is 0
-    cross = np.minimum(-(a_hi * t_lo + a_lo * t), 700.0)
-    return np.exp(-(a_hi * t_hi)) * np.exp(cross)
-
-
-def _exp_weighted_sum(lefts, t, inner):
-    """sum_i e^(-lefts_i t) inner(block, t)_i for ascending lefts >= 0, the
-    lefts taken _BLOCK at a time.  A block enters only for the t with
-    t min(block) <= 746; beyond that e^(-a t) underflows to exactly 0."""
-    out = np.zeros_like(t)
-    for lo in range(0, len(lefts), _BLOCK):
-        sel = t * lefts[lo] <= 746.0
-        if not np.any(sel):
-            break  # later blocks start further right
-        block = slice(lo, lo + _BLOCK)
-        out[sel] += np.sum(_exp_neg_product(lefts[block, None], t[sel]) *
-                           inner(block, t[sel]), axis=0)
-    return out
+    np.minimum(cross, 700.0, out=cross)
+    head = a_hi * t_hi
+    np.negative(head, out=head)
+    np.exp(head, out=head)
+    head *= np.exp(cross, out=cross)
+    return head
 
 
 def _exp_moments(t, length, max_j):
     """m_j(t) = int_0^L e^(-t s) s^j ds for j = 0..max_j and t > 0; ``t``
-    and ``length`` broadcast (rows of lengths against a vector of t)."""
+    and ``length`` broadcast (rows of lengths against a vector of t) to an
+    array."""
     t = np.asarray(t, dtype=float)
     length = np.asarray(length, dtype=float)
-    tl = t * length
-    out = [-np.expm1(-tl) / t]
+    neg_tl = -t * length
+    first = np.expm1(neg_tl)
+    first /= -t
+    out = [first]
     if max_j == 0:
         return out
-    decay = np.exp(-tl)
+    decay = np.exp(neg_tl)
     # below t L ~ 1e-150 this overflows; the series below replaces it there
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, max_j + 1):
@@ -87,11 +84,11 @@ def _exp_moments(t, length, max_j):
     # m_j = L^(j+1) e^(-tL) S_j(tL) instead, with S_J = sum_k x^k /
     # ((J+1)...(J+1+k)) for the top degree J and S_(j-1) = (x S_j + 1) / j
     # downward: all terms are positive, so nothing cancels.
-    small = tl < max_j + 1.0
+    small = neg_tl > -(max_j + 1.0)
     if not np.any(small):
         return out
-    x = tl[small]
-    scale = np.broadcast_to(length, tl.shape)[small]
+    x = -neg_tl[small]
+    scale = np.broadcast_to(length, neg_tl.shape)[small]
     weight = decay[small] * scale
     # term k over term 0 is prod_i x / (J + 1 + i) <= 1e-17 once the ratio
     # is below 1/2, and term 0 = 1 / (J + 1) <= S_J bounds the tail
@@ -109,6 +106,109 @@ def _exp_moments(t, length, max_j):
         out[j][small] = weight * scale ** j * ser
         ser = (x * ser + 1.0) / j
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class _LatticeSum:
+    """sum_i e^(-a_i t) sum_j c_ij m_j(t; L_i) over cells [a_i, a_i + L_i),
+    with m_j the moments of ``_exp_moments``, or sum_i c_i e^(-a_i t) over
+    atoms at a_i (``lengths`` None), factored on a lattice.
+
+    Each a_i is A_k + r, with A_k one of the ascending ``anchors`` and the
+    residue r exact.  The cells are grouped in classes of equal (r, L):
+    ``residues`` and ``lengths`` hold one class each, in ascending r, and
+    ``coeffs[k, c, j]`` the coefficient c_ij of the cell of class c on
+    anchor k (0 where there is none).  So the sum is
+    sum_k e^(-A_k t) sum_(c, j) coeffs[k, c, j] e^(-r_c t) m_j(t; L_c),
+    one exp row per anchor and one row per class and degree, where summing
+    cell by cell takes one exp and one moment row per cell.
+    """
+
+    anchors: np.ndarray
+    residues: np.ndarray
+    lengths: np.ndarray
+    coeffs: np.ndarray
+
+    def __call__(self, t):
+        """The sum at an array of t > 0, in its shape.  The classes enter
+        _CLASS_BLOCK at a time, and a block only at the t with
+        t (A_0 + min r) <= 746: beyond that e^(-a t) underflows to exactly
+        0 for all its cells."""
+        ts = t.ravel()
+        acc = np.zeros((len(self.anchors), len(ts)))
+        for lo in range(0, len(self.residues), _CLASS_BLOCK):
+            sel = ts * (self.anchors[0] + self.residues[lo]) <= 746.0
+            if not np.any(sel):
+                break  # later blocks start further right
+            acc[:, sel] += self._block(slice(lo, lo + _CLASS_BLOCK), ts[sel])
+        return np.sum(_exp_neg_product(self.anchors[:, None], ts) * acc,
+                      axis=0).reshape(t.shape)
+
+    def _block(self, block, t):
+        """sum_(c, j) coeffs[:, c, j] e^(-r_c t) m_j(t; L_c) over the
+        classes c of ``block``: one row per anchor.  The moments are taken
+        before the exp rows, so the temporaries of the two helpers are
+        never alive together."""
+        if self.lengths is None:
+            return self.coeffs[:, block, 0] @ _exp_neg_product(
+                self.residues[block, None], t)
+        rows = _exp_moments(t, self.lengths[block, None],
+                            self.coeffs.shape[2] - 1)
+        decay = _exp_neg_product(self.residues[block, None], t)
+        return sum(self.coeffs[:, block, j] @ np.multiply(row, decay, out=row)
+                   for j, row in enumerate(rows))
+
+
+def _lattice_sum(lefts, lengths, coeffs):
+    """The ``_LatticeSum`` of cells with strictly ascending left ends
+    ``lefts`` >= 0, ``lengths`` and coefficient rows ``coeffs``, or of
+    atoms at ``lefts`` with masses coeffs[:, 0] (``lengths`` None).
+
+    The lattice is read off the cells.  A grid of power-of-two spacing P
+    puts a cell in [k P, (k + 1) P), and [0, P) is also cut at the powers
+    of two; the first left end of each part is its anchor.  An anchor and
+    the cells it holds then share a binade, so r = a - A is exact
+    (Sterbenz), and on a lattice of left ends the same r recur from part
+    to part.  The estimated cost per t is one exp row per anchor, about
+    two per class and degree, and the matrix product.  On a lattice with
+    one left end per period it is least near P = span / sqrt(2 J n), so
+    the two powers of two around that are tried; the layout taken is the
+    cheaper of them and of one anchor at 0 with one class per cell
+    (r = a, the plain sum, for layouts on no lattice).
+    """
+    n, n_cols = coeffs.shape
+    width = np.zeros(n) if lengths is None else lengths
+
+    def cost(n_anchors, n_classes):
+        return n_anchors + n_classes * n_cols * (2.0 + n_anchors / 256.0)
+
+    best = (cost(1, n), np.zeros(1), np.zeros(n, dtype=int), np.arange(n),
+            lefts, width)
+    span = lefts[-1] - lefts[0] if n else 0.0
+    if span > 0.0:
+        p = math.frexp(span / math.sqrt(2.0 * n_cols * n))[1]
+        binade = np.frexp(lefts)[1]
+        for spacing in (2.0 ** (p - 1), 2.0 ** p):
+            part = np.floor(lefts / spacing)
+            first = np.concatenate([[True], (np.diff(part) != 0) |
+                                    (np.diff(binade) != 0)])
+            group = np.cumsum(first) - 1
+            anchors = lefts[first]
+            r = lefts - anchors[group]
+            order = np.lexsort((width, r))
+            r, w = r[order], width[order]
+            new = np.concatenate([[True], (np.diff(r) != 0) |
+                                  (np.diff(w) != 0)])
+            inverse = np.empty(n, dtype=int)
+            inverse[order] = np.cumsum(new) - 1
+            c = cost(len(anchors), np.count_nonzero(new))
+            if c < best[0]:
+                best = (c, anchors, group, inverse, r[new], w[new])
+    _, anchors, group, inverse, residues, class_width = best
+    table = np.zeros((len(anchors), len(residues), n_cols))
+    table[group, inverse] = coeffs
+    return _LatticeSum(anchors, residues,
+                       None if lengths is None else class_width, table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,20 +282,17 @@ class PiecewisePolynomial:
             total += np.sum(cj * acc, axis=-1)
         return total if total.ndim else float(total)
 
-    def laplace(self, t):
-        """int e^(-t s) p(s) ds over the support, vectorized in t > 0; the
-        nonzero cells enter through ``_exp_weighted_sum``."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        # cells whose polynomial is zero contribute nothing
+    @cached_property
+    def _cell_sum(self):
+        """The ``_LatticeSum`` of the nonzero cells (an all-zero cell
+        contributes nothing)."""
         live = np.any(self.coeffs != 0.0, axis=1)
-        co = self.coeffs[live]
-        lengths = np.diff(self.breakpoints)[live, None]
+        return _lattice_sum(self.breakpoints[:-1][live],
+                            np.diff(self.breakpoints)[live], self.coeffs[live])
 
-        def inner(block, ts):
-            moments = _exp_moments(ts, lengths[block], self.degree)
-            return sum(co[block, j:j + 1] * mj for j, mj in enumerate(moments))
-
-        return _exp_weighted_sum(self.breakpoints[:-1][live], t, inner)
+    def laplace(self, t):
+        """int e^(-t s) p(s) ds over the support, vectorized in t > 0."""
+        return self._cell_sum(np.atleast_1d(np.asarray(t, dtype=float)))
 
     def mass(self):
         """int p over the support: sum_j c_j L^(j+1) / (j+1) per cell."""
@@ -207,16 +304,25 @@ class PiecewisePolynomial:
 def _check_nonneg(pp, name):
     """Raise DomainError where the piecewise polynomial ``pp`` is negative.
 
-    Checks the values at both ends of every cell, which is exact for
-    degree <= 1; higher degrees add 1,000 samples."""
+    Checks the values at both ends of every cell and, for degree 2, at the
+    vertex s* = -c1 / (2 c2) of each cell with c2 > 0, clipped to the
+    cell: a polynomial of degree <= 2 has its minimum on a cell at one of
+    these, so the check is exact there.  Degrees >= 3 add 1,000 samples."""
     bp, co = pp.breakpoints, pp.coeffs
-    ts = np.concatenate([bp[:-1], bp[1:]])
-    vals = np.concatenate([co[:, 0], np.polynomial.polynomial.polyval(
-        np.diff(bp), co.T, tensor=False)])
-    if pp.degree >= 2:
+    lengths = np.diff(bp)
+    polyval = np.polynomial.polynomial.polyval
+    ts = [bp[:-1], bp[1:]]
+    vals = [co[:, 0], polyval(lengths, co.T, tensor=False)]
+    if pp.degree == 2:
+        up = co[:, 2] > 0.0
+        vertex = np.clip(-co[up, 1] / (2.0 * co[up, 2]), 0.0, lengths[up])
+        ts.append(bp[:-1][up] + vertex)
+        vals.append(polyval(vertex, co[up].T, tensor=False))
+    elif pp.degree >= 3:
         sample = np.linspace(bp[0], bp[-1], 1000)
-        ts = np.concatenate([ts, sample])
-        vals = np.concatenate([vals, pp(sample)])
+        ts.append(sample)
+        vals.append(pp(sample))
+    ts, vals = np.concatenate(ts), np.concatenate(vals)
     floor = -1e-9 * (1.0 + np.max(np.abs(vals)))
     if np.min(vals) < floor:
         t_bad = ts[int(np.argmin(vals))]
@@ -484,6 +590,12 @@ class RepresentingMeasure:
     def __call__(self, x):
         return stieltjes_eval(self, x)
 
+    @cached_property
+    def _atom_sum(self):
+        """The ``_LatticeSum`` of the atoms."""
+        locs, masses = self.atoms.T
+        return _lattice_sum(locs, None, masses[:, None])
+
 
 def stieltjes_eval(m, x):
     """f(x) = int dmu(t)/(x+t)^order + c for a RepresentingMeasure: a float
@@ -514,8 +626,7 @@ class CmKernel:
         m = self.measure
         total = np.zeros_like(t)
         if len(m.atoms):
-            locs, masses = m.atoms.T
-            total += _exp_weighted_sum(locs, t, lambda b, _: masses[b, None])
+            total += m._atom_sum(t)
         if m.density is not None:
             total += m.density.laplace(t)
         if m.tail is not None:

@@ -39,11 +39,11 @@ def three_way(x):
 # agreement of array entries with scalar calls, relative to max(1, |value|);
 # 0 is 4 ulp).  Three kinds agree to rounding of another order instead:
 # the routines that share one adaptive panel set among the entries, to
-# their quadrature tolerance, as laplace_quad does; CmKernel, whose sum
-# over a block of cells runs along the cell axis of a (cells, t) array;
-# and the inversion, whose Euler weights meet the partial sums of all t in
-# one matrix product (numpy's product of an (n, 19) array rounds each row
-# otherwise than one row alone, and the partial sums cancel)
+# their quadrature tolerance, as laplace_quad does; CmKernel, whose lattice
+# sum meets the rows of all t in matrix products over its classes and
+# anchors; and the inversion, whose Euler weights meet the partial sums of
+# all t in one matrix product (numpy's product of an (n, 19) array rounds
+# each row otherwise than one row alone, and the partial sums cancel)
 ROUTINES = {
     "CmKernel": (st.CmKernel(st.measure_gamma_ratio(0.5, 1.3)), False,
                  1e-14),

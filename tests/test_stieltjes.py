@@ -14,6 +14,7 @@ from cmfun import monotonicity as mono
 from cmfun import specfun as sf
 from cmfun import stieltjes as st
 from cmfun._quadrature import quad
+from cmfun._series import iterate_sums
 from cmfun.errors import CapTooSmallError, ConvergenceError, DomainError
 
 LOG2 = math.log(2.0)
@@ -22,6 +23,41 @@ LOG2 = math.log(2.0)
 def prym_seq(n):
     n = np.asarray(n, dtype=float)
     return (-1.0) ** n * np.exp(-sf.log_gamma(n + 1.0))
+
+
+def cell_by_cell_sum(lefts, t, inner):
+    """sum_i e^(-lefts_i t) inner(block, t)_i for ascending lefts >= 0, one
+    exp per cell and t, the lefts taken 256 at a time and a block only at
+    the t with t min(block) <= 746: the sum that the lattice factorization
+    replaced, kept as its reference."""
+    out = np.zeros_like(t)
+    for lo in range(0, len(lefts), 256):
+        sel = t * lefts[lo] <= 746.0
+        if not np.any(sel):
+            break
+        block = slice(lo, lo + 256)
+        out[sel] += np.sum(st._exp_neg_product(lefts[block, None], t[sel]) *
+                           inner(block, t[sel]), axis=0)
+    return out
+
+
+def cell_by_cell_laplace(pp, t):
+    """``pp.laplace(t)`` by ``cell_by_cell_sum`` over the nonzero cells."""
+    live = np.any(pp.coeffs != 0.0, axis=1)
+    co = pp.coeffs[live]
+    lengths = np.diff(pp.breakpoints)[live, None]
+
+    def inner(block, ts):
+        moments = st._exp_moments(ts, lengths[block], pp.degree)
+        return sum(co[block, j:j + 1] * mj for j, mj in enumerate(moments))
+
+    return cell_by_cell_sum(pp.breakpoints[:-1][live], t, inner)
+
+
+def atom_by_atom_kernel(atoms, t):
+    """sum_i mass_i e^(-loc_i t) by ``cell_by_cell_sum``."""
+    locs, masses = atoms.T
+    return cell_by_cell_sum(locs, t, lambda block, _: masses[block, None])
 
 
 class TestPiecewisePolynomial:
@@ -84,10 +120,10 @@ class TestPiecewisePolynomial:
     @settings(max_examples=30, deadline=None)
     @given(data=hs.data())
     def test_laplace_many_cells_matches_mpmath(self, data):
-        # 300-600 cells, so the 256-cell blocks split them, and t from the
-        # whole range together with more than 16 t below 1/b, so the
-        # Chebyshev band is interpolated.  Cells of one length k/64 keep
-        # every breakpoint exact, and make the oracle a polynomial in
+        # 300-600 cells on the lattice left + i L, which the sum factors on
+        # anchors, and t from the whole range together with 17-20 t below
+        # 1/b, where all cells weigh alike.  Cells of one length L = k/64
+        # keep every breakpoint exact, and make the oracle a polynomial in
         # r = e^(-t L): sum_i c_ij e^(-t a_i) = e^(-t a_0) sum_i c_ij r^i
         n = data.draw(hs.integers(300, 600))
         deg = data.draw(hs.integers(0, 3))
@@ -392,6 +428,93 @@ class TestKernelKappa:
         assert np.all(new[~kept] == 0.0)
 
 
+@hs.composite
+def kernel_layouts(draw):
+    """A density or an atom measure whose transform the lattice sum takes:
+    the integer and off + 2n lattices, gamma-ratio trapezoid trains (some
+    with ulp-sliver cells), the Cesaro prym density at k = 1, genus 1, the
+    sqrt locations and the integer atoms."""
+    kind = draw(hs.sampled_from(("integer", "gaps", "gamma-ratio",
+                                 "cesaro-prym-1", "genus1", "sqrt",
+                                 "atoms")))
+    lam = draw(hs.floats(0.05, 1.0))
+    if kind == "integer":
+        n = draw(hs.integers(1, 3000))
+        deg = draw(hs.integers(0, 2))
+        rng = np.random.default_rng(draw(hs.integers(0, 2 ** 32 - 1)))
+        coeffs = rng.uniform(-2.0, 2.0, (n, deg + 1))
+        coeffs[rng.random(n) < 0.2] = 0.0
+        left = draw(hs.integers(0, 100))
+        return st.PiecewisePolynomial(left + np.arange(n + 1.0), coeffs)
+    if kind == "gaps":
+        off = draw(hs.sampled_from((0.1, math.pi)))
+        return st.measure_alternating(lambda n: n + off, lam).density
+    if kind == "gamma-ratio":
+        # a and b an integer apart, or one of them an integer, leave cells
+        # one or a few ulp long where two knots round apart
+        a, b = draw(hs.one_of(
+            hs.sampled_from(((0.37, 2.37), (0.64, 1.0), (1.36, 2.36))),
+            trapezoid_trains().map(lambda train: train[1:])))
+        return st.measure_gamma_ratio(a, b).density
+    if kind == "cesaro-prym-1":
+        # measure_cesaro refuses k = 1 (its s^(1) has no exact tail), but
+        # its density is this one
+        s1 = iterate_sums(prym_seq(np.arange(4097.0)), 1)[1]
+        return st.PiecewisePolynomial(np.arange(4098.0), lam * (lam + 1.0) *
+                                      st._spline_rows(s1, 1))
+    if kind == "genus1":
+        zeros, a, b = draw(trapezoid_trains())
+        return st.measure_genus1_log_ratio(zeros, a, b).density
+    if kind == "sqrt":
+        return st.measure_alternating(np.sqrt, lam).density
+    return st.RepresentingMeasure(order=2.0, atoms=st.measure_integer_atoms(
+        draw(hs.floats(0.1, 10.0))).atoms)
+
+
+@settings(max_examples=120, deadline=None)
+@given(layout=kernel_layouts(), log_t=hs.lists(
+    hs.floats(-300.0, 4.0), min_size=1, max_size=8))
+def test_lattice_sum_matches_cell_by_cell(layout, log_t):
+    # the same terms regrouped, each still of one compensated e^(-a t), so
+    # the two agree to rounding of the sum of their absolute values
+    t = 10.0 ** np.array(log_t)
+    if isinstance(layout, st.RepresentingMeasure):
+        got = st.CmKernel(layout)(t)
+        want = scale = atom_by_atom_kernel(layout.atoms, t)
+    else:
+        got = layout.laplace(t)
+        want = cell_by_cell_laplace(layout, t)
+        scale = cell_by_cell_laplace(st.PiecewisePolynomial(
+            layout.breakpoints, np.abs(layout.coeffs)), t)
+    assert np.all(np.abs(got - want) <= 1e-14 * scale + 1e-300), \
+        np.max(np.abs(got - want) / scale)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: st.measure_alternating(lambda n: n + 0.1, 0.5).density,
+    lambda: st.measure_alternating(lambda n: n + math.pi, 0.5).density,
+    lambda: st.measure_gamma_ratio(0.37, 2.37).density,
+    lambda: st.measure_gamma_reciprocal_ratio(0.5).density,
+    lambda: st.measure_alternating(np.sqrt, 0.5).density,
+    lambda: st.measure_genus1_log_ratio((1.0, 2.5, 7.3), 0.4, 1.4).density],
+    ids=["gaps-0.1", "gaps-pi", "gamma-ratio-sliver", "gamma-reciprocal",
+         "sqrt", "genus1"])
+def test_lattice_sum_holds_each_cell_once_and_exactly(build):
+    # A_k + r_c is the left end of the cell at (k, c), with no rounding,
+    # and each nonzero cell appears once with its coefficient row
+    pp = build()
+    lattice = pp._cell_sum
+    live = np.any(pp.coeffs != 0.0, axis=1)
+    k, c = np.nonzero(np.any(lattice.coeffs != 0.0, axis=2))
+    lefts = [Fraction(a) + Fraction(r) for a, r in zip(
+        lattice.anchors[k], lattice.residues[c])]
+    cells = sorted(zip(lefts, lattice.lengths[c],
+                       map(tuple, lattice.coeffs[k, c])))
+    assert cells == list(zip(map(Fraction, pp.breakpoints[:-1][live]),
+                             np.diff(pp.breakpoints)[live],
+                             map(tuple, pp.coeffs[live])))
+
+
 def kernel_route_catalog():
     for lam in (0.001, 0.05, 1.0):
         for off in (0.0, 1.5):
@@ -523,6 +646,25 @@ def test_kernel_route_memory_peak(build):
         finally:
             tracemalloc.stop()
         assert peak <= 20 * 2 ** 20, (x, peak)
+
+
+def test_kernel_memory_on_no_lattice():
+    # 4,096 degree-2 cells at random breakpoints share no residue, so the
+    # sum takes them one class each, 256 at a time, as the cell-by-cell
+    # sum did: at 1,000 t that sum peaked at 21.65 MB of traced memory
+    rng = np.random.default_rng(7)
+    bps = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 4096.0, 4096))])
+    kappa = st.CmKernel(st.RepresentingMeasure(order=2.0, density=(
+        st.PiecewisePolynomial(bps, rng.uniform(0.1, 1.0, (4096, 3))))))
+    t = np.geomspace(1e-4, 60.0, 1000)
+    kappa(t[:1])  # the factorization is built once, on the first call
+    tracemalloc.start()
+    try:
+        kappa(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 21.7 * 2 ** 20, peak
 
 
 class TestGammaRatioMeasure:
@@ -797,6 +939,25 @@ class TestEquivalenceOfRepresentations:
                         * (x + t) ** (-order - 1.0), T, 1e7,
                         rel_tol=1e-10)
             assert abs(order * (head + tail) - st.stieltjes_eval(m, x)) <= 1e-6
+
+    def test_quadratic_cell_negative_inside_rejected(self):
+        # (s - 0.3)^2 - 1e-4 is -1e-4 at s = 0.3 and positive at both ends,
+        # where 1,000 samples over [0, 1000) step over (0.29, 0.31)
+        pp = st.PiecewisePolynomial(
+            np.array([0.0, 1.0, 1000.0]),
+            np.array([[0.09 - 1e-4, -0.6, 1.0], [1.0, 0.0, 0.0]]))
+        with pytest.raises(DomainError, match="t=0.3"):
+            st.RepresentingMeasure(order=2.0, density=pp)
+
+    def test_quadratic_check_draws_no_samples(self, monkeypatch):
+        # the profile s (1 - s) / 2 of the Barnes Q measure: ends and
+        # vertices decide degree 2, and only degree >= 3 is sampled
+        def sampled(self, t):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(st.PiecewisePolynomial, "__call__", sampled)
+        st.PeriodicTail(start=0.0, period=1.0, profile=st.PiecewisePolynomial(
+            np.array([0.0, 1.0]), np.array([[0.0, 0.5, -0.5]])))
 
     def test_negative_density_rejected(self):
         pp = st.PiecewisePolynomial(np.array([0.0, 1.0]), np.array([[-1.0]]))
