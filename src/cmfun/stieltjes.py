@@ -133,16 +133,22 @@ class _LatticeSum:
         """The sum at an array of t > 0, in its shape.  The classes enter
         _CLASS_BLOCK at a time, and a block only at the t with
         t (A_0 + min r) <= 746: beyond that e^(-a t) underflows to exactly
-        0 for all its cells."""
-        ts = t.ravel()
+        0 for all its cells.  The t are taken in ascending order, so those
+        are a leading slice."""
+        order = np.argsort(t, axis=None)
+        ts = t.ravel()[order]
         acc = np.zeros((len(self.anchors), len(ts)))
         for lo in range(0, len(self.residues), _CLASS_BLOCK):
-            sel = ts * (self.anchors[0] + self.residues[lo]) <= 746.0
-            if not np.any(sel):
+            n_t = np.count_nonzero(
+                ts * (self.anchors[0] + self.residues[lo]) <= 746.0)
+            if not n_t:
                 break  # later blocks start further right
-            acc[:, sel] += self._block(slice(lo, lo + _CLASS_BLOCK), ts[sel])
-        return np.sum(_exp_neg_product(self.anchors[:, None], ts) * acc,
-                      axis=0).reshape(t.shape)
+            acc[:, :n_t] += self._block(slice(lo, lo + _CLASS_BLOCK),
+                                        ts[:n_t])
+        out = np.empty_like(ts)
+        out[order] = np.sum(_exp_neg_product(self.anchors[:, None], ts) * acc,
+                            axis=0)
+        return out.reshape(t.shape)
 
     def _block(self, block, t):
         """sum_(c, j) coeffs[:, c, j] e^(-r_c t) m_j(t; L_c) over the
@@ -171,10 +177,10 @@ def _lattice_sum(lefts, lengths, coeffs):
     (Sterbenz), and on a lattice of left ends the same r recur from part
     to part.  The estimated cost per t is one exp row per anchor, about
     two per class and degree, and the matrix product.  On a lattice with
-    one left end per period it is least near P = span / sqrt(2 J n), so
-    the two powers of two around that are tried; the layout taken is the
-    cheaper of them and of one anchor at 0 with one class per cell
-    (r = a, the plain sum, for layouts on no lattice).
+    one left end per period it is least near P = span / sqrt(2 J n) for n
+    cells of J coefficients, and P is the power of two nearest that.  The
+    grid is taken if it costs less than one anchor at 0 with one class
+    per cell (r = a: the cell-by-cell sum, for layouts on no lattice).
     """
     n, n_cols = coeffs.shape
     width = np.zeros(n) if lengths is None else lengths
@@ -182,29 +188,22 @@ def _lattice_sum(lefts, lengths, coeffs):
     def cost(n_anchors, n_classes):
         return n_anchors + n_classes * n_cols * (2.0 + n_anchors / 256.0)
 
-    best = (cost(1, n), np.zeros(1), np.zeros(n, dtype=int), np.arange(n),
-            lefts, width)
+    anchors, group, inverse = np.zeros(1), np.zeros(n, dtype=int), np.arange(n)
+    residues, class_width = lefts, width
     span = lefts[-1] - lefts[0] if n else 0.0
     if span > 0.0:
-        p = math.frexp(span / math.sqrt(2.0 * n_cols * n))[1]
-        binade = np.frexp(lefts)[1]
-        for spacing in (2.0 ** (p - 1), 2.0 ** p):
-            part = np.floor(lefts / spacing)
-            first = np.concatenate([[True], (np.diff(part) != 0) |
-                                    (np.diff(binade) != 0)])
-            group = np.cumsum(first) - 1
-            anchors = lefts[first]
-            r = lefts - anchors[group]
-            order = np.lexsort((width, r))
-            r, w = r[order], width[order]
-            new = np.concatenate([[True], (np.diff(r) != 0) |
-                                  (np.diff(w) != 0)])
-            inverse = np.empty(n, dtype=int)
+        spacing = 2.0 ** round(math.log2(span / math.sqrt(2.0 * n_cols * n)))
+        first = np.concatenate([[True], (np.diff(np.floor(
+            lefts / spacing)) != 0) | (np.diff(np.frexp(lefts)[1]) != 0)])
+        part = np.cumsum(first) - 1
+        r = lefts - lefts[first][part]
+        order = np.lexsort((width, r))
+        r, w = r[order], width[order]
+        new = np.concatenate([[True], (np.diff(r) != 0) | (np.diff(w) != 0)])
+        if cost(part[-1] + 1, np.count_nonzero(new)) < cost(1, n):
+            anchors, group = lefts[first], part
             inverse[order] = np.cumsum(new) - 1
-            c = cost(len(anchors), np.count_nonzero(new))
-            if c < best[0]:
-                best = (c, anchors, group, inverse, r[new], w[new])
-    _, anchors, group, inverse, residues, class_width = best
+            residues, class_width = r[new], w[new]
     table = np.zeros((len(anchors), len(residues), n_cols))
     table[group, inverse] = coeffs
     return _LatticeSum(anchors, residues,
