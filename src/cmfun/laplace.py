@@ -6,16 +6,16 @@ Inversion evaluates F only on Re z > 0, which is all the catalog transforms
 (beta^c in particular) are defined on.  A single t is inverted by Euler
 summation of the Bromwich integral and accepted when Euler summation on a
 second line agrees to a relative tolerance.  The semigroup grid m_c(j dt)
-comes from one inverse FFT of beta^c on a vertical line, after subtracting
-the singular head of beta^c at infinity.  beta^c is evaluated only on the
-band of low frequencies past which the series, bounded by its first
-omitted term, stays below 1e-16 absolute (a quarter of the FFT or less on
-the default grid; about 10 ms a density).  The grid is accepted when Euler
-at up to 128 grid points agrees to a tolerance relative to max |m_c|.  The
-check m_c * m_d = m_(c+d) takes the trapezoid on the grid by one real FFT,
-less Navot's generalized Euler-Maclaurin terms for the two singular ends;
-below t = 132 dt, fixed Gauss rules on cubic interpolants, also summed by
-FFT.  Nothing in it is adaptive or O(n^2).
+comes from one real inverse FFT of beta^c on a vertical line, after
+subtracting the singular head of beta^c at infinity.  beta^c is evaluated
+only on the band of low frequencies past which the series, bounded by its
+first omitted term, stays below 1e-16 absolute (a quarter of the FFT or
+less on the default grid; about 5 ms a density).  The grid is accepted
+when Euler at up to 128 grid points agrees to a tolerance relative to
+max |m_c|.  The check m_c * m_d = m_(c+d) takes the trapezoid on the grid
+by one real FFT, less Navot's generalized Euler-Maclaurin terms for the
+two singular ends; below t = 132 dt, fixed Gauss rules on cubic
+interpolants, also summed by FFT.  Nothing in it is adaptive or O(n^2).
 """
 
 import math
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadrature import quad, vectorized
-from .errors import DomainError, InversionDisagreementError
+from .errors import ConvergenceError, DomainError, InversionDisagreementError
 from .specfun import _BETA_ASYM, _like, _positive, _zeta, nielsen_beta_complex
 
 # ---------------------------------------------------------------------------
@@ -180,9 +180,15 @@ def _check_shift(phi, alpha, beta, x):
     return _positive(x)
 
 
+_CONT_REL_TOL = 1e-12  # quad's rel_tol on the parts of sigma and tau
+_CANCEL_TOL = 1e-8     # the most of the value that rel_tol may stand for
+
+
 def _continuous_parts(dphi, T, alpha, beta, x, breaks, kernel):
-    """(x, int_0^beta phi'(t) kernel((x/alpha)(t - beta)) dt, int_0^T
-    phi'(t) e^(-xt/alpha) dt, 1 - e^(-Tx/alpha)) for the checked x."""
+    """(x, head, big) for the checked x: head = int_0^beta phi'(t)
+    kernel((x/alpha)(t - beta)) dt and big = kernel(beta x/alpha)
+    int_0^T phi'(t) e^(-xt/alpha) dt / (1 - e^(-Tx/alpha)).  Where kernel
+    overflows, the quadrature raises ConvergenceError."""
     if alpha <= 0 or T <= 0:
         raise DomainError("alpha and T must be positive")
     if not 0 <= beta <= T:
@@ -192,13 +198,31 @@ def _continuous_parts(dphi, T, alpha, beta, x, breaks, kernel):
     dv = vectorized(dphi)
     pts = [b for b in (breaks or []) if 0 < b < T]
     head = 0.0
-    if beta > 0:
-        head = quad(lambda t: dv(t) * kernel((xr / alpha) * (t - beta)),
-                    0.0, beta, abs_tol=1e-14, rel_tol=1e-12,
-                    points=[b for b in pts if b < beta])
-    per = quad(lambda t: dv(t) * np.exp(-xr * t / alpha), 0.0, T,
-               abs_tol=1e-14, rel_tol=1e-12, points=pts)
-    return x, head, per, -np.expm1(-T * x / alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if beta > 0:
+            head = quad(lambda t: dv(t) * kernel((xr / alpha) * (t - beta)),
+                        0.0, beta, abs_tol=1e-14, rel_tol=_CONT_REL_TOL,
+                        points=[b for b in pts if b < beta])
+        per = quad(lambda t: dv(t) * np.exp(-xr * t / alpha), 0.0, T,
+                   abs_tol=1e-14, rel_tol=_CONT_REL_TOL, points=pts)
+        big = kernel(beta * x / alpha) * per / -np.expm1(-T * x / alpha)
+    return x, head, big
+
+
+def _uncancelled(name, x, value, head, big):
+    """``value``, after checking that quad's rel_tol on the two parts that
+    cancel in it, |head| + |big|, is at most _CANCEL_TOL of it (else
+    ConvergenceError).  big grows like e^(beta x/alpha) while the value
+    stays O(1), so this refuses large x: on the |t| sawtooth with
+    alpha = beta = pi/2 the bound is 3.7e-10 of sigma at x = 8 and
+    1.4e-8 at x = 12."""
+    bound = _CONT_REL_TOL * (np.abs(head) + np.abs(big))
+    bad = ~(bound <= _CANCEL_TOL * np.abs(value))
+    if bad.any():
+        raise ConvergenceError(
+            f"{name} at x = {x[bad][0]:g} cancels: quad's rel_tol "
+            f"{_CONT_REL_TOL:g} on its parts exceeds {_CANCEL_TOL:g} of it")
+    return value
 
 
 def sigma_continuous(dphi, T, alpha, beta, x, phi_at_beta, breaks=None):
@@ -209,10 +233,13 @@ def sigma_continuous(dphi, T, alpha, beta, x, phi_at_beta, breaks=None):
         + cosh(beta x/alpha)/(1 - e^(-Tx/alpha)) int_0^T phi'(t) e^(-xt/alpha) dt
 
     Satisfies sigma(x)/x = (1/2) L[phi(alpha t + beta) + phi(alpha t - beta)].
+    The two integral terms grow like e^(beta x/alpha) and cancel, so an x
+    where quad's tolerance on them would exceed 1e-8 of sigma is a
+    ConvergenceError.
     """
-    x, head, per, geom = _continuous_parts(dphi, T, alpha, beta, x, breaks,
-                                           np.cosh)
-    return _like(x, phi_at_beta - head + np.cosh(beta * x / alpha) * per / geom)
+    x, head, big = _continuous_parts(dphi, T, alpha, beta, x, breaks, np.cosh)
+    return _like(x, _uncancelled("sigma", x, phi_at_beta - head + big,
+                                 head, big))
 
 
 def tau_continuous(dphi, T, alpha, beta, x, phi_max, sign=1, breaks=None):
@@ -221,13 +248,15 @@ def tau_continuous(dphi, T, alpha, beta, x, phi_max, sign=1, breaks=None):
         A +/- 2 [ int_0^beta phi'(t) sinh((x/alpha)(t - beta)) dt
                   + sinh(beta x/alpha)/(1 - e^(-Tx/alpha))
                     int_0^T phi'(t) e^(-xt/alpha) dt ]
+
+    with the same ConvergenceError as ``sigma_continuous`` where the two
+    terms cancel beyond quad's tolerance.
     """
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
-    x, head, per, geom = _continuous_parts(dphi, T, alpha, beta, x, breaks,
-                                           np.sinh)
-    return _like(x, phi_max + sign * 2.0 *
-                 (head + np.sinh(beta * x / alpha) * per / geom))
+    x, head, big = _continuous_parts(dphi, T, alpha, beta, x, breaks, np.sinh)
+    return _like(x, _uncancelled("tau", x, phi_max + sign * 2.0 * (head + big),
+                                 2.0 * head, 2.0 * big))
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +338,8 @@ class SampledDensity:
         return float(self.t[1] - self.t[0])
 
     def to_csv(self):
-        lines = ["t,value"]
-        lines += [f"{ti:.12g},{vi:.15g}"
-                  for ti, vi in zip(self.t.tolist(), self.values.tolist())]
-        return "\n".join(lines) + "\n"
+        rows = np.column_stack([self.t, self.values]).ravel().tolist()
+        return "t,value\n" + ("%.12g,%.15g\n" * len(self.t)) % tuple(rows)
 
 
 def beta_power(c):
@@ -365,7 +392,7 @@ def _beta_power_head(c):
 def _fft_inversion_grid(c, dt, t):
     """(m_c on the grid t = dt, 2 dt, ..., (M, K)): the Fourier series of
     period 2T = M h, h = dt / L, of beta^c on the line Re z = a, summed by
-    one inverse FFT of length M, after subtracting the head
+    one real inverse FFT of length M, after subtracting the head
     sum_(j<J) b_j (z + sigma)^(-c-j), whose inverses
     t^(c-1) e^(-sigma t) sum_j b_j t^j / Gamma(c+j) are added back.
 
@@ -401,8 +428,16 @@ def _fft_inversion_grid(c, dt, t):
     for bj in b[:J]:
         residual -= bj * wk
         wk *= w
-    residual[0] *= 0.5
-    series = np.fft.ifft(residual, M)[L:n * L + 1:L].real * (2.0 * M / period)
+    # the series, r_0 halved, is Re ifft(r, M) = irfft(X, M)/2 with the
+    # Hermitian fold X_0 = r_0 (twice the halved term), X_k = r_k +
+    # conj r_(M-k), X_(M/2) = 2 r_(M/2); only a band K > M/2 + 1 reaches
+    # the conjugate terms
+    h = M // 2
+    fold = np.zeros(h + 1, complex)
+    fold[:min(K, h + 1)] = residual[:h + 1]
+    fold[M - K + 1:h] += residual[h + 1:K][::-1].conj()
+    fold[h] *= 2.0
+    series = np.fft.irfft(fold, M)[L:n * L + 1:L] * (M / period)
     poly = (b[:J] / [math.gamma(c + j) for j in range(J)])[::-1]
     added = t ** (c - 1.0) * np.exp(-_HEAD_SHIFT * t) * np.polyval(poly, t)
     return series * np.exp(a * t) + added, (M, K)
@@ -412,9 +447,10 @@ def semigroup_density(c, dt=1e-3, t_max=12.0):
     """Tabulate m_c on [dt, t_max] by one FFT inversion of beta^c, checked
     against Euler inversion at up to 128 evenly spaced grid points, for c
     in (0, C_MAX] (DomainError beyond).  On the default grid the check
-    passes at c = 40 and refuses the grid from c = 45 on.  A grid whose
-    FFT would exceed 2^22 points (dt = 1e-5 at t_max = 12 would take
-    2^23) is a DomainError before anything is allocated.
+    passes at c = 43.5 (spread 9.76e-8) and refuses the grid from c = 44
+    on (1.015e-7).  A grid whose FFT would exceed 2^22 points (dt = 1e-5
+    at t_max = 12 would take 2^23) is a DomainError before anything is
+    allocated.
 
     The Euler line moves right by (c - 1) log 3 for c > 1, which keeps its
     aliasing error, about e^(-A) m_c(3t) / m_c(t), at e^(-23) as m_c grows.

@@ -26,9 +26,10 @@ EULER_GAMMA = 0.5772156649015328606065
 
 _SHIFT = 12.0
 _BETA_FAR = 40.0
-# a shift block holds at most _BLOCK (point, step) terms, about 2^12 points
-# at the 12 to 20 steps the functions below take
-_BLOCK = 2 ** 16
+# a shift or si/ci block holds at most _BLOCK (point, step) terms, about
+# 2^9 points at the 12 to 20 steps the shift takes: a block's complex
+# temporaries (128 kB each) then stay in cache, where 2^16 terms did not
+_BLOCK = 2 ** 13
 _MAX_STEPS = 10_000
 # si/ci's fixed exp-sinh rule: step 1/64, 544 nodes w from 5e-306 to 60
 _SI_CI_NODES, _SI_CI_WEIGHTS = exp_sinh_rule(4)
@@ -101,7 +102,7 @@ def _shift(x, term, asym, step=1.0, until=_SHIFT, far=math.inf,
     out = asym(z + step * n)
     k = step * np.arange(n_max)
     idx = np.flatnonzero(n)
-    rows = _BLOCK // max(n_max, 1)
+    rows = max(_BLOCK // max(n_max, 1), 1)
     for lo in range(0, idx.size, rows):
         i = idx[lo:lo + rows]
         terms = np.where(k < step * n[i, None], term(z[i, None] + k), 0.0)

@@ -240,6 +240,17 @@ class TestInvert:
             "--tmax", "2", "--diag", str(diag))
         assert diag.read_text() == report
 
+    def test_csv_bytes_match_the_row_join(self, capsys, tmp_path):
+        # one % pass writes what the per-row f-string join did
+        out = tmp_path / "m.csv"
+        code, _, _ = run(capsys, "invert", "beta-pow-c", "--c", "0.5",
+                         "--out", str(out))
+        assert code == 0
+        dens = laplace.semigroup_density(0.5)
+        rows = zip(dens.t.tolist(), dens.values.tolist())
+        old = "\n".join(["t,value"] + [f"{t:.12g},{v:.15g}" for t, v in rows])
+        assert out.read_bytes() == (old + "\n").encode()
+
     def test_failed_cross_check_exits_1(self, capsys):
         # c = 12 on a short grid is beyond what the Euler check resolves
         code, out, err = run(capsys, "invert", "beta-pow-c", "--c", "12",

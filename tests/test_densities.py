@@ -78,6 +78,27 @@ class TestCdfQuantile:
         with pytest.raises(DomainError):
             dn.density_quantile(dn.DensitySpec("nu", 1.0), 1.5)
 
+    @pytest.mark.parametrize("family,a", [("nu", 0.5), ("nu", 1.181),
+                                          ("tau", 0.3), ("half-gumbel", 2.0)])
+    def test_quantile_stops_at_rounding_level(self, family, a, monkeypatch):
+        # Newton returns the iterate whose residual it has just computed:
+        # three CDF passes for 10,000 draws, and the residual of the
+        # returned points is at rounding level, not merely below 1e-10
+        spec = dn.DensitySpec(family, a)
+        u = np.clip(np.random.default_rng(5).random(10_000), 1e-15,
+                    1.0 - 1e-15)
+        passes = []
+        cdf = dn.density_cdf
+
+        def counted(spec, t):
+            passes.append(np.size(t))
+            return cdf(spec, t)
+
+        monkeypatch.setattr(dn, "density_cdf", counted)
+        q = dn.density_quantile(spec, u)
+        assert passes == [10_000] * 3
+        assert np.max(np.abs(cdf(spec, q) - u)) <= 2.0 ** -52
+
 
 class TestSampling:
     def test_deterministic(self):
@@ -159,3 +180,12 @@ class TestLaplaceConsistency:
             dn.density_sample(dn.DensitySpec("nu", 0.5), 200, seed=3)])
         old = "\n".join(["t"] + [f"{v:.15g}" for v in s]) + "\n"
         assert dn.samples_to_csv(s) == old
+
+    def test_csv_bytes_match_the_row_join(self):
+        # one % pass over the list writes what the per-row f-string join did
+        values = [5e-324, 2.5e-320, 2.2250738585072014e-308, 1e300, -1e300,
+                  3, 0, -7, 12345678901234567, 0.1, 1.0 / 3.0, 1e-5, 1e16]
+        old = "\n".join(["t"] + [f"{v:.15g}" for v in
+                                 np.asarray(values, dtype=float).tolist()])
+        assert dn.samples_to_csv(values) == old + "\n"
+        assert dn.samples_to_csv(np.array([2, 3])) == "t\n2\n3\n"

@@ -26,9 +26,10 @@ def talbot_m(c, t):
         return float(mpmath.invertlaplace(F, t, method="talbot"))
 
 
-def full_band_grid(c, dt, t):
-    """The FFT grid summed over all M frequencies, with the head's
-    inverses as J real powers: the reference the band is held to."""
+def full_band_grid(c, dt, t, K=None):
+    """The FFT grid by the complex inverse FFT of the first K frequencies,
+    all M by default, with the head's inverses as J real powers: the
+    reference the band and the real FFT are held to."""
     n = len(t)
     L = math.ceil(dt / lp._FFT_STEP)
     M = max(2 ** 15, 1 << (4 * n * L - 1).bit_length())
@@ -36,7 +37,7 @@ def full_band_grid(c, dt, t):
     t_max = n * dt
     a = (25.0 + max(c - 1.0, 0.0) * math.log1p(period / t_max)) \
         / (period - t_max)
-    z = a + 2j * math.pi * np.arange(M) / period
+    z = a + 2j * math.pi * np.arange(M if K is None else K) / period
     w = 1.0 / (z + lp._HEAD_SHIFT)
     residual = lp.beta_power(c)(z)
     added = np.zeros(n)
@@ -46,7 +47,7 @@ def full_band_grid(c, dt, t):
         wk *= w
         added += b * t ** (c + j - 1.0) / math.gamma(c + j)
     residual[0] *= 0.5
-    series = np.fft.ifft(residual)[L:n * L + 1:L].real * (2.0 * M / period)
+    series = np.fft.ifft(residual, M)[L:n * L + 1:L].real * (2.0 * M / period)
     return series * np.exp(a * t) + added * np.exp(-lp._HEAD_SHIFT * t)
 
 
@@ -341,6 +342,32 @@ class TestSigmaTauContinuous:
             T, 1.0, 0.0, x, phi_at_beta=b / a)
         assert abs(val - (1 + b * x * x) / (1 + a * x * x)) <= 1e-12
 
+    @pytest.mark.parametrize("x", [20.0, 30.0, 40.0, 100.0, 1000.0])
+    def test_cancellation_is_refused(self, x):
+        # the two e^(beta x/alpha)-sized terms cancel: unchecked, sigma read
+        # 1.5693359375 at x = 30 (closed form pi/2), -8.0 at 40 and 1.08e27
+        # at 100; at 1000 cosh overflows inside the head quadrature
+        _, dphi = _abs_saw()
+        args = (dphi, 2 * PI, PI / 2, PI / 2)
+        with pytest.raises(ConvergenceError):
+            lp.sigma_continuous(*args, x, phi_at_beta=PI / 2, breaks=[PI])
+        with pytest.raises(ConvergenceError):
+            lp.tau_continuous(*args, x, phi_max=PI, breaks=[PI])
+        with pytest.raises(ConvergenceError):
+            lp.sigma_continuous(*args, np.array([1.0, x]), phi_at_beta=PI / 2,
+                                breaks=[PI])
+
+    def test_sawtooth_up_to_x_8_is_kept(self):
+        # nu = 1: sigma = pi/2 and tau = pi (1 + (1 - 1/cosh x)/x)
+        _, dphi = _abs_saw()
+        x = np.array([0.5, 2.0, 8.0])
+        args = (dphi, 2 * PI, PI / 2, PI / 2, x)
+        sigma = lp.sigma_continuous(*args, phi_at_beta=PI / 2, breaks=[PI])
+        tau = lp.tau_continuous(*args, phi_max=PI, breaks=[PI])
+        assert np.max(np.abs(sigma - PI / 2)) <= 1e-12
+        assert np.max(np.abs(tau - PI * (1 + (1 - 1 / np.cosh(x)) / x))) \
+            <= 1e-12
+
 
 class TestInversion:
     def test_simple_pole(self):
@@ -541,6 +568,23 @@ class TestSemigroup:
         band, (M, K) = lp._fft_inversion_grid(c, dt, t)
         full = full_band_grid(c, dt, t)
         assert np.max(np.abs(band - full)) <= 1e-13 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("c,grid", [
+        (0.01, (1e-3, 12.0)), (0.5, (1e-3, 12.0)), (1.0, (1e-3, 12.0)),
+        (4.0, (1e-3, 12.0))] + [
+        (c, grid) for c in (0.01, 0.5)
+        for grid in ((1e-2, 6.0), (0.5, 12.0), (2.0, 20.0), (1.0, 100.0))])
+    def test_real_fft_matches_the_complex_one(self, c, grid):
+        # the irfft of the Hermitian fold against the complex ifft of the
+        # same band.  The coarse grids keep K = M, so the fold's conjugate
+        # terms are nonzero there; at c = 0.01 leaving them out moves the
+        # grid by 3.1e-14 (dt = 2) and 4.3e-13 (dt = 1) of max |m_c|
+        dt, t_max = grid
+        t = dt * np.arange(1, int(round(t_max / dt)) + 1)
+        values, (M, K) = lp._fft_inversion_grid(c, dt, t)
+        assert (K > M // 2 + 1) == (dt > 1e-3)
+        ref = full_band_grid(c, dt, t, K)
+        assert np.max(np.abs(values - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("c,d", [(0.1, 0.1), (0.2, 0.2), (0.5, 1.5),
                                      (1.6, 0.7), (2.0, 2.0)])

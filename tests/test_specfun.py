@@ -296,6 +296,50 @@ def test_batch_bits_match_single_points(fn):
     assert np.array_equal(fn(zs)[pick], [fn(complex(z)) for z in zs[pick]])
 
 
+def _block_spanning_points(complex_plane):
+    """3 _BLOCK / 12 + 1 points that each take at least one shift step
+    (1-12 for the polygammas and 15-20 for beta on the real line, up to 42
+    in the complex plane), so every function's array spans at least three
+    _BLOCK blocks."""
+    rng = np.random.default_rng(29)
+    n = 3 * sf._BLOCK // 12 + 1
+    if not complex_plane:
+        return rng.uniform(1e-3, 11.9, n)
+    return rng.uniform(-30.0, 11.9, n) + 1j * rng.choice(
+        [-1.0, 1.0], n) * rng.uniform(0.05, 30.0, n)
+
+
+def assert_bits_of_scalar_calls(fn, points):
+    out = fn(points)
+    assert out.tobytes() == np.array([fn(p) for p in points.tolist()],
+                                     dtype=out.dtype).tobytes()
+
+
+@pytest.mark.parametrize("fn", [sf.nielsen_beta, sf.nielsen_beta_deriv,
+                                sf.digamma, sf.trigamma])
+def test_entries_keep_their_bits_across_blocks(fn):
+    assert_bits_of_scalar_calls(fn, _block_spanning_points(False))
+    z = _block_spanning_points(True)
+    if fn is not sf.digamma:    # the others need Re z > 0
+        z = np.abs(z.real) + 1e-3 + 1j * z.imag
+    assert_bits_of_scalar_calls(fn, z)
+
+
+def test_complex_log_gamma_keeps_its_bits_across_blocks():
+    assert_bits_of_scalar_calls(sf.log_gamma_complex,
+                                _block_spanning_points(True))
+
+
+@pytest.mark.parametrize("fn", [sf.log_gamma_complex, sf.digamma])
+def test_point_past_one_block_of_steps(fn):
+    # -9e3 + i takes 9,012 steps, more than a block holds: each point is
+    # then a block of its own (the block's row count is floored at 1)
+    far = complex(-9e3, 1.0)
+    assert math.ceil(sf._SHIFT - far.real) > sf._BLOCK
+    z = np.concatenate([[far], _block_spanning_points(True)[:30], [far]])
+    assert_bits_of_scalar_calls(fn, z)
+
+
 class TestInvariants:
     def test_beta_recurrence(self):
         err = np.abs(sf.nielsen_beta(GRID) + sf.nielsen_beta(GRID + 1.0)
