@@ -15,6 +15,9 @@ from .specfun import _like, _positive, _zeta, log_gamma
 from .stieltjes import PeriodicTail, PiecewisePolynomial, RepresentingMeasure
 
 _TWO_PI = 2.0 * math.pi
+# the largest n whose barnes_g_limit(n) is a normal float (6.3e-307); from
+# n = 193 it and p_n near t = 0 are subnormal, with few significant bits
+_N_MAX = 192
 
 
 def q_kernel(t):
@@ -101,10 +104,14 @@ def _aux_sums(a, m_max):
     return s1, s2
 
 
+def _check_n(n):
+    if not 1 <= n <= _N_MAX or int(n) != n:
+        raise DomainError(f"n must be an integer in [1, {_N_MAX}], got {n}")
+
+
 def _points(t, n):
-    """``t`` through ``_positive``, once n is checked to be an integer >= 1."""
-    if n < 1 or int(n) != n:
-        raise DomainError("n must be a positive integer")
+    """``t`` through ``_positive``, once n is checked by ``_check_n``."""
+    _check_n(n)
     return _positive(t)
 
 
@@ -166,4 +173,5 @@ def r_2_2n(w, n=1):
 def barnes_g_limit(n=1):
     """lim_{t -> 0} t^2 p_n(t) = 2 (2 pi)^(-2n) zeta(2n); fixes the leading
     w -> inf decay R_{2,2n}(w) ~ barnes_g_limit(n)/w."""
+    _check_n(n)
     return 2.0 * _TWO_PI ** (-2.0 * n) * _zeta(2.0 * n)

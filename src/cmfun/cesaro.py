@@ -131,8 +131,9 @@ def hypotheses_check(seq, k, lam, n_probe=20_000_000):
         raise DomainError(f"k must be an integer >= 0, got {k}")
     if not (math.isfinite(lam) and lam > 0):
         raise DomainError(f"lam must be finite and > 0, got {lam}")
-    if n_probe < 1000:
-        raise DomainError("n_probe must be >= 1000")
+    if not float(n_probe).is_integer() or n_probe < 1000:
+        raise DomainError(f"n_probe must be an integer >= 1000, got {n_probe}")
+    n_probe = int(n_probe)
     preset = _as_preset(seq)
     if preset is not None and preset.growth is not None:
         exact = "pass" if lam > k + preset.growth else "fail"
@@ -155,7 +156,7 @@ def hypotheses_check(seq, k, lam, n_probe=20_000_000):
         summable = "pass" if growth < 1e-6 else ("fail" if growth > 1e-2
                                                  else "inconclusive")
     return HypothesesReport(nonneg=nonneg, decay=decay, summable=summable,
-                            n_probe=int(n_probe))
+                            n_probe=n_probe)
 
 
 # ---------------------------------------------------------------------------

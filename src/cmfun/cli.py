@@ -109,26 +109,22 @@ def cmd_eval(args, cfg):
 
 
 def cmd_check(args, cfg):
-    overrides = {}
     params = inspect.signature(suites.SUITES[args.suite]).parameters
-    for flag in ("tol", "r"):
-        if getattr(args, flag) is not None and flag not in params:
-            raise DomainError(f"suite {args.suite} takes no --{flag}")
-    tol = args.tol if args.tol is not None else \
-        cfg.tolerances.get(args.suite)
+    tol = args.tol if args.tol is not None else cfg.tolerances.get(args.suite)
+    overrides = {k: v for k, v in (("tol", tol), ("r", args.r))
+                 if v is not None}
+    for name in overrides:
+        if name not in params:
+            source = (f"--{name}" if getattr(args, name) is not None
+                      else "the config file")
+            raise DomainError(f"suite {args.suite} takes no {name}, but "
+                              f"{source} sets one")
     if tol is not None:
-        if "tol" not in params:
-            raise DomainError(f"suite {args.suite} takes no tolerance, but "
-                              f"the config file sets one")
-        overrides["tol"] = _tolerance(tol)
-    if args.r is not None:
-        overrides["r"] = args.r
-    if "seed" in params:
-        overrides["seed"] = args.seed if args.seed is not None else cfg.seed
-    if "dt" in params:
-        overrides["dt"] = cfg.dt
-    if "t_max" in params:
-        overrides["t_max"] = cfg.t_max
+        _tolerance(tol)
+    seed = args.seed if args.seed is not None else cfg.seed
+    overrides.update((k, v) for k, v in
+                     (("seed", seed), ("dt", cfg.dt), ("t_max", cfg.t_max))
+                     if k in params)
     report = suites.run_suite(args.suite, **overrides)
     _emit(_report_json(report), args.out)
     return 0 if report["passed"] else 1

@@ -18,6 +18,7 @@ from .errors import DomainError
 from .specfun import _like, _positive, nielsen_beta, prym_P, trigamma
 
 FAMILIES = ("nu", "tau", "half-gumbel")
+_MAX_SAMPLES = 2 ** 20  # a sample costs about 0.55 kB of peak memory
 
 
 @dataclass(frozen=True)
@@ -127,8 +128,9 @@ def density_quantile(spec, u):
 
 def density_sample(spec, count, seed):
     """Inverse-CDF samples from a seeded deterministic generator."""
-    if count < 1:
-        raise DomainError("count must be >= 1")
+    if not 1 <= count <= _MAX_SAMPLES:
+        raise DomainError(
+            f"count must be in [1, {_MAX_SAMPLES}], got {count}")
     rng = np.random.default_rng(seed)
     u = rng.random(count)
     return density_quantile(spec, np.clip(u, 1e-15, 1.0 - 1e-15))

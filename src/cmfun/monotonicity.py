@@ -39,8 +39,10 @@ class CheckGrid:
         if not (np.all((pts > 0) & (pts < math.inf))
                 and np.all(np.diff(pts) > 0)):
             raise DomainError("x_points must be finite, positive, increasing")
-        if self.n_max < 1:
-            raise DomainError("n_max must be >= 1")
+        if not float(self.n_max).is_integer() or self.n_max < 1:
+            raise DomainError(
+                f"n_max must be an integer >= 1, got {self.n_max}")
+        object.__setattr__(self, "n_max", int(self.n_max))
 
     @staticmethod
     def default(n_points=32, lo=0.05, hi=100.0, n_max=8):

@@ -871,8 +871,9 @@ def measure_cesaro(a, k, lam):
     ``SmoothCoefTail``; anything else raises CapTooSmallError, so the
     measure is never truncated.
     """
-    if k < 0 or int(k) != k:
-        raise DomainError("k must be a nonnegative integer")
+    if not 0 <= k <= _MAX_DEGREE or int(k) != k:
+        raise DomainError(f"k must be an integer in [0, {_MAX_DEGREE}], "
+                          f"got {k}")
     if not lam > 0:
         raise DomainError("lam must be positive")
     k, window = int(k), 64

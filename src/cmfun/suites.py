@@ -1,11 +1,13 @@
 """Named verification suites backing the command line ``check`` command.
 
-Each suite is a list of independent items (pure thunks returning a result
-dict); the runner evaluates them in order and assembles a deterministic
-JSON-ready report.
+Each suite is a list of independent ``(name, check)`` items; ``check()``
+returns the item's verdict dict, ``passed`` plus detail fields.  The runner
+evaluates the items in order, names each verdict and assembles a
+deterministic JSON-ready report.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -108,23 +110,17 @@ def l_omega_closed(x, a, b):
 
 
 # ---------------------------------------------------------------------------
-# item helpers
+# verdict helpers
 # ---------------------------------------------------------------------------
 
-def _item(name, passed, **detail):
-    out = {"name": name, "passed": bool(passed)}
-    out.update(detail)
-    return out
-
-
-def _max_err_item(name, pairs, tol):
+def _max_err(pairs, tol):
     err = max(abs(a - b) for a, b in pairs)
-    return _item(name, err <= tol, max_error=err, tol=tol)
+    return {"passed": err <= tol, "max_error": err, "tol": tol}
 
 
-def _report_item(name, report):
-    out = _item(name, report.passed, worst_margin=report.worst_margin,
-                witnesses=len(report.witnesses))
+def _report(report):
+    out = {"passed": report.passed, "worst_margin": report.worst_margin,
+           "witnesses": len(report.witnesses)}
     if report.sup_im is not None:
         out["sup_im"] = report.sup_im
         out["inf_im"] = report.inf_im
@@ -133,8 +129,9 @@ def _report_item(name, report):
     return out
 
 
-_S3_XS = (1.5, 2.0, 3.0, 5.0, 8.0)
-_S3_NUS = (0.0, 0.3, 1.0)
+def _refuted(report):
+    """A non-member's verdict: it passes when the check fails."""
+    return {"passed": not report.passed, "witnesses": len(report.witnesses)}
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +160,12 @@ def _suite_cm_catalog():
         ("exp", math.exp),
         ("identity", lambda x: x),
     ]
-    items = []
-    for name, f, g in members:
-        items.append(lambda f=f, g=g, name=name: _report_item(
-            "cm:" + name, monotonicity.cm_check(f, g)))
-    for name, f in non_members:
-        def thunk(f=f, name=name):
-            rep = monotonicity.cm_check(f, grid)
-            return _item("cm-fails:" + name, not rep.passed,
-                         witnesses=len(rep.witnesses))
-        items.append(thunk)
-    return items
+    return ([("cm:" + name,
+              lambda f=f, g=g: _report(monotonicity.cm_check(f, g)))
+             for name, f, g in members]
+            + [("cm-fails:" + name,
+                lambda f=f: _refuted(monotonicity.cm_check(f, grid)))
+               for name, f in non_members])
 
 
 def _suite_lcm_catalog():
@@ -190,50 +182,33 @@ def _suite_lcm_catalog():
         ("exp", math.exp, lambda x: math.exp(x)),
         ("identity", lambda x: x, lambda x: 1.0),
     ]
-    items = []
-    for name, f, df in members:
-        items.append(lambda f=f, df=df, name=name: _report_item(
-            "lcm:" + name, monotonicity.lcm_check(f, grid, df=df)))
-    for name, f, df in non_members:
-        def thunk(f=f, df=df, name=name):
-            rep = monotonicity.lcm_check(f, grid, df=df)
-            return _item("lcm-fails:" + name, not rep.passed,
-                         witnesses=len(rep.witnesses))
-        items.append(thunk)
+
+    def lcm(f, df, verdict):
+        return verdict(monotonicity.lcm_check(f, grid, df=df))
+
     # containment: every lcm member must also pass the plain cm check
     def containment():
         bad = [name for name, f, _ in members
                if not monotonicity.cm_check(f, grid).passed]
-        return _item("lcm-subset-of-cm", not bad, failed=bad)
-    items.append(containment)
-    return items
+        return {"passed": not bad, "failed": bad}
+
+    return ([("lcm:" + name, partial(lcm, f, df, _report))
+             for name, f, df in members]
+            + [("lcm-fails:" + name, partial(lcm, f, df, _refuted))
+               for name, f, df in non_members]
+            + [("lcm-subset-of-cm", containment)])
 
 
 def _suite_identities_s3(tol=1e-7):
-    items = []
-    xs = np.array(_S3_XS)
+    xs = np.array([1.5, 2.0, 3.0, 5.0, 8.0])
 
-    def make(name, phi, rhs_fn):
-        # one laplace_quad and one closed form per nu on all of _S3_XS
-        def thunk():
-            pairs = []
-            for nu in _S3_NUS:
-                lhs = laplace.laplace_quad(lambda t: phi(t, nu), xs)
-                pairs += zip(lhs.tolist(), rhs_fn(xs, nu).tolist())
-            return _max_err_item(name, pairs, tol)
-        items.append(thunk)
-
-    make("sigma1-transform", sigma1, l_sigma1_closed)
-    make("sigma2-transform", sigma2, l_sigma2_closed)
-    make("tau-plus-transform", lambda t, nu: tau_pm(t, nu, 1),
-         lambda x, nu: l_tau_closed(x, nu, 1))
-    make("tau-minus-transform", lambda t, nu: tau_pm(t, nu, -1),
-         lambda x, nu: l_tau_closed(x, nu, -1))
-    make("sawtooth-sigma-transform", sigma_cont, l_sigma_cont_closed)
-    make("sawtooth-tau-plus-transform", lambda t, nu: tau_cont(t, nu, 1),
-         lambda x, nu: l_tau_cont_closed(x, nu, 1))
-    make("sawtooth-tau-minus-transform", lambda t, nu: tau_cont(t, nu, -1),
-         lambda x, nu: l_tau_cont_closed(x, nu, -1))
+    def transform(phi, closed):
+        # one laplace_quad and one closed form per nu on all of xs
+        pairs = []
+        for nu in (0.0, 0.3, 1.0):
+            lhs = laplace.laplace_quad(lambda t: phi(t, nu), xs)
+            pairs += zip(lhs.tolist(), closed(xs, nu).tolist())
+        return _max_err(pairs, tol)
 
     def cauchy_kernel():
         pairs = []
@@ -241,25 +216,34 @@ def _suite_identities_s3(tol=1e-7):
             lhs = laplace.laplace_quad(
                 lambda t: (1.0 + b * t * t) / (1.0 + a * t * t), xs)
             pairs += zip(lhs.tolist(), l_omega_closed(xs, a, b).tolist())
-        return _max_err_item("cauchy-kernel-transform", pairs, tol)
-    items.append(cauchy_kernel)
-    return items
+        return _max_err(pairs, tol)
+
+    transforms = [
+        ("sigma1-transform", sigma1, l_sigma1_closed),
+        ("sigma2-transform", sigma2, l_sigma2_closed),
+        ("tau-plus-transform", lambda t, nu: tau_pm(t, nu, 1),
+         lambda x, nu: l_tau_closed(x, nu, 1)),
+        ("tau-minus-transform", lambda t, nu: tau_pm(t, nu, -1),
+         lambda x, nu: l_tau_closed(x, nu, -1)),
+        ("sawtooth-sigma-transform", sigma_cont, l_sigma_cont_closed),
+        ("sawtooth-tau-plus-transform", lambda t, nu: tau_cont(t, nu, 1),
+         lambda x, nu: l_tau_cont_closed(x, nu, 1)),
+        ("sawtooth-tau-minus-transform", lambda t, nu: tau_cont(t, nu, -1),
+         lambda x, nu: l_tau_cont_closed(x, nu, -1)),
+    ]
+    return ([(name, partial(transform, phi, closed))
+             for name, phi, closed in transforms]
+            + [("cauchy-kernel-transform", cauchy_kernel)])
 
 
 def _suite_gamma_ratios(tol=1e-7):
-    items = []
     xs = np.array([0.5, 1.0, 2.0, 5.0, 10.0])
 
     def gamma_ratio(a, b):
-        def thunk():
-            m = stieltjes.measure_gamma_ratio(a, b)
-            pairs = zip(stieltjes.stieltjes_eval(m, xs).tolist(),
-                        specfun.gamma_ratio_log(xs, a, b).tolist())
-            return _max_err_item(f"gamma-ratio-({a},{b})", pairs, tol)
-        return thunk
-
-    for a, b in ((0.5, 1.3), (1.0, 1.0), (0.5, 2.0)):
-        items.append(gamma_ratio(a, b))
+        m = stieltjes.measure_gamma_ratio(a, b)
+        pairs = zip(stieltjes.stieltjes_eval(m, xs).tolist(),
+                    specfun.gamma_ratio_log(xs, a, b).tolist())
+        return _max_err(pairs, tol)
 
     def integer_b():
         pairs = []
@@ -267,8 +251,7 @@ def _suite_gamma_ratios(tol=1e-7):
             closed = [math.fsum(math.log((x + a + k) / (x + k))
                                 for k in range(n)) for x in xs.tolist()]
             pairs += zip(specfun.gamma_ratio_log(xs, a, n).tolist(), closed)
-        return _max_err_item("gamma-ratio-integer-shift", pairs, 1e-10)
-    items.append(integer_b)
+        return _max_err(pairs, 1e-10)
 
     def log_product(zeros, a, b):
         def direct(x):
@@ -277,85 +260,76 @@ def _suite_gamma_ratios(tol=1e-7):
                 - math.log1p(x / z) - math.log1p((x + a + b) / z)
                 for z in zeros)
 
-        def thunk():
-            m = stieltjes.measure_genus1_log_ratio(zeros, a, b)
-            values = stieltjes.stieltjes_eval(m, np.append(xs, 1e4)).tolist()
-            far = abs(values.pop())
-            pairs = zip(values, map(direct, xs.tolist()))
-            res = _max_err_item(f"log-product-{list(zeros)}", pairs, 1e-8)
-            res["passed"] = res["passed"] and far < 1e-3
-            res["value_at_1e4"] = far
-            return res
-        return thunk
-
-    for zeros, a, b in (((1.0, 2.0, 3.0), 0.5, 0.5), ((0.5,), 1.0, 1.0),
-                        ((1.0, 4.0, 9.0), 0.3, 1.7)):
-        items.append(log_product(zeros, a, b))
+        m = stieltjes.measure_genus1_log_ratio(zeros, a, b)
+        values = stieltjes.stieltjes_eval(m, np.append(xs, 1e4)).tolist()
+        far = abs(values.pop())
+        res = _max_err(zip(values, map(direct, xs.tolist())), 1e-8)
+        return {**res, "passed": res["passed"] and far < 1e-3,
+                "value_at_1e4": far}
 
     def gamma_reciprocal(s):
-        def thunk():
-            m = stieltjes.measure_gamma_reciprocal_ratio(s)
-            scale = 1.0 / math.gamma(s + 1.0)
-            pairs = zip((scale * stieltjes.stieltjes_eval(m, xs)).tolist(),
-                        np.exp(specfun.log_gamma(xs)
-                               - specfun.log_gamma(xs + s + 1.0)).tolist())
-            res = _max_err_item(f"gamma-reciprocal-s={s}", pairs, 1e-8)
-            res["passed"] = res["passed"] and \
-                abs(m.density(0.5) - 1.0) < 1e-14 and \
-                abs(m.density(1.5) - (1.0 - s)) < 1e-14
-            return res
-        return thunk
+        m = stieltjes.measure_gamma_reciprocal_ratio(s)
+        scale = 1.0 / math.gamma(s + 1.0)
+        pairs = zip((scale * stieltjes.stieltjes_eval(m, xs)).tolist(),
+                    np.exp(specfun.log_gamma(xs)
+                           - specfun.log_gamma(xs + s + 1.0)).tolist())
+        res = _max_err(pairs, 1e-8)
+        return {**res, "passed": res["passed"]
+                and abs(m.density(0.5) - 1.0) < 1e-14
+                and abs(m.density(1.5) - (1.0 - s)) < 1e-14}
 
-    for s in (0.3, 0.5, 0.8):
-        items.append(gamma_reciprocal(s))
-    return items
+    return ([(f"gamma-ratio-({a},{b})", partial(gamma_ratio, a, b))
+             for a, b in ((0.5, 1.3), (1.0, 1.0), (0.5, 2.0))]
+            + [("gamma-ratio-integer-shift", integer_b)]
+            + [(f"log-product-{list(zeros)}",
+                partial(log_product, zeros, a, b))
+               for zeros, a, b in (((1.0, 2.0, 3.0), 0.5, 0.5),
+                                   ((0.5,), 1.0, 1.0),
+                                   ((1.0, 4.0, 9.0), 0.3, 1.7))]
+            + [(f"gamma-reciprocal-s={s}", partial(gamma_reciprocal, s))
+               for s in (0.3, 0.5, 0.8)])
 
 
 def _suite_barnes(tol=1e-7):
-    items = []
+    grid6 = monotonicity.CheckGrid.default(n_max=6)
 
     def stirling():
         pairs = zip(*barnes.stirling_remainder(
             np.array([0.5, 1.0, 2.0, 5.0, 10.0, 50.0])))
-        return _max_err_item("stirling-remainder", pairs, tol)
-    items.append(stirling)
+        return _max_err(pairs, tol)
 
-    grid6 = monotonicity.CheckGrid.default(n_max=6)
-    for n in (1, 2):
-        items.append(lambda n=n: _report_item(
-            f"p{n}-cm", monotonicity.cm_check(
-                lambda t: barnes.p_kernel(t, n), grid6)))
+    def p_cm(n):
+        return _report(monotonicity.cm_check(
+            lambda t: barnes.p_kernel(t, n), grid6))
 
     def series_match():
         ts = np.array([0.01, 1.0, 7.3, 60.0])
         err = float(np.max(np.abs(barnes.p_kernel(ts, 1)
                                   - barnes.p_kernel_series(ts, n=1))))
-        return _item("p1-series-crosscheck", err < 1e-10, max_error=err)
-    items.append(series_match)
-
-    for c in (0.0, 1.0 / math.pi, 1.0 / (2.0 * math.pi), 1.0):
-        items.append(lambda c=c: _report_item(
-            f"lemma-pos-c={c:.4f}", monotonicity.lemma_pos_check(c)))
+        return {"passed": err < 1e-10, "max_error": err}
 
     def r22_cm():
         grid = monotonicity.CheckGrid(np.geomspace(0.5, 50.0, 12), n_max=6)
-        rep = monotonicity.cm_check(lambda w: barnes.r_2_2n(w, 1), grid)
-        return _report_item("r22-cm", rep)
-    items.append(r22_cm)
+        return _report(monotonicity.cm_check(
+            lambda w: barnes.r_2_2n(w, 1), grid))
 
     def r22_decay():
         w = 1000.0
         limit = barnes.barnes_g_limit(1)
         val = w * barnes.r_2_2n(w, 1)
-        return _item("r22-leading-decay", abs(val - limit) < 1e-2,
-                     value=val, limit=limit)
-    items.append(r22_decay)
-    return items
+        return {"passed": abs(val - limit) < 1e-2, "value": val,
+                "limit": limit}
+
+    return ([("stirling-remainder", stirling)]
+            + [(f"p{n}-cm", partial(p_cm, n)) for n in (1, 2)]
+            + [("p1-series-crosscheck", series_match)]
+            + [(f"lemma-pos-c={c:.4f}",
+                lambda c=c: _report(monotonicity.lemma_pos_check(c)))
+               for c in (0.0, 1.0 / math.pi, 1.0 / (2.0 * math.pi), 1.0)]
+            + [("r22-cm", r22_cm), ("r22-leading-decay", r22_decay)])
 
 
 def _suite_cesaro(tol=1e-7):
-    items = []
-
     def lemma():
         rng = np.random.default_rng(20260808)
         worst = 0.0
@@ -366,116 +340,94 @@ def _suite_cesaro(tol=1e-7):
             x = float(rng.uniform(0.01, 0.99))
             lhs, rhs = cesaro.lemma_s_check(a, k, N, x)
             worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-        return _item("lemma-iterated-sums", worst <= 1e-12, max_error=worst)
-    items.append(lemma)
+        return {"passed": worst <= 1e-12, "max_error": worst}
 
-    three_way = [("prym", "prym", 0, 1.0),
-                 ("alternating", "alternating", 0, 1.0),
-                 ("binomial", cesaro.preset_sequence("binomial-a", 0.5), 0, 1.5),
-                 ("ones", "ones", 0, 2.0)]
-
-    def spread(name, seq, k, lam):
-        def thunk():
-            res = cesaro.series_eval_three_ways(
-                seq, k, lam, np.array([0.5, 1.0, 2.0, 10.0]))
-            worst = float(np.max(res.spread))
-            return _item(f"three-way:{name}", worst < tol, max_spread=worst)
-        return thunk
-
-    for name, seq, k, lam in three_way:
-        items.append(spread(name, seq, k, lam))
+    def spread(seq, k, lam):
+        res = cesaro.series_eval_three_ways(
+            seq, k, lam, np.array([0.5, 1.0, 2.0, 10.0]))
+        worst = float(np.max(res.spread))
+        return {"passed": worst < tol, "max_spread": worst}
 
     def prym_kappa():
         ts = np.linspace(0.05, 4.0, 20)
         err = float(np.max(np.abs(cesaro.kappa_eval("prym", 0, ts) * ts
                                   - np.exp(-np.exp(-ts)))))
-        return _item("prym-kappa-closed-form", err <= 1e-12, max_error=err)
-    items.append(prym_kappa)
+        return {"passed": err <= 1e-12, "max_error": err}
 
     def half_gumbel_norm():
         worst = 0.0
         for a in (0.5, 1.0, 2.0):
             spec = densities.DensitySpec("half-gumbel", a)
             worst = max(worst, abs(densities.normalization_residual(spec)))
-        return _item("half-gumbel-normalization", worst <= 1e-8,
-                     max_error=worst)
-    items.append(half_gumbel_norm)
-    return items
+        return {"passed": worst <= 1e-8, "max_error": worst}
+
+    three_way = [("prym", "prym", 0, 1.0),
+                 ("alternating", "alternating", 0, 1.0),
+                 ("binomial", cesaro.preset_sequence("binomial-a", 0.5), 0, 1.5),
+                 ("ones", "ones", 0, 2.0)]
+    return ([("lemma-iterated-sums", lemma)]
+            + [(f"three-way:{name}", partial(spread, seq, k, lam))
+               for name, seq, k, lam in three_way]
+            + [("prym-kappa-closed-form", prym_kappa),
+               ("half-gumbel-normalization", half_gumbel_norm)])
 
 
 def _suite_pick(tol=1e-10):
-    items = []
-
     def shift(s):
-        def thunk():
-            rep = monotonicity.pick_check(_log_gamma_shift(s), floor=-tol)
-            out = _report_item(f"log-gamma-shift-s={s}", rep)
-            out["passed"] = out["passed"] and rep.sup_im < math.pi
-            out["sup_lt_pi"] = rep.sup_im < math.pi
-            return out
-        return thunk
+        rep = monotonicity.pick_check(_log_gamma_shift(s), floor=-tol)
+        below_pi = rep.sup_im < math.pi
+        return {**_report(rep), "passed": rep.passed and below_pi,
+                "sup_lt_pi": below_pi}
 
-    for s in (0.25, 0.5, 0.9):
-        items.append(shift(s))
-
-    def ratio():
-        h = _log_gamma_shift(0.5)
-        return _report_item("gamma-ratio-pick-s=0.5", monotonicity.pick_check(
-            lambda z: np.exp(h(z)), floor=-tol))
-    items.append(ratio)
-
-    def trivial():
-        return _report_item("minus-reciprocal",
-                            monotonicity.pick_check(lambda z: -1.0 / z,
-                                                    floor=-tol))
-    items.append(trivial)
+    def pick(h):
+        return _report(monotonicity.pick_check(h, floor=-tol))
 
     def conj_sym():
         zs = np.array([0.5 + 1j, 3 + 0.3j, -2 + 2j, 7 + 5j, -9 + 1j, 1 + 9j,
                        -0.5 + 4j, 2.5 + 2.5j, -14 + 6j, 10 + 0.7j])
         spread = monotonicity.conjugate_symmetry_spread(_log_gamma_shift(0.5),
                                                         zs)
-        return _item("conjugate-symmetry", spread < 1e-12, max_spread=spread)
-    items.append(conj_sym)
-    return items
+        return {"passed": spread < 1e-12, "max_spread": spread}
+
+    return ([(f"log-gamma-shift-s={s}", partial(shift, s))
+             for s in (0.25, 0.5, 0.9)]
+            + [("gamma-ratio-pick-s=0.5",
+                lambda: pick(lambda z: np.exp(_log_gamma_shift(0.5)(z)))),
+               ("minus-reciprocal", lambda: pick(lambda z: -1.0 / z)),
+               ("conjugate-symmetry", conj_sym)])
 
 
 def _suite_semigroup(tol=laplace.SEMIGROUP_TOL, dt=1e-3, t_max=12.0):
-    items = []
-
     def closed_form():
         dens = laplace.semigroup_density(1.0, dt, min(t_max, 6.0))
         mask = (dens.t >= 0.1) & (dens.t <= 5.0)
         err = float(np.max(np.abs(dens.values[mask]
                                   - 1.0 / (1.0 + np.exp(-dens.t[mask])))))
-        return _item("m1-closed-form", err <= 1e-6, max_error=err,
-                     method_spread=dens.method_spread)
-    items.append(closed_form)
+        return {"passed": err <= 1e-6, "max_error": err,
+                "method_spread": dens.method_spread}
 
     def convolution():
         sup = laplace.semigroup_check(0.5, 0.5, dt, t_max)
-        return _item("semigroup-half-half", sup < tol, sup_discrepancy=sup)
-    items.append(convolution)
+        return {"passed": sup < tol, "sup_discrepancy": sup}
 
     def small_c():
         dens = laplace.semigroup_density(0.01, 1e-2, 6.0)
         sup = float(np.max(dens.values[dens.t >= 0.5]))
-        return _item("small-c-sanity", sup < 0.1, sup_beyond_half=sup)
-    items.append(small_c)
-    return items
+        return {"passed": sup < 0.1, "sup_beyond_half": sup}
+
+    return [("m1-closed-form", closed_form),
+            ("semigroup-half-half", convolution),
+            ("small-c-sanity", small_c)]
 
 
 def _suite_densities(tol=1e-9, seed=20260808):
-    items = []
-
     def norms():
         worst = 0.0
         for fam in densities.FAMILIES:
             for a in (0.5, 1.0, 1.5):
                 spec = densities.DensitySpec(fam, a)
                 worst = max(worst, abs(densities.normalization_residual(spec)))
-        return _item("normalization", worst <= tol, max_error=worst)
-    items.append(norms)
+        return {"passed": worst <= tol, "max_error": worst}
 
     def shifts():
         worst = 0.0
@@ -488,15 +440,12 @@ def _suite_densities(tol=1e-9, seed=20260808):
                     lambda t: densities.density_eval(spec, t), xs)
                 worst = max(worst, float(np.max(np.abs(
                     lhs - fn(xs + a) / fn(a)))))
-        return _item("laplace-shift", worst <= tol, max_error=worst)
-    items.append(shifts)
+        return {"passed": worst <= tol, "max_error": worst}
 
     def infinite_divisibility():
         grid = monotonicity.CheckGrid.default()
-        return _item("shifted-transforms-log-cm", all(
-            monotonicity.lcm_check(f, grid, df=df).passed
-            for _, f, df in _SHIFTED_LCM))
-    items.append(infinite_divisibility)
+        return {"passed": all(monotonicity.lcm_check(f, grid, df=df).passed
+                              for _, f, df in _SHIFTED_LCM)}
 
     def sampling():
         spec = densities.DensitySpec("nu", 0.5)
@@ -504,48 +453,42 @@ def _suite_densities(tol=1e-9, seed=20260808):
         s2 = densities.density_sample(spec, 10_000, seed)
         ks = densities.ks_statistic(s1, spec)
         crit = densities.ks_critical(10_000)
-        return _item("sampling", bool(np.array_equal(s1, s2)) and ks < crit
-                     and bool(np.all(s1 > 0)), ks=ks, critical=crit)
-    items.append(sampling)
-    return items
+        return {"passed": np.array_equal(s1, s2) and ks < crit
+                and np.all(s1 > 0), "ks": ks, "critical": crit}
+
+    return [("normalization", norms), ("laplace-shift", shifts),
+            ("shifted-transforms-log-cm", infinite_divisibility),
+            ("sampling", sampling)]
 
 
 def _suite_hamburger(tol=1e-8):
-    def thunk():
+    def identity():
         pairs = []
         for n in (0, 1, 2, 3, 4):
             lhs, rhs = laplace.hamburger_check(n, np.array([0.5, 1.0, 3.0]))
             pairs += zip(lhs.tolist(), rhs.tolist())
-        return _max_err_item("hamburger-identity", pairs, tol)
-    return [thunk]
+        return _max_err(pairs, tol)
+    return [("hamburger-identity", identity)]
 
 
 def _suite_counterexample(r=3.0, tol=1e-10):
-    items = []
     ce = monotonicity.find_lcm_counterexample(r)  # refuses r before any item
 
     def main():
-        return _item(f"counterexample-r={r}",
-                     ce.residual < tol and ce.z_c.real > 0,
-                     residual=ce.residual, c=ce.c,
-                     z=[ce.z_c.real, ce.z_c.imag])
-    items.append(main)
+        return {"passed": ce.residual < tol and ce.z_c.real > 0,
+                "residual": ce.residual, "c": ce.c,
+                "z": [ce.z_c.real, ce.z_c.imag]}
 
     def random_rs():
         rng = np.random.default_rng(20260808)
-        worst = 0.0
-        ok = True
-        for _ in range(20):
-            rr = float(rng.uniform(2.0, 6.0))
-            if rr <= 2.0:
-                continue
-            ce = monotonicity.find_lcm_counterexample(rr)
-            worst = max(worst, ce.residual)
-            ok = ok and ce.z_c.real > 0
-        return _item("counterexample-random-r", ok and worst < tol,
-                     max_residual=worst)
-    items.append(random_rs)
-    return items
+        found = [monotonicity.find_lcm_counterexample(float(rng.uniform(2, 6)))
+                 for _ in range(20)]
+        worst = max(hit.residual for hit in found)
+        return {"passed": all(hit.z_c.real > 0 for hit in found)
+                and worst < tol, "max_residual": worst}
+
+    return [(f"counterexample-r={r}", main),
+            ("counterexample-random-r", random_rs)]
 
 
 SUITES = {
@@ -563,22 +506,23 @@ SUITES = {
 }
 
 
-def _run_item(key, index, thunk):
-    """The item's result; a CmfunError it raises fails it alone, named by
-    the suite and its position, and the rest of the report still runs."""
+def _run_item(name, check):
+    """``check()``'s verdict under ``name``, its ``passed`` a bool; a
+    CmfunError it raises fails this item alone, and the rest of the report
+    still runs."""
     try:
-        return thunk()
+        verdict = check()
     except CmfunError as exc:
-        return {"name": f"{key}[{index}]", "passed": False,
-                "error": f"{type(exc).__name__}: {exc}"}
+        verdict = {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
+    return {"name": name, **verdict, "passed": bool(verdict["passed"])}
 
 
 def run_suite(key, **overrides):
     """Run a named suite; returns a JSON-ready report dict."""
     if key not in SUITES:
         raise KeyError(f"unknown suite {key!r}")
-    items = [_run_item(key, i, t)
-             for i, t in enumerate(SUITES[key](**overrides))]
+    items = [_run_item(name, check)
+             for name, check in SUITES[key](**overrides)]
     return {"suite": key,
             "passed": all(it["passed"] for it in items),
             "items": items}

@@ -84,6 +84,14 @@ class TestPKernel:
         with pytest.raises(DomainError):
             bn.p_kernel_series(1.0, n=0)
 
+    def test_largest_order_is_normal(self):
+        # n = 192 is the last order whose values are normal floats
+        limit = bn.barnes_g_limit(192)
+        assert limit == pytest.approx(6.309e-307, rel=1e-3)
+        values = bn.p_kernel(np.array([1e-3, 1.0, 3.0]), 192)
+        assert np.all(np.isfinite(values))
+        assert np.all(values >= np.finfo(float).tiny)
+
 
 def test_aux_sums_small_a_match_mpmath():
     a = np.array([1e-3, 0.05, 0.2, 0.35, 0.4999])

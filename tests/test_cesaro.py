@@ -231,12 +231,12 @@ def test_cesaro_suite_gates_every_three_way_call(monkeypatch):
 
     monkeypatch.setattr(cs, "hypotheses_check", recording)
     three_way = 0
-    for thunk in suites._suite_cesaro():
+    for name, check in suites._suite_cesaro():
         before = len(reports)
-        item = thunk()
-        expected = 1 if item["name"].startswith("three-way:") else 0
+        verdict = check()
+        expected = 1 if name.startswith("three-way:") else 0
         three_way += expected
-        assert item["passed"] and len(reports) - before == expected, item
+        assert verdict["passed"] and len(reports) - before == expected, name
     assert three_way == 4
     assert all(r.n_probe == 0 and r.overall == "pass" for r in reports)
 

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cmfun import cli, laplace, suites
@@ -66,6 +67,14 @@ class TestEval:
         assert code == 2 and out == ""
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize("key", ["p-kernel", "r22"])
+    @pytest.mark.parametrize("n", ["193", "300"])
+    def test_order_past_the_float_range_exits_2(self, capsys, key, n):
+        # p-kernel at n = 300 printed 0 and exited 0
+        code, out, err = run(capsys, "eval", key, "1", "--n", n)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
 
     def test_no_convergence_exits_3(self, capsys):
         code, out, err = run(capsys, "eval", "r22", "1e-300")
@@ -194,7 +203,7 @@ class TestCheck:
     @pytest.mark.parametrize("index", [1, 2])
     def test_raising_item_fails_alone(self, capsys, monkeypatch, index):
         # the item at `index` raises: the convolution check, or the
-        # small-c density; it alone fails, named by its position
+        # small-c density; it alone fails, under its own name
         real_density = laplace.semigroup_density
 
         def refuse(*args):
@@ -215,8 +224,30 @@ class TestCheck:
         assert [it["passed"] for it in report["items"]] == [
             i != index for i in range(3)]
         assert report["items"][index] == {
-            "name": f"semigroup[{index}]", "passed": False,
+            "name": ("semigroup-half-half", "small-c-sanity")[index - 1],
+            "passed": False,
             "error": "ConvergenceError: did not converge"}
+
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_declared_names_are_the_report_names(self, suite):
+        declared = [name for name, _ in SUITES[suite]()]
+        assert len(set(declared)) == len(declared)
+        assert [it["name"] for it in suites.run_suite(suite)["items"]] == \
+            declared
+
+    def test_one_item_runs_by_name(self, monkeypatch):
+        # conjugate-symmetry alone, without the pick_check of the others
+        monkeypatch.setattr(suites.monotonicity, "pick_check",
+                            lambda *args, **kwargs: pytest.fail("ran"))
+        verdict = dict(SUITES["pick"]())["conjugate-symmetry"]()
+        assert verdict["passed"] and "name" not in verdict
+
+    def test_runner_names_the_verdict_and_makes_passed_a_bool(self):
+        # json.dumps(default=float) would write a numpy bool as 1.0
+        item = suites._run_item("x", lambda: {"passed": np.bool_(True),
+                                              "max_error": 0.5})
+        assert item == {"name": "x", "passed": True, "max_error": 0.5}
+        assert type(item["passed"]) is bool
 
 
 class TestInvert:
@@ -325,6 +356,12 @@ class TestSample:
         lines = out1.strip().split("\n")
         assert lines[0] == "t" and len(lines) == 6
         assert all(float(v) > 0 for v in lines[1:])
+
+    def test_count_past_the_cap_exits_2(self, capsys):
+        code, out, err = run(capsys, "sample", "--family", "nu", "--a", "1",
+                             "--count", str(2 ** 20 + 1))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
 
     def test_bad_family_exits_2(self, capsys):
         code, _, _ = run(capsys, "sample", "--family", "cauchy", "--a", "1",

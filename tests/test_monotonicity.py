@@ -134,12 +134,11 @@ class TestPickCheck:
         rep = mono.pick_check(h)
         assert not rep.passed and rep.error.startswith("ValueError: no value")
         assert all(math.isnan(w.value) for w in rep.witnesses)
-        assert suites._report_item("h", rep)["error"] == rep.error
+        assert suites._report(rep)["error"] == rep.error
         # a function that raises nowhere reports no error, and the item has
         # no error field
         rep = mono.pick_check(lambda z: -1.0 / z)
-        assert rep.error is None and "error" not in suites._report_item(
-            "h", rep)
+        assert rep.error is None and "error" not in suites._report(rep)
 
     def test_region_excludes_cut(self):
         pts = mono.pick_region()

@@ -279,11 +279,11 @@ def _integrand_calls(monkeypatch, suite):
 
     monkeypatch.setattr(laplace, "quad", counted)
     out = {}
-    for thunk in suites.SUITES[suite]():
+    for name, check in suites.SUITES[suite]():
         before = len(calls)
-        item = thunk()
-        assert item["passed"], item
-        out[item["name"]] = len(calls) - before
+        verdict = check()
+        assert verdict["passed"], (name, verdict)
+        out[name] = len(calls) - before
     return out
 
 

@@ -32,6 +32,26 @@ CASES = {
     "hypotheses-zero-lam": lambda: cs.hypotheses_check("prym", 0, 0.0),
     "hypotheses-callable-fractional-k": lambda: cs.hypotheses_check(
         lambda n: np.ones(len(n)), 0.5, 3.0, n_probe=1000),
+    # TypeError from range, from _cm_report, and OverflowError from
+    # math.gamma (DomainError only after iterate_sums for k = 9..169)
+    "hypotheses-fractional-n-probe": lambda: cs.hypotheses_check(
+        lambda n: (-1.0) ** n, 0, 1.0, n_probe=20_000.5),
+    "check-grid-fractional-n-max": lambda: mono.CheckGrid(
+        np.array([0.5, 1.0]), n_max=2.5),
+    "cesaro-degree-9": lambda: st.measure_cesaro([1.0, -1.0], 9, 1.0),
+    "cesaro-degree-170": lambda: st.measure_cesaro([1.0, -1.0], 170, 1.0),
+    "cesaro-degree-200": lambda: st.measure_cesaro([1.0, -1.0], 200, 1.0),
+    "three-ways-degree-200": lambda: cs.series_eval_three_ways(
+        "prym", 200, 400.0, 1.0),
+    # subnormal values: barnes_g_limit(193) = 1.6e-308
+    "p-kernel-n-193": lambda: bn.p_kernel(1.0, 193),
+    "p-kernel-n-300": lambda: bn.p_kernel(1.0, 300),
+    "p-kernel-series-n-193": lambda: bn.p_kernel_series(1.0, 193),
+    "r22-n-193": lambda: bn.r_2_2n(1.0, 193),
+    "r22-n-300": lambda: bn.r_2_2n(1.0, 300),
+    "g-limit-n-193": lambda: bn.barnes_g_limit(193),
+    "g-limit-n-300": lambda: bn.barnes_g_limit(300),
+    "density-sample-past-cap": lambda: dn.density_sample(NU, 2 ** 20 + 1, 1),
     "q-kernel-nan": lambda: bn.q_kernel(math.nan),
     "q-kernel-inf": lambda: bn.q_kernel(math.inf),
     "density-eval-nan": lambda: dn.density_eval(NU, math.nan),
@@ -66,6 +86,14 @@ CASES = {
 def test_out_of_domain_argument_raises(call):
     with pytest.raises(DomainError):
         call()
+
+
+def test_integral_float_counts_are_accepted():
+    report = cs.hypotheses_check(lambda n: (-1.0) ** n, 0, 1.0, n_probe=2e4)
+    assert report.n_probe == 20_000 and type(report.n_probe) is int
+    grid = mono.CheckGrid(np.array([0.5, 1.0]), n_max=2.0)
+    assert grid.n_max == 2 and type(grid.n_max) is int
+    assert mono.cm_check(lambda x: 1.0 / x, grid).passed
 
 
 def test_every_error_shares_one_base_and_keeps_its_own():
