@@ -1,7 +1,6 @@
-"""Adaptive Gauss-Kronrod quadrature (G7/K15) of real, complex or
-vector-valued integrands, one integrand call per generation of panels,
-and two nested exp-sinh rules: for int_0^inf f(w) e^(-w) dw and for
-int_a^inf g."""
+"""Adaptive Gauss-Kronrod quadrature (G7/K15) of real or vector-valued
+integrands, one integrand call per generation of panels, and two nested
+exp-sinh rules: for int_0^inf f(w) e^(-w) dw and for int_a^inf g."""
 
 import numpy as np
 
@@ -100,16 +99,7 @@ def _panels(f, lo, hi):
     half = 0.5 * (hi - lo)
     fx = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel()))
     fx = fx.reshape(fx.shape[:-1] + (len(lo), 15))
-    if np.iscomplexobj(fx):
-        # a complex product would promote the weights to w + 0j, whose
-        # 0j meets an infinite real part as 0 * inf = nan (and warns);
-        # scaling the (real, imag) pairs gives the same products
-        pairs = np.asarray(fx, dtype=complex).view(float).reshape(
-            fx.shape + (2,))
-        wfx = (_WEIGHTS_K[:, None] * pairs).view(complex)[..., 0]
-    else:
-        wfx = _WEIGHTS_K * fx
-    ik = wfx.sum(axis=-1)
+    ik = (_WEIGHTS_K * fx).sum(axis=-1)
     if not np.isfinite(ik).all():
         # the Kronrod weights are all positive, so this catches any value
         # of fx that is not finite before the Gauss weights' zeros meet it

@@ -1,6 +1,6 @@
 """Stirling and Barnes double-Gamma remainder objects: the periodic kernel
-Q(t), the remainder kernels p_n, and the even-indexed remainder integral
-R_{2,2n}(w) = int e^(-wt) t^(2n) p_n(t) dt.
+Q(t) as a representing measure, the remainder kernels p_n, and the
+even-indexed remainder integral R_{2,2n}(w) = int e^(-wt) t^(2n) p_n(t) dt.
 """
 
 import math
@@ -9,8 +9,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._series import midpoint_tail
-from .errors import DomainError
-from .laplace import laplace_quad
+from .errors import ConvergenceError, DomainError
+from .laplace import _transform_quad, transform_cutoff
 from .specfun import _like, _positive, _zeta, log_gamma
 from .stieltjes import PeriodicTail, PiecewisePolynomial, RepresentingMeasure
 
@@ -18,16 +18,7 @@ _TWO_PI = 2.0 * math.pi
 # the largest n whose barnes_g_limit(n) is a normal float (6.3e-307); from
 # n = 193 it and p_n near t = 0 are subnormal, with few significant bits
 _N_MAX = 192
-
-
-def q_kernel(t):
-    """Q(t) = (t - [t] - (t - [t])^2)/2, 1-periodic with values in [0, 1/8]."""
-    t = np.asarray(t, dtype=float)
-    if not np.all((t >= 0) & np.isfinite(t)):
-        raise DomainError("q_kernel needs finite t >= 0")
-    u = t - np.floor(t)
-    out = 0.5 * (u - u * u)
-    return out if out.ndim else float(out)
+_TAIL_TOL = 1e-10  # the most of R_{2,2n}(w) its mass past the cut may be
 
 
 # Q as a periodic representing measure of order 2: the Stirling remainder is
@@ -162,12 +153,40 @@ def p_kernel_series(t, n=1):
 
 def r_2_2n(w, n=1):
     """R_{2,2n}(w) = int_0^inf e^(-wt) t^(2n) p_n(t) dt, positive and
-    decreasing in w.  An array of w, of any shape, takes one
-    ``laplace_quad`` on one shared panel set."""
+    decreasing in w: e^E times the quadrature on [0, t_max(min w)] of
+    e^((2n-2) log t - wt - E) t^2 p_n(t), E that exponent's peak, so no
+    power of t overflows; an array of w shares one panel set.  Where the
+    mass past t_max may exceed 1e-10 of the value (``_tail_bound``; from
+    n = 10 at w = 1), ConvergenceError."""
     w = _points(w, n)
-    return _like(w, laplace_quad(
-        lambda t: t ** (2.0 * n - 2.0) * _t2_p_kernel(t, n), w,
-        abs_tol=1e-16, rel_tol=5e-14))
+    k = 2.0 * n - 2.0
+    t_max = transform_cutoff(float(np.min(w)))
+    peak = np.minimum(k / w, t_max)
+    top = k * np.log(peak) - w * peak if n > 1 else np.zeros_like(w)
+    scaled = _transform_quad(  # one row per w
+        lambda t: _t2_p_kernel(t, n) * np.exp(
+            k * np.log(t) - w[..., None] * t - top[..., None]),
+        w, abs_tol=1e-16, rel_tol=5e-14)
+    bad = ~(_tail_bound(w, n, t_max)
+            <= math.log(_TAIL_TOL) + np.log(scaled) + top)
+    if bad.any():
+        raise ConvergenceError(f"R_2,{2 * n}({w[bad][0]:g}) may hold more "
+                               f"than {_TAIL_TOL:g} of it past t = {t_max:.5g}")
+    return _like(w, scaled * np.exp(top))
+
+
+def _tail_bound(w, n, t_max):
+    """log of sup t^2 p_n times Gamma(2n-1, w t_max)/w^(2n-1), which bounds
+    int_(t_max)^inf e^(-wt) t^(2n) p_n(t) dt.  Term by term in k, sup t^2
+    p_n <= 2 (2 pi)^(-2n) zeta(2n) + (2n - 1 + 3 sqrt(3)/4) (2 pi)^(-2n-1)
+    zeta(2n+1); Gamma(m, x) = (m-1)! e^(-x) sum_(j<m) x^j/j!, in logs."""
+    m = 2 * n - 1
+    sup = barnes_g_limit(n) + (m + 0.75 * math.sqrt(3.0)) \
+        * _TWO_PI ** (-m - 2.0) * _zeta(m + 2.0)
+    x = w * t_max
+    log_sum = np.logaddexp.reduce(np.cumsum(  # of x^j/j!, j = 0..m-1
+        np.log(x[..., None] / np.arange(1.0, m)), axis=-1), -1, initial=0.0)
+    return math.log(sup) + math.lgamma(m) - x - m * np.log(w) + log_sum
 
 
 def barnes_g_limit(n=1):

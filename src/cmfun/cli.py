@@ -131,8 +131,6 @@ def cmd_check(args, cfg):
 
 
 def cmd_invert(args, cfg):
-    if args.key != "beta-pow-c":
-        raise DomainError(f"unknown transform key {args.key!r}")
     dt = args.dt if args.dt is not None else cfg.dt
     t_max = args.tmax if args.tmax is not None else cfg.t_max
     dens = laplace.semigroup_density(args.c, dt, t_max)
@@ -199,7 +197,7 @@ def build_parser():
     p_check.set_defaults(fn=cmd_check)
 
     p_inv = sub.add_parser("invert", help="tabulate an inverse transform")
-    p_inv.add_argument("key")
+    p_inv.add_argument("key", choices=("beta-pow-c",))
     p_inv.add_argument("--c", type=float, required=True)
     p_inv.add_argument("--dt", type=float)
     p_inv.add_argument("--tmax", type=float)

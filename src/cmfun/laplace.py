@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadrature import quad, vectorized
-from .errors import ConvergenceError, DomainError, InversionDisagreementError
-from .specfun import _BETA_ASYM, _like, _positive, _zeta, nielsen_beta_complex
+from .errors import DomainError, InversionDisagreementError
+from .specfun import (_BETA_ASYM, _like, _positive, _uncancelled, _zeta,
+                      nielsen_beta)
 
 # ---------------------------------------------------------------------------
 # periodic step functions
@@ -70,72 +71,32 @@ class PeriodicStep:
 
 def transform_cutoff(x):
     """Upper limit t_max(x) with e^(-x t_max) below roundoff."""
-    xr = x.real if isinstance(x, complex) else x
-    return (36.0 + math.log1p(1.0 / xr)) / xr
+    return (36.0 + math.log1p(1.0 / x)) / x
+
+
+def _transform_quad(integrand, x, abs_tol, rel_tol):
+    """``quad`` of ``integrand`` over [0, t_max(min x)] for checked points
+    ``x``, ``integrand(t)`` having one row per x.  The first generation's
+    panel boundaries are 1/max x times the powers of 2 up to 12/min x."""
+    x_min, x_max = float(np.min(x)), float(np.max(x))
+    seeds = 2.0 ** np.arange(int(math.log2(12.0 * x_max / x_min)) + 1) / x_max
+    return _like(x, quad(integrand, 0.0, transform_cutoff(x_min),
+                         abs_tol=abs_tol, rel_tol=rel_tol, points=seeds))
 
 
 def laplace_quad(f, x, abs_tol=1e-13, rel_tol=1e-12):
-    """int_0^inf e^(-xt) f(t) dt by adaptive quadrature on [0, t_max].
-
-    ``x`` is a finite scalar, complex with Re x > 0 allowed, or a real
-    ndarray of positive finite entries, whose shape the result keeps.  Every entry shares
-    one panel set on [0, t_max(min x)]: each generation of ``quad`` calls
-    ``f`` once on its nodes, and the integrand e^(-x t) f(t) has one row
-    per x.  The first generation's panel boundaries are 1/max x times the
-    powers of 2 up to 12/min x.  Each entry meets max(abs_tol,
-    rel_tol |I|), so it agrees with a scalar call to that tolerance, not
-    bit for bit.  ``f`` is assumed locally integrable with at most
-    polynomial growth.
-    """
-    x = np.asarray(x)
-    if not (x.size and np.all((x.real > 0) & np.isfinite(x))) or \
-            (x.ndim and np.iscomplexobj(x)):
-        raise DomainError("need finite x with Re x > 0; an array x must be "
-                          "real")
-    x_min, x_max = float(np.min(x.real)), float(np.max(x.real))
+    """int_0^inf e^(-xt) f(t) dt by adaptive quadrature on [0, t_max], for
+    points ``x`` (``specfun._positive``).  An array's entries share one
+    panel set (``_transform_quad``): each generation of ``quad`` calls
+    ``f`` once on its nodes, and e^(-x t) f(t) has one row per x.  Each
+    entry meets max(abs_tol, rel_tol |I|), so it agrees with a scalar call
+    to that tolerance, not bit for bit.  ``f`` is assumed locally
+    integrable with at most polynomial growth."""
+    x = _positive(x)
     fv = vectorized(f)
     xs = x[..., None]
-
-    def integrand(t):
-        return np.exp(-xs * t) * fv(t)
-
-    seeds = 2.0 ** np.arange(int(math.log2(12.0 * x_max / x_min)) + 1) / x_max
-    return quad(integrand, 0.0, transform_cutoff(x_min), abs_tol=abs_tol,
-                rel_tol=rel_tol, points=seeds)
-
-
-def laplace_periodic(phi, x, period=None):
-    """L(phi)(x) for T-periodic phi via one period and the geometric factor;
-    a callable phi needs a positive finite period, a step none or its own."""
-    x = _positive(x)
-    xr = x[..., None]  # x against the breakpoints or the quadrature nodes
-    if isinstance(phi, PeriodicStep):
-        if period is not None and period != phi.period:
-            raise DomainError(f"the step's period is {phi.period}, not {period}")
-        T, lo = phi.period, np.concatenate([[0.0], phi.breakpoints[:-1]])
-        one = np.sum(phi.levels * (np.exp(-lo * xr) - np.exp(
-            -phi.breakpoints * xr)), axis=-1) / x
-    else:
-        if period is None or not 0 < period < math.inf:
-            raise DomainError("callable phi needs a positive finite period")
-        T = float(period)
-        fv = vectorized(phi)
-        one = quad(lambda t: np.exp(-xr * t) * fv(t), 0.0, T,
-                   abs_tol=1e-13, rel_tol=1e-12)
-    return _like(x, one / -np.expm1(-x * T))
-
-
-def step_F(phi, x):
-    """Closed form of L(phi) for a step with matching first and last level:
-
-        F(x) = (1/x) (a_n + sum_k (a_k - a_{k+1})
-                              (1 - e^(-l_k x)) / (1 - e^(-l_n x)))
-    """
-    x = _positive(x)
-    a = phi.levels
-    if a[0] != a[-1]:
-        raise DomainError("step_F requires a_n = a_1")
-    return _like(x, (a[-1] + _step_sum(phi, 1.0, 0.0, x)) / x)
+    return _transform_quad(lambda t: np.exp(-xs * t) * fv(t), x, abs_tol,
+                           rel_tol)
 
 
 def _step_sum(phi, alpha, beta, x):
@@ -181,7 +142,6 @@ def _check_shift(phi, alpha, beta, x):
 
 
 _CONT_REL_TOL = 1e-12  # quad's rel_tol on the parts of sigma and tau
-_CANCEL_TOL = 1e-8     # the most of the value that rel_tol may stand for
 
 
 def _continuous_parts(dphi, T, alpha, beta, x, breaks, kernel):
@@ -209,22 +169,6 @@ def _continuous_parts(dphi, T, alpha, beta, x, breaks, kernel):
     return x, head, big
 
 
-def _uncancelled(name, x, value, head, big):
-    """``value``, after checking that quad's rel_tol on the two parts that
-    cancel in it, |head| + |big|, is at most _CANCEL_TOL of it (else
-    ConvergenceError).  big grows like e^(beta x/alpha) while the value
-    stays O(1), so this refuses large x: on the |t| sawtooth with
-    alpha = beta = pi/2 the bound is 3.7e-10 of sigma at x = 8 and
-    1.4e-8 at x = 12."""
-    bound = _CONT_REL_TOL * (np.abs(head) + np.abs(big))
-    bad = ~(bound <= _CANCEL_TOL * np.abs(value))
-    if bad.any():
-        raise ConvergenceError(
-            f"{name} at x = {x[bad][0]:g} cancels: quad's rel_tol "
-            f"{_CONT_REL_TOL:g} on its parts exceeds {_CANCEL_TOL:g} of it")
-    return value
-
-
 def sigma_continuous(dphi, T, alpha, beta, x, phi_at_beta, breaks=None):
     """The continuous analogue of sigma for an even T-periodic phi that is
     continuous and piecewise smooth, given its derivative on [0, T):
@@ -235,11 +179,12 @@ def sigma_continuous(dphi, T, alpha, beta, x, phi_at_beta, breaks=None):
     Satisfies sigma(x)/x = (1/2) L[phi(alpha t + beta) + phi(alpha t - beta)].
     The two integral terms grow like e^(beta x/alpha) and cancel, so an x
     where quad's tolerance on them would exceed 1e-8 of sigma is a
-    ConvergenceError.
+    ConvergenceError: on the |t| sawtooth with alpha = beta = pi/2 it is
+    3.7e-10 of sigma at x = 8 and 1.4e-8 at x = 12.
     """
     x, head, big = _continuous_parts(dphi, T, alpha, beta, x, breaks, np.cosh)
     return _like(x, _uncancelled("sigma", x, phi_at_beta - head + big,
-                                 head, big))
+                                 _CONT_REL_TOL * (abs(head) + abs(big))))
 
 
 def tau_continuous(dphi, T, alpha, beta, x, phi_max, sign=1, breaks=None):
@@ -256,7 +201,7 @@ def tau_continuous(dphi, T, alpha, beta, x, phi_max, sign=1, breaks=None):
         raise DomainError("sign must be +1 or -1")
     x, head, big = _continuous_parts(dphi, T, alpha, beta, x, breaks, np.sinh)
     return _like(x, _uncancelled("tau", x, phi_max + sign * 2.0 * (head + big),
-                                 2.0 * head, 2.0 * big))
+                                 2.0 * _CONT_REL_TOL * (abs(head) + abs(big))))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +296,7 @@ def beta_power(c):
         raise DomainError(f"c must be in (0, {C_MAX:g}], got {c}")
 
     def F(z):
-        return np.exp(c * np.log(nielsen_beta_complex(z)))
+        return np.exp(c * np.log(nielsen_beta(z)))
 
     return F
 
@@ -443,6 +388,14 @@ def _fft_inversion_grid(c, dt, t):
     return series * np.exp(a * t) + added, (M, K)
 
 
+def _grid_size(dt, t_max):
+    """n = round(t_max / dt) >= 2 points j dt, j = 1..n, or DomainError."""
+    if not (dt > 0 and math.isfinite(t_max / dt)) or round(t_max / dt) < 2:
+        raise DomainError(f"grid dt={dt}, t_max={t_max} needs dt > 0, a finite "
+                          "t_max / dt and at least 2 points")
+    return int(round(t_max / dt))
+
+
 def semigroup_density(c, dt=1e-3, t_max=12.0):
     """Tabulate m_c on [dt, t_max] by one FFT inversion of beta^c, checked
     against Euler inversion at up to 128 evenly spaced grid points, for c
@@ -457,10 +410,7 @@ def semigroup_density(c, dt=1e-3, t_max=12.0):
     The gate of 1e-7 on the spread is 20 times the worst measured for
     c in [0.01, 4] on grids with dt from 1e-4 to 2."""
     F = beta_power(c)
-    if not (dt > 0 and math.isfinite(t_max)) or round(t_max / dt) < 2:
-        raise DomainError(f"grid dt={dt}, t_max={t_max} needs dt > 0, a finite "
-                          "t_max and at least 2 points")
-    n = int(round(t_max / dt))
+    n = _grid_size(dt, t_max)
     # M > 2^22 exactly when 4 n L does, L as in _fft_inversion_grid
     if 4 * n * math.ceil(min(dt / _FFT_STEP, _FFT_MAX)) > _FFT_MAX:
         raise DomainError(f"grid dt={dt}, t_max={t_max} needs an FFT of "

@@ -1,7 +1,7 @@
 """Grid-based property checkers: complete monotonicity via higher-order
-finite differences, logarithmic complete monotonicity, Horn fractional
-powers, Pick functions on the upper half plane, and the explicit
-counterexample construction for generalized Stieltjes orders above 2.
+finite differences, logarithmic complete monotonicity, Pick functions on
+the upper half plane, and the explicit counterexample construction for
+generalized Stieltjes orders above 2.
 
 A checker can refute a property (witnesses are genuine sign violations well
 beyond the rounding slack) or corroborate it on the grid; it never proves it.
@@ -136,23 +136,6 @@ def lcm_check(f, grid=None, df=None):
         g = -(fp - fm) / (2.0 * d) / fx
         noise = 1e-9
     return _cm_report(g, grid, noise)
-
-
-DEFAULT_HORN_ALPHAS = (0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 2.0)
-
-
-def horn_check(f, alphas=DEFAULT_HORN_ALPHAS, grid=None):
-    """f^alpha completely monotonic for each alpha; aggregate verdict."""
-    grid = grid or CheckGrid.default()
-    vals = _values(f, _grid_points(grid))
-    witnesses = []
-    worst = math.inf
-    for alpha in alphas:
-        rep = _cm_report(vals ** alpha, grid, _EPS)
-        worst = min(worst, rep.worst_margin)
-        witnesses.extend(rep.witnesses)
-    return CheckReport(passed=not witnesses, worst_margin=worst,
-                       witnesses=tuple(witnesses))
 
 
 def pick_region():

@@ -6,26 +6,10 @@ import numpy as np
 import pytest
 
 from cmfun import barnes as bn
+from cmfun import laplace as lp
 from cmfun import monotonicity as mono
 from cmfun import specfun as sf
-from cmfun.errors import DomainError
-
-
-class TestQKernel:
-    def test_values(self):
-        assert bn.q_kernel(0.0) == 0.0
-        assert bn.q_kernel(0.5) == pytest.approx(0.125, abs=1e-16)
-        assert bn.q_kernel(2.5) == pytest.approx(0.125, abs=1e-16)
-
-    def test_range_and_period(self):
-        ts = np.linspace(0.0, 7.0, 701)
-        vals = bn.q_kernel(ts)
-        assert np.all((vals >= 0.0) & (vals <= 0.125))
-        assert np.max(np.abs(bn.q_kernel(ts) - bn.q_kernel(ts + 3.0))) < 1e-14
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            bn.q_kernel(-0.1)
+from cmfun.errors import ConvergenceError, DomainError
 
 
 class TestStirlingRemainder:
@@ -159,6 +143,36 @@ class TestR22:
                                           (40.0, 0.0020858937176136847)])
     def test_moderate_w_values(self, w, value):
         assert bn.r_2_2n(w, 1) == pytest.approx(value, rel=1e-14, abs=0.0)
+
+    # mpmath at 30 to 40 digits: the k-series of t^2 p_n, each term's
+    # Laplace integral by mpmath.quad, summed by mpmath.nsum
+    @pytest.mark.parametrize("w, n, value", [
+        (1.0, 1, 0.08457885629954907), (40.0, 1, 0.0020858937176136847),
+        (2.0, 3, 2.96075946752153e-05), (30.0, 3, 3.358451095676789e-11)])
+    def test_higher_orders_match_mpmath(self, w, n, value):
+        assert bn.r_2_2n(w, n) == pytest.approx(value, rel=1e-10, abs=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w, n", [(1.0, 10), (5.0, 30), (1.0, 100),
+                                      (1.0, 192)])
+    def test_mass_past_the_cut_raises(self, w, n):
+        # the integrand peaks near (2n - 3)/w, at or past the cut; n = 100
+        # at w = 1 used to overflow t^(2n-2) on the way
+        with pytest.raises(ConvergenceError, match="past t ="):
+            bn.r_2_2n(w, n)
+
+    def test_order_one_keeps_its_bits(self):
+        # at n = 1 the exponent is -wt, whose peak is 0: the quadrature
+        # is laplace_quad's of t^2 p_1(t), bit for bit
+        w = np.geomspace(1e-3, 1e5, 40)
+
+        def quad(x):
+            return lp.laplace_quad(lambda t: bn._t2_p_kernel(t, 1), x,
+                                   abs_tol=1e-16, rel_tol=5e-14)
+
+        assert bn.r_2_2n(w, 1).tobytes() == quad(w).tobytes()
+        for x in w[::5].tolist():
+            assert bn.r_2_2n(x, 1) == quad(x)
 
     def test_cm(self):
         grid = mono.CheckGrid(np.geomspace(0.5, 50.0, 12), n_max=6)

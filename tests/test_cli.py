@@ -76,6 +76,15 @@ class TestEval:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        # these printed 4.255e27 and -3.6e-15 (log(1e300 + 1) = 690.8)
+        ("r22", "1", "--n", "30"),
+        ("gamma-ratio-log", "1", "--a", "1e300", "--b", "1")])
+    def test_truncated_or_cancelling_value_exits_3(self, capsys, argv):
+        code, out, err = run(capsys, "eval", *argv)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+
     def test_no_convergence_exits_3(self, capsys):
         code, out, err = run(capsys, "eval", "r22", "1e-300")
         assert code == 3 and out == ""
@@ -180,6 +189,18 @@ class TestCheck:
                              "cm-catalog")
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:")
+
+    def test_config_grid_exits_2_before_any_item(self, capsys, tmp_path,
+                                                 monkeypatch):
+        ran = []
+        monkeypatch.setattr(laplace, "semigroup_density",
+                            lambda *args: ran.append(args))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dt": 5e-324}))
+        code, out, err = run(capsys, "--config", str(cfg), "check",
+                             "semigroup")
+        assert code == 2 and out == "" and not ran
+        assert err.startswith("error: grid") and err.count("\n") == 1
 
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -304,6 +325,8 @@ class TestInvert:
     def test_unknown_transform_exits_2(self, capsys):
         code, _, _ = run(capsys, "invert", "nosuch", "--c", "1")
         assert code == 2
+        code, out, _ = run(capsys, "invert", "--help")
+        assert code == 0 and "{beta-pow-c}" in out
 
     def test_grid_beyond_the_fft_bound_exits_2(self, capsys):
         # 1e15 points of dt = 1 would take an FFT of 2^59 points
@@ -318,6 +341,13 @@ class TestInvert:
                              "--dt", "0")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_subnormal_dt_exits_2(self, capsys):
+        # t_max / 5e-324 overflows, and round() raised OverflowError on it
+        code, out, err = run(capsys, "invert", "beta-pow-c", "--c", "1",
+                             "--dt", "5e-324")
+        assert code == 2 and out == ""
+        assert err.startswith("error: grid") and err.count("\n") == 1
 
 
 class TestSemigroupCommand:
@@ -343,6 +373,12 @@ class TestSemigroupCommand:
                              "--tmax", "1e-3")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_overflowing_grid_exits_2(self, capsys):
+        code, out, err = run(capsys, "semigroup", "0.5", "0.5",
+                             "--dt", "1e-308", "--tmax", "1e308")
+        assert code == 2 and out == ""
+        assert err.startswith("error: grid") and err.count("\n") == 1
 
 
 class TestSample:

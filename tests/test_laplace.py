@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cmfun import laplace as lp
+from cmfun._quadrature import quad
 from cmfun import specfun as sf
 from cmfun.errors import (ConvergenceError, DomainError,
                           InversionDisagreementError)
@@ -51,36 +52,50 @@ def full_band_grid(c, dt, t, K=None):
     return series * np.exp(a * t) + added * np.exp(-lp._HEAD_SHIFT * t)
 
 
+def step_F(phi, x):
+    """L(phi)(x) of a step with a_n = a_1 in closed form: sigma(x)/x at
+    alpha = 1, beta = 0."""
+    return lp.sigma_discrete(phi, 1.0, 0.0, x) / x
+
+
+def periodic_transform(phi, x):
+    """L(phi)(x) of any step from one period and the geometric factor."""
+    lo = np.concatenate([[0.0], phi.breakpoints[:-1]])
+    one = np.sum(phi.levels * (np.exp(-lo * x) - np.exp(-phi.breakpoints * x)))
+    return one / x / -np.expm1(-x * phi.period)
+
+
 class TestStepClosedForms:
     def test_constant_levels(self):
         phi = lp.PeriodicStep(np.array([0.5, 2.0]), np.array([3.0, 3.0]))
-        assert lp.step_F(phi, 2.0) == pytest.approx(3.0 / 2.0, abs=1e-14)
+        assert step_F(phi, 2.0) == pytest.approx(3.0 / 2.0, abs=1e-14)
 
     def test_three_level_data(self):
-        val = lp.step_F(SQUARE_STEP, 1.0)
+        val = step_F(SQUARE_STEP, 1.0)
         assert abs(val - (1.0 - 1.0 / (2.0 * math.cosh(PI / 2)))) <= 1e-14
 
     def test_asymmetric_vs_periodic(self):
         phi = lp.PeriodicStep(np.array([0.4, 1.1, 1.7]),
                               np.array([2.0, 0.5, 2.0]))
         for x in (0.3, 1.0, 2.1, 7.0):
-            assert abs(lp.step_F(phi, x) - lp.laplace_periodic(phi, x)) <= 1e-12
+            assert abs(step_F(phi, x) - periodic_transform(phi, x)) <= 1e-12
 
     def test_requires_matching_levels(self):
         phi = lp.PeriodicStep(np.array([1.0, 2.0]), np.array([1.0, 0.0]))
         with pytest.raises(DomainError):
-            lp.step_F(phi, 1.0)
+            step_F(phi, 1.0)
 
 
 class TestLaplacePeriodic:
+    # the transforms of periodic steps by laplace_quad, which finds their
+    # jumps by bisection, against closed forms
     def test_constant(self):
         phi = lp.PeriodicStep(np.array([1.0]), np.array([1.0]))
-        assert lp.laplace_periodic(phi, 3.0) == pytest.approx(1.0 / 3.0,
-                                                              abs=1e-14)
+        assert lp.laplace_quad(phi, 3.0) == pytest.approx(1.0 / 3.0, abs=1e-14)
 
     def test_three_level_transform(self):
         x = 1.0
-        val = lp.laplace_periodic(SQUARE_STEP, x)
+        val = lp.laplace_quad(SQUARE_STEP, x)
         assert abs(val - (1.0 - 1.0 / (2.0 * math.cosh(PI * x / 2)))
                    / x) <= 1e-14
 
@@ -88,15 +103,14 @@ class TestLaplacePeriodic:
         phi = lp.PeriodicStep(np.array([1.0, 2.0]), np.array([1.0, 0.0]))
         x = 1.3
         expected = (1.0 / x) * (1 - math.exp(-x)) / (1 - math.exp(-2 * x))
-        assert lp.laplace_periodic(phi, x) == pytest.approx(expected, abs=1e-14)
+        assert lp.laplace_quad(phi, x) == pytest.approx(expected, abs=1e-14)
 
     def test_callable_matches_brute_force(self):
         phi = lp.PeriodicStep(np.array([0.7, 1.5, 2.2]),
                               np.array([1.0, 0.2, 1.0]))
         for x in (0.8, 2.0):
-            closed = lp.laplace_periodic(lambda t: phi(t), x, period=phi.period)
             brute = lp.laplace_quad(lambda t: phi(t), x, abs_tol=1e-13)
-            assert abs(closed - brute) <= 1e-10
+            assert abs(step_F(phi, x) - brute) <= 1e-10
 
 
 class TestLaplaceQuad:
@@ -154,9 +168,11 @@ class TestLaplaceQuad:
         assert len(sizes) <= 8
 
     def test_complex_scalar_x(self):
-        z = 1.0 + 2.0j
-        assert abs(lp.laplace_quad(np.sin, z) - 1.0 / (1.0 + z * z)) <= 1e-13
-        assert abs(lp.laplace_quad(np.ones_like, z) - 1.0 / z) <= 1e-13
+        # x takes the point contract: a complex x is refused like any other
+        # non-point
+        for z in (1.0 + 2.0j, np.complex128(2.0)):
+            with pytest.raises(DomainError):
+                lp.laplace_quad(np.sin, z)
 
     def test_array_x_raises_past_the_panel_limit(self):
         # an integrable peak |t - 1/3|^(-0.9) that _LIMIT panels do not
@@ -183,7 +199,7 @@ class TestSigmaTauDiscrete:
         val = lp.sigma_discrete(SQUARE_STEP, alpha, 0.0, x)
         scaled = lp.PeriodicStep(SQUARE_STEP.breakpoints / alpha,
                                  SQUARE_STEP.levels)
-        assert abs(val - x * lp.step_F(scaled, x)) <= 1e-13
+        assert abs(val - x * step_F(scaled, x)) <= 1e-13
 
     @staticmethod
     def _jump_points(alpha, beta, x):
@@ -267,7 +283,7 @@ def test_step_constructions_match_mpmath_to_large_x(name, alpha, frac):
     got = {"sigma": lp.sigma_discrete(phi, alpha, beta, xs),
            ("tau", 1): lp.tau_discrete(phi, alpha, beta, xs, sign=1),
            ("tau", -1): lp.tau_discrete(phi, alpha, beta, xs, sign=-1),
-           "F": lp.step_F(phi, xs)}
+           "F": step_F(phi, xs)}
     for key, vals in got.items():
         kind, sign = key if isinstance(key, tuple) else (key, 1)
         a = 1.0 if kind == "F" else alpha
@@ -394,7 +410,10 @@ class TestInversion:
         ]
         for f, exact in cases:
             def F(z, f=f):
-                return lp.laplace_quad(f, z, abs_tol=1e-13)
+                z = complex(z)  # one node at a time: an array raises here
+                return quad(lambda t: np.exp(-z * t) * f(t), 0.0,
+                            lp.transform_cutoff(z.real), abs_tol=1e-13,
+                            points=2.0 ** np.arange(4) / z.real)
             for t in (0.2, 1.0, 5.0):
                 assert abs(lp.laplace_invert(F, t) - exact(t)) <= 1e-6
 

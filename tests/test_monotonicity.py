@@ -75,21 +75,27 @@ class TestLcmCheck:
             assert mono.cm_check(f).passed
 
 
+def powers_are_cm(f, alphas=(0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 2.0),
+                  grid=None):
+    return all(mono.cm_check(lambda x, a=a: f(x) ** a, grid).passed
+               for a in alphas)
+
+
 class TestHornCheck:
+    # Horn: every power f^alpha, alpha > 0, of a log-CM f is CM
     def test_beta_half_power(self):
         grid = mono.CheckGrid.default(n_points=16)
-        assert mono.horn_check(sf.nielsen_beta, alphas=(0.5,), grid=grid).passed
+        assert powers_are_cm(sf.nielsen_beta, alphas=(0.5,), grid=grid)
 
     def test_reciprocal(self):
-        assert mono.horn_check(lambda x: 1.0 / x).passed
+        assert powers_are_cm(lambda x: 1.0 / x)
 
     def test_constant(self):
-        assert mono.horn_check(lambda x: 1.0).passed
+        assert powers_are_cm(lambda x: 1.0)
 
     def test_default_alphas(self):
         grid = mono.CheckGrid.default(n_points=8)
-        rep = mono.horn_check(sf.nielsen_beta, grid=grid)
-        assert rep.passed
+        assert powers_are_cm(sf.nielsen_beta, grid=grid)
 
 
 class TestPickCheck:
@@ -101,7 +107,7 @@ class TestPickCheck:
         s = 0.5
 
         def h(z):
-            return sf.log_gamma_complex(z + s) - sf.log_gamma_complex(z)
+            return sf.log_gamma(z + s) - sf.log_gamma(z)
 
         rep = mono.pick_check(h)
         assert rep.passed
@@ -109,8 +115,8 @@ class TestPickCheck:
 
     def test_gamma_ratio(self):
         def h(z):
-            return cmath.exp(sf.log_gamma_complex(z + 0.5)
-                             - sf.log_gamma_complex(z))
+            return cmath.exp(sf.log_gamma(z + 0.5)
+                             - sf.log_gamma(z))
         assert mono.pick_check(h).passed
 
     def test_not_pick(self):
@@ -119,7 +125,7 @@ class TestPickCheck:
 
     def test_conjugate_symmetry(self):
         def h(z):
-            return sf.log_gamma_complex(z + 0.5) - sf.log_gamma_complex(z)
+            return sf.log_gamma(z + 0.5) - sf.log_gamma(z)
         zs = [0.5 + 1j, 3.0 + 0.3j, -2.0 + 2j, 7.0 + 5j, -9.0 + 1j,
               1.0 + 9j, -0.5 + 4j, 2.5 + 2.5j, -14.0 + 6j, 10.0 + 0.7j]
         assert mono.conjugate_symmetry_spread(h, zs) < 1e-12
@@ -248,11 +254,6 @@ class TestBatchedEvaluation:
         assert mono.lcm_check(f).passed
         assert f.args == [np.ndarray]
 
-    def test_horn_check_one_call(self):
-        f = CountingCalls(sf.nielsen_beta)
-        assert mono.horn_check(f).passed
-        assert f.args == [np.ndarray]
-
     def test_pick_check_one_call(self):
         h = CountingCalls(lambda z: -1.0 / z)
         assert mono.pick_check(h).passed
@@ -263,7 +264,6 @@ class TestBatchedEvaluation:
         assert not mono.cm_check(lambda x: math.sin(x) + 2.0).passed
         assert not mono.cm_check(math.exp).passed
         assert mono.cm_check(lambda x: 1.0).passed
-        assert mono.horn_check(lambda x: 1.0).passed
         assert not mono.lcm_check(math.exp, df=math.exp).passed
         assert mono.pick_check(lambda z: -1.0 / complex(z)).passed
         assert not mono.pick_check(cmath.exp).passed
@@ -280,7 +280,7 @@ class TestBatchedEvaluation:
 
     def test_pick_matches_per_point_reference(self):
         def h(z):
-            return sf.log_gamma_complex(z + 0.5) - sf.log_gamma_complex(z)
+            return sf.log_gamma(z + 0.5) - sf.log_gamma(z)
         for fn in (h, lambda z: z * z):
             rep = mono.pick_check(fn)
             worst, witnesses = reference_pick(fn)
@@ -300,5 +300,3 @@ class TestBatchedEvaluation:
     def test_nan_values_fail(self):
         assert not mono.cm_check(lambda x: x * np.nan).passed
         assert not mono.pick_check(lambda z: z * np.nan).passed
-        with np.errstate(invalid="ignore"):  # sin(x)^alpha is NaN where < 0
-            assert not mono.horn_check(lambda x: np.sin(x)).passed

@@ -60,12 +60,13 @@ ROUTINES = {
         False, 0),
     "direct_series": (lambda x: cs.direct_series("prym", 1.0, x), False, 0),
     "series_eval_three_ways": (three_way, True, 1e-12),
-    "laplace_periodic_step": (lambda x: lp.laplace_periodic(STEP, x),
-                              False, 0),
+    # laplace_quad of a periodic callable
     "laplace_periodic_callable": (
-        lambda x: lp.laplace_periodic(lambda t: 2.0 + np.cos(t), x,
-                                      period=2 * PI), False, 1e-12),
-    "step_F": (lambda x: lp.step_F(STEP, x), False, 0),
+        lambda x: lp.laplace_quad(lambda t: 2.0 + np.cos(t), x), False,
+        1e-12),
+    # the step's own transform in closed form, x F(x) = sigma(x) at
+    # alpha = 1, beta = 0
+    "step_F": (lambda x: lp.sigma_discrete(STEP, 1.0, 0.0, x), False, 0),
     "sigma_discrete": (lambda x: lp.sigma_discrete(STEP, PI / 2, 0.3, x),
                        False, 0),
     "tau_discrete": (lambda x: lp.tau_discrete(STEP, PI / 2, 0.3, x, -1),

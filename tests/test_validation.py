@@ -52,21 +52,15 @@ CASES = {
     "g-limit-n-193": lambda: bn.barnes_g_limit(193),
     "g-limit-n-300": lambda: bn.barnes_g_limit(300),
     "density-sample-past-cap": lambda: dn.density_sample(NU, 2 ** 20 + 1, 1),
-    "q-kernel-nan": lambda: bn.q_kernel(math.nan),
-    "q-kernel-inf": lambda: bn.q_kernel(math.inf),
     "density-eval-nan": lambda: dn.density_eval(NU, math.nan),
     "density-cdf-nan": lambda: dn.density_cdf(NU, math.nan),
     "sigma-discrete-inf": lambda: lp.sigma_discrete(STEP, 1.0, 0.5, math.inf),
-    "laplace-periodic-inf": lambda: lp.laplace_periodic(STEP, math.inf),
-    "step-f-inf": lambda: lp.step_F(STEP, math.inf),
-    "laplace-periodic-negative-period": lambda: lp.laplace_periodic(
-        lambda t: 1.0, 1.0, period=-2.0),
-    "laplace-periodic-inf-period": lambda: lp.laplace_periodic(
-        lambda t: 1.0, 1.0, period=math.inf),
-    "laplace-periodic-step-negative-period": lambda: lp.laplace_periodic(
-        STEP, 1.0, period=-2.0),
-    "laplace-periodic-step-other-period": lambda: lp.laplace_periodic(
-        STEP, 1.0, period=7.0),
+    "laplace-periodic-inf": lambda: lp.laplace_quad(STEP, math.inf),
+    "step-f-inf": lambda: lp.sigma_discrete(STEP, 1.0, 0.0, math.inf),
+    # t_max / dt overflows to inf, which round() used to meet
+    "semigroup-subnormal-dt": lambda: lp.semigroup_density(1.0, 5e-324),
+    "semigroup-overflowing-grid": lambda: lp.semigroup_density(
+        0.5, 1e-308, 1e308),
     "check-grid-nan": lambda: mono.CheckGrid(np.array([0.5, math.nan])),
     "check-grid-inf": lambda: mono.CheckGrid(np.array([0.5, math.inf])),
     "p-kernel-series-nan": lambda: bn.p_kernel_series(math.nan),
