@@ -31,8 +31,8 @@ class DensitySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"family must be one of {FAMILIES}")
-        if not self.a > 0:
-            raise DomainError("a must be positive")
+        if not 0 < self.a < math.inf:
+            raise DomainError(f"a must be finite and positive, got {self.a}")
 
 
 def normalization(spec):

@@ -59,7 +59,7 @@ class Witness:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of a grid check; fails iff some witness value < -slack."""
+    """Outcome of a grid check; fails iff some value is below its floor."""
 
     passed: bool
     worst_margin: float
@@ -69,6 +69,21 @@ class CheckReport:
     error: str = None
 
 
+def _verdict(x, n, values, floors, slacks, **extra):
+    """The CheckReport of ``values`` at points ``x`` and orders ``n``, all
+    broadcast together: a value passes only if value >= floor, so a NaN is
+    a witness; witnesses come in C order, and the worst margin is the least
+    value - floor over the non-NaN values."""
+    x, n, values, floors, slacks = np.broadcast_arrays(x, n, values, floors,
+                                                       slacks)
+    bad = ~(values >= floors)
+    witnesses = tuple(map(Witness, x[bad].tolist(), n[bad].tolist(),
+                          values[bad].tolist(), slacks[bad].tolist()))
+    return CheckReport(passed=not witnesses, worst_margin=float(
+        np.fmin.reduce((values - floors).ravel(), initial=math.inf)),
+        witnesses=witnesses, **extra)
+
+
 def _grid_points(grid):
     """The (len(x_points), n_max + 1) array of points x + j h, h = x / 16."""
     x = grid.x_points[:, None]
@@ -76,21 +91,20 @@ def _grid_points(grid):
 
 
 def _cm_report(vals, grid, eps):
-    """The cm_check verdict for f's values on ``_grid_points(grid)``; a NaN
-    difference is a witness."""
-    witnesses = []
-    worst = math.inf
-    for x, row in zip(grid.x_points, vals.tolist()):
-        scale = max(abs(v) for v in row)
-        for n in range(grid.n_max + 1):
-            diff = math.fsum((-1) ** j * math.comb(n, j) * row[j]
-                             for j in range(n + 1))
-            slack = 16.0 * 2 ** n * eps * scale
-            worst = min(worst, diff + slack)
-            if not diff >= -slack:
-                witnesses.append(Witness(float(x), n, diff, slack))
-    return CheckReport(passed=not witnesses, worst_margin=worst,
-                       witnesses=tuple(witnesses))
+    """The cm_check verdict for f's values on ``_grid_points(grid)``: the
+    n-th difference at x is the math.fsum of the rounded products
+    (-1)^j C(n, j) f(x + j h), j <= n, and its slack is
+    16 * 2^n * eps * max_j |f(x + j h)| (a NaN value aside)."""
+    orders = np.arange(grid.n_max + 1)
+    coef = np.array([[(-1) ** j * math.comb(n, j) for j in orders]
+                     for n in orders], dtype=float)
+    # past j = n the terms are exact zeros: a NaN or inf there enters no sum
+    terms = np.where(coef != 0.0, vals[:, None, :], 0.0) * coef
+    diff = np.reshape(list(map(math.fsum, terms.reshape(-1, len(orders))
+                               .tolist())), terms.shape[:2])
+    slack = 16.0 * 2.0 ** orders * eps * np.fmax.reduce(np.abs(vals),
+                                                        axis=1)[:, None]
+    return _verdict(grid.x_points[:, None], orders, diff, -slack, slack)
 
 
 def _values(f, pts):
@@ -122,13 +136,10 @@ def lcm_check(f, grid=None, df=None):
         fx, fp, fm = _values(f, np.stack([pts, pts + d, pts - d]))
     else:
         fx = _values(f, pts)
-    bad = ~(fx > 0)
-    if bad.any():
-        witnesses = tuple(Witness(float(x), 0, float(v), 0.0)
-                          for x, v in zip(pts[bad], fx[bad]))
-        return CheckReport(passed=False,
-                           worst_margin=min(w.value for w in witnesses),
-                           witnesses=witnesses)
+    # f > 0: every value at or above the least positive float
+    positive = _verdict(pts, 0, fx, math.ulp(0.0), 0.0)
+    if not positive.passed:
+        return positive
     if df is not None:
         g = -_values(df, pts) / fx
         noise = _EPS
@@ -166,16 +177,10 @@ def pick_check(h, floor=-1e-10):
             return complex(math.nan, math.nan)
 
     im = np.imag(vectorized(guarded)(pts))
-    bad = np.isnan(im) | (im < floor)
-    witnesses = tuple(Witness(float(z.real), 0, float(v), float(z.imag))
-                      for z, v in zip(pts[bad], im[bad]))
-    return CheckReport(passed=not witnesses,
-                       worst_margin=float(np.fmin.reduce(im - floor,
-                                                         initial=math.inf)),
-                       witnesses=witnesses,
-                       sup_im=float(np.fmax.reduce(im, initial=-math.inf)),
-                       inf_im=float(np.fmin.reduce(im, initial=math.inf)),
-                       error=errors[0] if errors else None)
+    return _verdict(pts.real, 0, im, floor, pts.imag,
+                    sup_im=float(np.fmax.reduce(im, initial=-math.inf)),
+                    inf_im=float(np.fmin.reduce(im, initial=math.inf)),
+                    error=errors[0] if errors else None)
 
 
 @dataclass(frozen=True)
@@ -220,14 +225,9 @@ def lemma_pos_check(c):
     even points of (0, 50]."""
     if not 0 <= c <= 1:
         raise DomainError("c must lie in [0, 1]")
-    floor = -1e-12
     ts = np.linspace(0.025, 50.0, 2000)
     vals = ts - np.sin(ts) + c * (1.0 - np.cos(ts) - 0.5 * ts * np.sin(ts))
-    worst = float(np.min(vals))
-    witnesses = tuple(Witness(float(t), 0, float(v), -floor)
-                      for t, v in zip(ts, vals) if v < floor)
-    return CheckReport(passed=not witnesses, worst_margin=worst - floor,
-                       witnesses=witnesses)
+    return _verdict(ts, 0, vals, -1e-12, 1e-12)
 
 
 def conjugate_symmetry_spread(h, zs):

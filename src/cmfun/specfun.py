@@ -101,7 +101,8 @@ def _shift(x, term, asym, step=1.0, until=_SHIFT, far=math.inf,
     n_max = int(n.max(initial=0.0))
     if n_max > _MAX_STEPS:
         raise ConvergenceError(f"recurrence shift needs {n_max} steps")
-    out = asym(z + step * n)
+    with np.errstate(over="ignore"):  # 1/(w*w) reads 0 once w*w overflows
+        out = asym(z + step * n)
     k = step * np.arange(n_max)
     idx = np.flatnonzero(n)
     rows = max(_BLOCK // max(n_max, 1), 1)
@@ -289,8 +290,8 @@ def beta_a_lambda(x, a, lam):
     arr = _positive(x)
     if not 0 < a <= 1:
         raise DomainError(f"a must be in (0, 1], got {a}")
-    if not lam > 0:
-        raise DomainError(f"lam must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise DomainError(f"lam must be finite and positive, got {lam}")
     poch = running_product(lambda k: (a + k - 1.0) / k, 30)
     return _like(arr, alternating_sum(
         lambda k: poch[k] * (arr[..., None] + k) ** (-lam), n_terms=30))

@@ -229,6 +229,8 @@ class PiecewisePolynomial:
         object.__setattr__(self, "coeffs", co)
         if bp.ndim != 1 or len(bp) < 2:
             raise DomainError("need at least two breakpoints")
+        if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(co))):
+            raise DomainError("breakpoints and coefficients must be finite")
         if np.any(np.diff(bp) <= 0):
             raise DomainError("breakpoints must be strictly increasing")
         if bp[0] < 0:
@@ -323,10 +325,10 @@ def _check_nonneg(pp, name):
         vals.append(pp(sample))
     ts, vals = np.concatenate(ts), np.concatenate(vals)
     floor = -1e-9 * (1.0 + np.max(np.abs(vals)))
-    if np.min(vals) < floor:
-        t_bad = ts[int(np.argmin(vals))]
+    if not np.min(vals) >= floor:  # a NaN fails, and argmin finds it first
+        bad = int(np.argmin(vals))
         raise DomainError(
-            f"{name} is negative at t={t_bad:.6g}: {np.min(vals):.3e}")
+            f"{name} is negative at t={ts[bad]:.6g}: {vals[bad]:.3e}")
 
 
 def _pochhammer_coef(k, s):
@@ -573,12 +575,14 @@ class RepresentingMeasure:
     def __post_init__(self):
         if not self.order > 0:
             raise DomainError("order must be positive")
-        if self.constant < 0:
-            raise DomainError("constant must be nonnegative")
+        if not 0 <= self.constant < math.inf:
+            raise DomainError("constant must be finite and nonnegative")
         atoms = np.array(self.atoms, dtype=float).reshape(-1, 2)
         atoms.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
         locs, masses = atoms.T
+        if not np.all(np.isfinite(atoms)):
+            raise DomainError("atoms must be finite")
         if np.any(locs < 0) or np.any(np.diff(locs) <= 0):
             raise DomainError("atom locations must be >= 0, strictly increasing")
         if np.any(masses <= 0):
@@ -709,29 +713,28 @@ def measure_alternating(a, lam):
 
     ``a`` is a finite nondecreasing sequence (even length: plain gaps; odd
     length: a trailing interval [a_last, inf)) or a callable n -> a_n for the
-    infinite case, truncated at 2048 gaps; the callable gets the float
-    array n = 0..4097 once, or one n at a time if it only takes scalars.
-    Affine location sequences get an exact analytic tail; the measure has
-    order lam + 1.
+    infinite case; the callable gets the float array n = 0..4097 once, or
+    one n at a time if it only takes scalars.  Its locations must be affine
+    there: the first 2048 gaps are cells and the rest an exact analytic
+    tail.  Any other callable raises CapTooSmallError, so the measure is
+    never truncated.  The measure has order lam + 1.
     """
     if not 0 < lam <= 1:
         raise DomainError("lam must be in (0, 1]")
+    n_pts = 2 * _GAP_CAP
+    pts = np.asarray(vectorized(a)(np.arange(n_pts + 2.0)) if callable(a)
+                     else a, dtype=float)
+    if not (np.all(np.isfinite(pts)) and np.all(np.diff(pts) >= 0)):
+        raise DomainError("location sequence must be finite, nondecreasing")
     tail = None
     if callable(a):
-        n_pts = 2 * _GAP_CAP
-        pts = np.asarray(vectorized(a)(np.arange(n_pts + 2.0)), dtype=float)
-        if np.any(np.diff(pts) < 0):
-            raise DomainError("location sequence must be nondecreasing")
-        d2 = np.diff(pts, 2)
-        if np.max(np.abs(d2)) < 1e-12 * (1 + np.max(np.abs(pts))):
-            tail = GapTail(offset=float(pts[0]),
-                           step=float(pts[1] - pts[0]),
-                           weight=lam, start=_GAP_CAP)
+        if not (np.max(np.abs(np.diff(pts, 2)))
+                < 1e-12 * (1 + np.max(np.abs(pts)))):
+            raise CapTooSmallError(
+                f"locations not affine by n={n_pts + 1}: no exact gap tail")
+        tail = GapTail(offset=float(pts[0]), step=float(pts[1] - pts[0]),
+                       weight=lam, start=_GAP_CAP)
         pts = pts[:n_pts]
-    else:
-        pts = np.asarray(a, dtype=float)
-        if np.any(np.diff(pts) < 0):
-            raise DomainError("location sequence must be nondecreasing")
     # collapse zero-length gaps (pts[i], pts[i+1]), i = len(pts) % 2 + 2j
     first = len(pts) % 2
     empty = first + 2 * np.flatnonzero(np.diff(pts)[first::2] == 0.0)

@@ -23,7 +23,8 @@ def catalog():
         "alternating-affine": st.measure_alternating(lambda n: n, 1.0),
         "alternating-half": st.measure_alternating(
             lambda n: 1.5 * n + 0.5, 0.5),
-        "alternating-sqrt": st.measure_alternating(np.sqrt, 0.7),
+        "alternating-sqrt": st.measure_alternating(
+            np.sqrt(np.arange(4096.0)), 0.7),
         "alternating-finite": st.measure_alternating(
             [0.0, 1.0, 2.5, 3.0, 4.0], 0.8),
         "integer-atoms": st.measure_integer_atoms(),

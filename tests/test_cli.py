@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from cmfun import cli, laplace, suites
+from cmfun import (cesaro, cli, densities, laplace, monotonicity, specfun,
+                   suites)
 from cmfun.errors import ConvergenceError
 from cmfun.suites import SUITES
 
@@ -53,6 +55,13 @@ class TestEval:
         code, _, err = run(capsys, "eval", "beta", "0")
         assert code == 2
         assert "error" in err
+
+    def test_infinite_lam_exits_2(self, capsys):
+        # beta-a-lambda at lam = inf printed 1 and exited 0
+        code, out, err = run(capsys, "eval", "beta-a-lambda", "1", "--lam",
+                             "inf")
+        assert (code, out) == (2, "")
+        assert err == "error: lam must be finite and positive, got inf\n"
 
     def test_unknown_key_exits_2(self, capsys):
         code, _, _ = run(capsys, "eval", "nosuchfn", "1")
@@ -249,6 +258,41 @@ class TestCheck:
             "passed": False,
             "error": "ConvergenceError: did not converge"}
 
+    @pytest.mark.parametrize("suite, name, module, attr, poison", [
+        ("gamma-ratios", "gamma-ratio-(0.5,1.3)", specfun, "gamma_ratio_log",
+         lambda out, call: np.where(np.arange(out.size) == 2, math.nan, out)),
+        ("densities", "normalization", densities, "normalization_residual",
+         lambda out, call: math.nan if call == 2 else out),
+        ("cesaro", "half-gumbel-normalization", densities,
+         "normalization_residual",
+         lambda out, call: math.nan if call == 2 else out),
+        ("densities", "laplace-shift", laplace, "laplace_quad",
+         lambda out, call: np.where(np.arange(out.size) == 1, math.nan, out)),
+        ("cesaro", "lemma-iterated-sums", cesaro, "lemma_s_check",
+         lambda out, call: (math.nan, out[1]) if call == 2 else out),
+        ("counterexample", "counterexample-random-r", monotonicity,
+         "find_lcm_counterexample",
+         lambda out, call: dataclasses.replace(out, residual=math.nan)
+         if call == 2 else out)],
+        ids=["gamma-ratio", "normalization", "half-gumbel", "laplace-shift",
+             "lemma", "random-r"])
+    def test_a_nan_in_one_leg_fails(self, monkeypatch, suite, name, module,
+                                    attr, poison):
+        # one NaN past the first value of one leg: max() would drop it
+        check = dict(SUITES[suite]())[name]
+        real, calls = getattr(module, attr), []
+
+        def poisoned(*args, **kwargs):
+            calls.append(None)
+            return poison(real(*args, **kwargs), len(calls))
+
+        assert check()["passed"]
+        monkeypatch.setattr(module, attr, poisoned)
+        verdict = check()
+        assert verdict["passed"] is False
+        assert any(isinstance(v, float) and math.isnan(v)
+                   for v in verdict.values())
+
     @pytest.mark.parametrize("suite", sorted(SUITES))
     def test_declared_names_are_the_report_names(self, suite):
         declared = [name for name, _ in SUITES[suite]()]
@@ -398,6 +442,17 @@ class TestSample:
                              "--count", str(2 ** 20 + 1))
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("a", ["inf", "1e300"])
+    def test_huge_or_infinite_parameter_writes_one_error_line(self, capsys,
+                                                              a):
+        # a = 1e300 once printed an overflow warning above its error line
+        code, out, err = run(capsys, "sample", "--family", "nu", "--a", a,
+                             "--count", "10")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        if a == "inf":
+            assert err == "error: a must be finite and positive, got inf\n"
 
     def test_bad_family_exits_2(self, capsys):
         code, _, _ = run(capsys, "sample", "--family", "cauchy", "--a", "1",

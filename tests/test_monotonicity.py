@@ -300,3 +300,43 @@ class TestBatchedEvaluation:
     def test_nan_values_fail(self):
         assert not mono.cm_check(lambda x: x * np.nan).passed
         assert not mono.pick_check(lambda z: z * np.nan).passed
+
+
+class TestVerdict:
+    def test_nan_is_a_witness_and_the_margin_ignores_it(self):
+        rep = mono._verdict(np.array([1.0, 2.0, 3.0, 4.0]), 0,
+                            np.array([1.0, math.nan, -1.0, 0.5]), 0.0, 0.25)
+        assert not rep.passed and rep.worst_margin == -1.0
+        assert rep.witnesses == (mono.Witness(2.0, 0, rep.witnesses[0].value,
+                                              0.25),
+                                 mono.Witness(3.0, 0, -1.0, 0.25))
+        assert math.isnan(rep.witnesses[0].value)
+
+    def test_witnesses_in_c_order(self):
+        values = np.array([[0.0, -1.0], [-2.0, 0.0]])
+        rep = mono._verdict(np.array([[1.0], [2.0]]), np.arange(2), values,
+                            -0.5, 0.5)
+        assert [(w.x, w.n) for w in rep.witnesses] == [(1.0, 1), (2.0, 0)]
+        assert rep.worst_margin == -1.5
+
+    def test_value_at_its_floor_passes(self):
+        rep = mono._verdict(np.array([1.0]), 0, np.array([-0.5]), -0.5, 0.5)
+        assert rep.passed and rep.worst_margin == 0.0
+
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_a_nan_value_fails_the_differences_it_enters(self, j):
+        grid = mono.CheckGrid.default()
+        target = mono._grid_points(grid)[5, j]
+        rep = mono.cm_check(lambda x: np.where(x == target, math.nan,
+                                               np.exp(-x)), grid)
+        assert not rep.passed and math.isfinite(rep.worst_margin)
+        assert [(w.x, w.n) for w in rep.witnesses] == [
+            (grid.x_points[5], n) for n in range(j, grid.n_max + 1)]
+
+    def test_lcm_positivity_gate_counts_nan_and_zero(self):
+        grid = mono.CheckGrid(np.array([1.0, 2.0]), n_max=1)
+        rep = mono.lcm_check(lambda x: np.where(x == 2.0, math.nan,
+                                                np.where(x > 2.0, 0.0, 1.0)),
+                             grid, df=lambda x: 0.0 * x)
+        assert not rep.passed
+        assert [w.x for w in rep.witnesses] == [2.0, 2.125]

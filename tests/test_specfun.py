@@ -190,6 +190,16 @@ class TestPrym:
         assert abs(sf.prym_P(x) + q - math.gamma(x)) <= 1e-13
 
 
+@pytest.mark.parametrize("fn", [sf.digamma, sf.trigamma, sf.tetragamma,
+                                sf.log_gamma, sf.nielsen_beta,
+                                sf.nielsen_beta_deriv])
+def test_huge_points_raise_no_warning(fn):
+    # 1/(w*w) in the asymptotic series reads 0 once w*w overflows; the
+    # overflow warned (an error under the test filter) past |w| = 1.34e154
+    values = [fn(1e155), fn(1e300), fn(1e155 + 1j)]
+    assert np.all(np.isfinite(values))
+
+
 class TestBetaALambda:
     def test_reduces_to_beta(self):
         assert abs(sf.beta_a_lambda(0.9, 1.0, 1.0)

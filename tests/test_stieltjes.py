@@ -306,6 +306,13 @@ class TestMeasureAlternating:
                               [n + 0.37 for n in range(4096)])
         assert m.tail.offset == 0.37 and m.tail.start == 2048
 
+    @pytest.mark.parametrize("loc", [lambda n: n ** 1.5, np.sqrt])
+    def test_non_affine_callable_raises(self, loc):
+        # it once stopped at 2,048 gaps with no tail: 1.2e-6 off at x = 0.5
+        # for n^1.5; a finite array of the locations is the truncation
+        with pytest.raises(CapTooSmallError):
+            st.measure_alternating(loc, 1.0)
+
     def test_not_nondecreasing_raises(self):
         with pytest.raises(DomainError):
             st.measure_alternating([0.0, 2.0, 1.0], 1.0)
@@ -466,7 +473,8 @@ def kernel_layouts(draw):
         zeros, a, b = draw(trapezoid_trains())
         return st.measure_genus1_log_ratio(zeros, a, b).density
     if kind == "sqrt":
-        return st.measure_alternating(np.sqrt, lam).density
+        return st.measure_alternating(np.sqrt(np.arange(4096.0)),
+                                      lam).density
     return st.RepresentingMeasure(order=2.0, atoms=st.measure_integer_atoms(
         draw(hs.floats(0.1, 10.0))).atoms)
 
@@ -495,7 +503,7 @@ def test_lattice_sum_matches_cell_by_cell(layout, log_t):
     lambda: st.measure_alternating(lambda n: n + math.pi, 0.5).density,
     lambda: st.measure_gamma_ratio(0.37, 2.37).density,
     lambda: st.measure_gamma_reciprocal_ratio(0.5).density,
-    lambda: st.measure_alternating(np.sqrt, 0.5).density,
+    lambda: st.measure_alternating(np.sqrt(np.arange(4096.0)), 0.5).density,
     lambda: st.measure_genus1_log_ratio((1.0, 2.5, 7.3), 0.4, 1.4).density],
     ids=["gaps-0.1", "gaps-pi", "gamma-ratio-sliver", "gamma-reciprocal",
          "sqrt", "genus1"])
@@ -520,7 +528,8 @@ def kernel_route_catalog():
         for off in (0.0, 1.5):
             yield f"alternating-{lam}-{off}", lambda lam=lam, off=off: \
                 st.measure_alternating(lambda n: n + off, lam)
-    yield "sqrt-locations", lambda: st.measure_alternating(np.sqrt, 0.5)
+    yield "sqrt-locations", lambda: st.measure_alternating(
+        np.sqrt(np.arange(4096.0)), 0.5)
     for s in (0.01, 0.5, 0.99):
         yield f"gamma-reciprocal-{s}", \
             lambda s=s: st.measure_gamma_reciprocal_ratio(s)

@@ -2,6 +2,7 @@
 DomainError instead of returning nan, a wrong number or a warning."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cmfun import densities as dn
 from cmfun import errors
 from cmfun import laplace as lp
 from cmfun import monotonicity as mono
+from cmfun import specfun as sf
 from cmfun import stieltjes as st
 from cmfun.errors import DomainError
 
@@ -73,6 +75,34 @@ CASES = {
         order=2, tail=st.SmoothCoefTail(10, lambda m: -1 + 0 * m)),
     "atom-tail-negative": lambda: st.RepresentingMeasure(
         order=2, tail=st.AtomTail(10, lambda m: -1 + 0 * m)),
+    # a measure with a non-finite part (stieltjes_eval returned nan)
+    "measure-nan-coefficient": lambda: st.RepresentingMeasure(
+        order=2, density=st.PiecewisePolynomial([0.0, 1.0, 2.0],
+                                                [[1.0], [math.nan]])),
+    "measure-inf-coefficient": lambda: st.PiecewisePolynomial(
+        [0.0, 1.0], [[1.0, math.inf]]),
+    "measure-nan-breakpoint": lambda: st.PiecewisePolynomial(
+        [0.0, 1.0, math.nan], [[1.0], [1.0]]),
+    "measure-inf-breakpoint": lambda: st.PiecewisePolynomial(
+        [0.0, math.inf], [[1.0]]),
+    "measure-nan-atom-mass": lambda: st.RepresentingMeasure(
+        order=2, atoms=[(1.0, 1.0), (2.0, math.nan)]),
+    "measure-nan-atom-location": lambda: st.RepresentingMeasure(
+        order=2, atoms=[(1.0, 1.0), (math.nan, 1.0)]),
+    "measure-inf-atom-location": lambda: st.RepresentingMeasure(
+        order=2, atoms=[(1.0, 1.0), (math.inf, 1.0)]),
+    "measure-nan-constant": lambda: st.RepresentingMeasure(
+        order=2, constant=math.nan),
+    "measure-inf-constant": lambda: st.RepresentingMeasure(
+        order=2, constant=math.inf),
+    "alternating-nan-location": lambda: st.measure_alternating(
+        [0.0, 1.0, math.nan, 3.0], 1.0),
+    "alternating-nan-callable": lambda: st.measure_alternating(
+        lambda n: np.where(n == 5, math.nan, n), 1.0),
+    # infinite parameters: sampling failed on an internal array, and
+    # beta_a_lambda returned 1
+    "density-spec-inf-a": lambda: dn.DensitySpec("nu", math.inf),
+    "beta-a-lambda-inf-lam": lambda: sf.beta_a_lambda(1.0, 0.5, math.inf),
 }
 
 
@@ -80,6 +110,14 @@ CASES = {
 def test_out_of_domain_argument_raises(call):
     with pytest.raises(DomainError):
         call()
+
+
+def test_a_nan_density_value_is_negative():
+    # a floor test of the form min < floor never meets a NaN
+    nan_cell = SimpleNamespace(breakpoints=np.array([0.0, 1.0, 2.0]),
+                               coeffs=np.array([[1.0], [math.nan]]), degree=0)
+    with pytest.raises(DomainError, match="at t=1: nan"):
+        st._check_nonneg(nan_cell, "density")
 
 
 def test_integral_float_counts_are_accepted():
