@@ -9,7 +9,7 @@ with normalization, CDF/quantile machinery and seeded inverse-CDF sampling.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,21 +34,22 @@ class DensitySpec:
         if not 0 < self.a < math.inf:
             raise DomainError(f"a must be finite and positive, got {self.a}")
 
-
-def normalization(spec):
-    """The normalizing constant: beta(a), psi'(a) or P(a)."""
-    if spec.family == "nu":
-        return nielsen_beta(spec.a)
-    if spec.family == "tau":
-        return trigamma(spec.a)
-    return prym_P(spec.a)
+    @cached_property
+    def normalization(self):
+        """The normalizing constant: beta(a), psi'(a) or P(a), computed
+        once per spec."""
+        if self.family == "nu":
+            return nielsen_beta(self.a)
+        if self.family == "tau":
+            return trigamma(self.a)
+        return prym_P(self.a)
 
 
 def density_eval(spec, t):
     """Pointwise density value(s) for finite t > 0."""
     t = _positive(t)
     a = spec.a
-    norm = normalization(spec)
+    norm = spec.normalization
     if spec.family == "nu":
         out = np.exp(-a * t) / (norm * (1.0 + np.exp(-t)))
     elif spec.family == "tau":

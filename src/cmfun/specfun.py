@@ -88,11 +88,13 @@ def _shift(x, term, asym, step=1.0, until=_SHIFT, far=math.inf,
     fewest steps that reach Re >= until, and n = 0 where |x| >= far; ``x``
     is checked by ``_prepare`` and a scalar gives a Python scalar.
 
-    The steps of a block of points are one (points x n_max) broadcast,
-    summed in order by ``ordered_sum``, so a point's sum does not depend on
-    the block it lands in.  numpy's product of two different complex arrays can
-    round by position in the array, so the beta terms are 1/(w*w + w), not
-    1/(w*(w+1)): each point then has the same bits alone or in any batch.
+    The steps of a block of points are one broadcast, as wide as the
+    block's largest step count, summed in order by ``ordered_sum``; zeros
+    past a point's count end its running sum unchanged, so a point's sum
+    does not depend on the block it lands in.  numpy's product of two
+    different complex arrays can round by position in the array, so the
+    beta terms are 1/(w*w + w), not 1/(w*(w+1)): each point then has the
+    same bits alone or in any batch.
     """
     z, scalar = _prepare(x, cut_plane)
     shape, z = z.shape, z.ravel()
@@ -103,11 +105,11 @@ def _shift(x, term, asym, step=1.0, until=_SHIFT, far=math.inf,
         raise ConvergenceError(f"recurrence shift needs {n_max} steps")
     with np.errstate(over="ignore"):  # 1/(w*w) reads 0 once w*w overflows
         out = asym(z + step * n)
-    k = step * np.arange(n_max)
     idx = np.flatnonzero(n)
     rows = max(_BLOCK // max(n_max, 1), 1)
     for lo in range(0, idx.size, rows):
         i = idx[lo:lo + rows]
+        k = step * np.arange(n[i].max())
         terms = np.where(k < step * n[i, None], term(z[i, None] + k), 0.0)
         out[i] += ordered_sum(terms)
     return out.item() if scalar else out.reshape(shape)

@@ -376,8 +376,6 @@ class GapTail:
         return 0.5 * self.weight
 
     def stieltjes(self, x, order):
-        if order <= 1.0:
-            raise ConvergenceError("gap tail needs order > 1")
         h, w = self.step, self.weight
         A = x + self.offset + 2.0 * h * (self.start + self.brute - 0.5)
         if abs(order - 2.0) < 1e-12:
@@ -422,8 +420,6 @@ class PeriodicTail:
         return self.profile.mass() / self.period
 
     def stieltjes(self, x, order):
-        if order <= 1.0:
-            raise ConvergenceError("periodic tail needs order > 1")
         X0 = x + self.start
         Xr = np.asarray(X0)[..., None]  # X0 against the m axis
         p, resid = self.period, self._residual
@@ -537,8 +533,6 @@ class SmoothCoefTail(_CoefTail):
     m >= start, with coef a smooth function of a real argument."""
 
     def stieltjes(self, x, order):
-        if order <= 1.0:
-            raise ConvergenceError("cell tail needs order > 1")
         return self._sum(
             x, lambda xm: -_pow_diff(xm, 1.0, 1.0 - order) / (order - 1.0))
 
@@ -552,8 +546,6 @@ class AtomTail(_CoefTail):
     """Unit-spaced atoms at integers n >= start with mass coef(n)."""
 
     def stieltjes(self, x, order):
-        if order <= 1.0:
-            raise ConvergenceError("atom tail needs order > 1")
         return self._sum(x, lambda xm: xm ** (-order))
 
     @staticmethod
@@ -564,7 +556,8 @@ class AtomTail(_CoefTail):
 @dataclass(frozen=True, eq=False)
 class RepresentingMeasure:
     """mu in f(x) = int dmu(t) / (x+t)^order + constant; ``atoms`` is a
-    sequence of (t, mass) pairs, kept as a read-only (n, 2) float array."""
+    sequence of (t, mass) pairs, kept as a read-only (n, 2) float array.
+    A tail holds infinite mass, so it needs order > 1 (DomainError)."""
 
     order: float
     atoms: np.ndarray = ()
@@ -575,6 +568,8 @@ class RepresentingMeasure:
     def __post_init__(self):
         if not self.order > 0:
             raise DomainError("order must be positive")
+        if self.tail is not None and not self.order > 1:
+            raise DomainError("a measure with a tail needs order > 1")
         if not 0 <= self.constant < math.inf:
             raise DomainError("constant must be finite and nonnegative")
         atoms = np.array(self.atoms, dtype=float).reshape(-1, 2)
@@ -659,8 +654,6 @@ def stieltjes_via_kernel(m, x):
     x = float(xs)
     order = m.order
     far = getattr(m.tail, "mean", 0.0)  # coefficient tails take none out
-    if far and order <= 1.0:
-        raise ConvergenceError("a tail with a mean density needs order > 1")
     kappa = CmKernel(m)
     head = m.constant
     if far:
@@ -800,19 +793,19 @@ def _trapezoid_train(shifts, a, b, lo, hi):
 
 def measure_gamma_ratio(a, b):
     """Order-2 measure with density g(t) = sum_k trap_{a,b}(t - k) for the
-    log Gamma-ratio of two shifts; eventually 1-periodic, handled exactly.
-    The density is tabulated up to T = max(60, ceil(a + b) + 20)."""
+    log Gamma-ratio of two shifts.  The density is tabulated on [0, N),
+    N = ceil(a + b); from N on every shift k with trap(t - k) != 0 has
+    k >= 0, so g is exactly 1-periodic there and the tail holds it."""
     if a < 0 or b < 0:
         raise DomainError("a and b must be nonnegative")
     if a == 0.0 or b == 0.0:
         return RepresentingMeasure(order=2.0, density=convolve_box(a, b))
-    T = max(60, math.ceil(a + b) + 20)
-    density = _trapezoid_train(np.arange(T), a, b, 0.0, float(T))
-    # beyond T the density is 1-periodic: rho(s) = sum_i trap(s + i)
-    profile = _trapezoid_train(-np.arange(math.ceil(a + b) + 1), a, b,
-                               0.0, 1.0)
+    N = math.ceil(a + b)
+    density = _trapezoid_train(np.arange(N), a, b, 0.0, float(N))
+    # the profile on a period: rho(s) = sum_i trap(s + i)
+    profile = _trapezoid_train(-np.arange(N + 1), a, b, 0.0, 1.0)
     return RepresentingMeasure(order=2.0, density=density,
-                               tail=PeriodicTail(start=float(T), period=1.0,
+                               tail=PeriodicTail(start=float(N), period=1.0,
                                                  profile=profile))
 
 

@@ -277,6 +277,19 @@ def _suite_gamma_ratios(tol=1e-7):
                 and abs(m.density(0.5) - 1.0) < 1e-14
                 and abs(m.density(1.5) - (1.0 - s)) < 1e-14}
 
+    def beta_measure():
+        # density 1 on the gaps (2n, 2n + 1), order 2; both routes
+        m = stieltjes.measure_alternating(lambda n: n, 1.0)
+        kx = [0.5, 5.0]
+        values = np.append(stieltjes.stieltjes_eval(m, xs),
+                           [stieltjes.stieltjes_via_kernel(m, x) for x in kx])
+        return _max_err(values, specfun.nielsen_beta(np.append(xs, kx)), 1e-12)
+
+    def trigamma_measure():
+        m = stieltjes.measure_integer_atoms()
+        return _max_err(stieltjes.stieltjes_eval(m, xs),
+                        specfun.trigamma(xs), 1e-12)
+
     return ([(f"gamma-ratio-({a},{b})", partial(gamma_ratio, a, b))
              for a, b in ((0.5, 1.3), (1.0, 1.0), (0.5, 2.0))]
             + [("gamma-ratio-integer-shift", integer_b)]
@@ -286,7 +299,9 @@ def _suite_gamma_ratios(tol=1e-7):
                                    ((0.5,), 1.0, 1.0),
                                    ((1.0, 4.0, 9.0), 0.3, 1.7))]
             + [(f"gamma-reciprocal-s={s}", partial(gamma_reciprocal, s))
-               for s in (0.3, 0.5, 0.8)])
+               for s in (0.3, 0.5, 0.8)]
+            + [("measure:beta", beta_measure),
+               ("measure:trigamma", trigamma_measure)])
 
 
 def _suite_barnes(tol=1e-7):

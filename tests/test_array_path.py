@@ -180,7 +180,7 @@ def test_direct_series_takes_an_array():
 
 
 def test_gamma_ratios_suite_calls_each_measure_once(monkeypatch):
-    # a loop over x would make 48 calls: one per x, one for the far value
+    # a loop over x would make 58 calls: one per x, one for the far value
     calls, built = [], []
     evaluate = st.stieltjes_eval
 
@@ -190,11 +190,12 @@ def test_gamma_ratios_suite_calls_each_measure_once(monkeypatch):
 
     monkeypatch.setattr(st, "stieltjes_eval", counted)
     for name in ("measure_gamma_ratio", "measure_genus1_log_ratio",
-                 "measure_gamma_reciprocal_ratio"):
+                 "measure_gamma_reciprocal_ratio", "measure_alternating",
+                 "measure_integer_atoms"):
         build = getattr(st, name)
         monkeypatch.setattr(st, name, lambda *a, build=build: (
             built.append(a), build(*a))[1])
     report = suites.run_suite("gamma-ratios")
     assert report["passed"]
-    assert len(built) == 9 and len(calls) == len(built)
+    assert len(built) == 11 and len(calls) == len(built)
     assert all(shape in ((5,), (6,)) for shape in calls)

@@ -46,8 +46,24 @@ class TestNormalization:
     def test_half_gumbel_normalizer(self):
         # P(1) = 1 - 1/e normalizes the a = 1 case
         spec = dn.DensitySpec("half-gumbel", 1.0)
-        assert dn.normalization(spec) == pytest.approx(
+        assert spec.normalization == pytest.approx(
             1.0 - math.exp(-1.0), abs=1e-14)
+
+
+    @pytest.mark.parametrize("family, name", [
+        ("nu", "nielsen_beta"), ("tau", "trigamma"),
+        ("half-gumbel", "prym_P")])
+    def test_constant_is_computed_once_per_spec(self, monkeypatch, family,
+                                                name):
+        calls, real = [], getattr(dn, name)
+        monkeypatch.setattr(dn, name, lambda a: (calls.append(a), real(a))[1])
+        spec = dn.DensitySpec(family, 0.7)
+        norm = spec.normalization
+        for t in (0.5, np.array([1.0, 2.0])):
+            dn.density_eval(spec, t)
+        dn.density_quantile(spec, 0.3)
+        assert spec.normalization == norm == real(0.7)
+        assert calls == [0.7]
 
 
 class TestCdfQuantile:

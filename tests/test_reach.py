@@ -23,14 +23,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # reach or remove it
 EXEMPT = {
     # reached only by the benchmark
-    "CmKernel": "items 2 and 11",
-    "stieltjes_via_kernel": "items 2 and 11",
-    "measure_alternating": "items 2 and 11",
     "laplace_invert": "items 2 and 11",
     # paper constructions awaiting an item
     "sigma_continuous": "items 2 and 11",
     "tau_continuous": "items 2 and 11",
-    "measure_integer_atoms": "items 2 and 11",
 }
 
 

@@ -419,6 +419,23 @@ def test_domain_errors(fn):
         fn(-2.0)
 
 
+def test_shift_pads_each_block_to_its_own_step_count():
+    # the far point used to pad every one-point block to its 9,012 steps
+    rng = np.random.default_rng(3)
+    z = np.append(rng.uniform(-30.0, 12.0, 2000)
+                  + 1j * rng.uniform(0.1, 5.0, 2000), complex(-9e3, 1.0))
+    evaluated = []
+
+    def term(w):
+        evaluated.append(w.size)
+        return -np.log(w)
+
+    value = sf._shift(z, term, sf._lgamma_asym, cut_plane=True)
+    assert sum(evaluated) == np.maximum(np.ceil(12.0 - z.real), 0.0).sum()
+    assert np.array_equal(value, sf.log_gamma(z))
+    assert np.array_equal(value[:-1], sf.log_gamma(z[:-1]))
+
+
 def test_shift_step_cap():
     # a point 2e4 left of the axis would need a (rows x 2e4) broadcast
     with pytest.raises(ConvergenceError):

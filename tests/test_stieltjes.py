@@ -677,6 +677,14 @@ def test_kernel_memory_on_no_lattice():
 
 
 class TestGammaRatioMeasure:
+    @staticmethod
+    def g(m, t):
+        """The table below the tail's start, the tail's profile from it on."""
+        t = np.asarray(t, dtype=float)
+        start = m.tail.start
+        return np.where(t < start, m.density(t),
+                        m.tail.profile((t - start) % 1.0))
+
     @pytest.mark.parametrize("a,b", [(0.5, 1.3), (1.0, 1.0), (0.5, 2.0)])
     def test_reproduces_log_ratio(self, a, b):
         m = st.measure_gamma_ratio(a, b)
@@ -693,7 +701,7 @@ class TestGammaRatioMeasure:
             u = ts - k
             direct += np.where(u > 0, np.clip(np.minimum(np.minimum(u, a),
                                                          a + b - u), 0, None), 0.0)
-        assert np.max(np.abs(m.density(ts) - direct)) <= 1e-12
+        assert np.max(np.abs(self.g(m, ts) - direct)) <= 1e-12
 
     def test_density_b_one_min_formula(self):
         a = 0.4
@@ -701,7 +709,7 @@ class TestGammaRatioMeasure:
         for t in (0.2, 1.3, 2.7, 5.5):
             expected = sum(min(t - j, a, a + 1.0 - (t - j))
                            for j in range(int(t) + 1) if 0 < t - j < a + 1.0)
-            assert m.density(t) == pytest.approx(expected, abs=1e-12)
+            assert self.g(m, t) == pytest.approx(expected, abs=1e-12)
 
     def test_density_nonnegative(self):
         m = st.measure_gamma_ratio(0.5, 1.3)
@@ -709,12 +717,30 @@ class TestGammaRatioMeasure:
         assert np.min(m.density(ts)) >= 0.0
 
     def test_large_shifts_extend_the_table(self):
-        # the density is tabulated to ceil(a + b) + 20 = 66 before the
+        # the density is tabulated to ceil(a + b) = 46 before the
         # periodic tail takes over
         m = st.measure_gamma_ratio(30.0, 15.5)
         for x in (0.5, 1.0, 2.0, 5.0, 10.0):
             ref = sf.gamma_ratio_log(x, 30.0, 15.5)
             assert abs(st.stieltjes_eval(m, x) - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("a,b", [
+        (0.5, 1.3), (1.0, 1.0), (0.5, 2.0), (0.37, 2.37), (0.64, 1.0),
+        (1.36, 2.36), (30.0, 15.5), (0.01, 0.02), (2.9, 2.95)])
+    def test_table_ends_where_the_density_turns_periodic(self, a, b):
+        m = st.measure_gamma_ratio(a, b)
+        assert m.tail.start == m.density.breakpoints[-1] == math.ceil(a + b)
+
+        def ref(x):
+            return float(mpmath.loggamma(x) + mpmath.loggamma(x + a + b)
+                         - mpmath.loggamma(x + a) - mpmath.loggamma(x + b))
+
+        xs = np.geomspace(0.05, 50.0, 7)
+        refs = np.array([ref(mpmath.mpf(x)) for x in xs])
+        assert np.max(np.abs(st.stieltjes_eval(m, xs) / refs - 1.0)) <= 2e-13
+        for x in (0.05, 1.0, 50.0):
+            assert abs(st.stieltjes_via_kernel(m, x) / ref(mpmath.mpf(x))
+                       - 1.0) <= 1e-14
 
 
 class TestGenus1Measure:

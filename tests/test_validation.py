@@ -1,6 +1,7 @@
 """Front-door validation: an argument outside a function's domain raises
 DomainError instead of returning nan, a wrong number or a warning."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -91,6 +92,13 @@ CASES = {
         order=2, atoms=[(1.0, 1.0), (math.nan, 1.0)]),
     "measure-inf-atom-location": lambda: st.RepresentingMeasure(
         order=2, atoms=[(1.0, 1.0), (math.inf, 1.0)]),
+    # a tail holds infinite mass: its sum diverged only once evaluated
+    "tail-order-1": lambda: st.RepresentingMeasure(
+        order=1.0, tail=st.AtomTail(10, lambda m: 1 + 0 * m)),
+    "gamma-ratio-replaced-to-order-1": lambda: dataclasses.replace(
+        st.measure_gamma_ratio(0.5, 1.3), order=1.0),
+    "alternating-replaced-to-order-0.9": lambda: dataclasses.replace(
+        st.measure_alternating(lambda n: n, 0.5), order=0.9),
     "measure-nan-constant": lambda: st.RepresentingMeasure(
         order=2, constant=math.nan),
     "measure-inf-constant": lambda: st.RepresentingMeasure(
